@@ -3,7 +3,7 @@
 The query-side sweep bench (:mod:`repro.bench.experiments.sweep`)
 gates the vectorized label *reads*; this experiment gates the build
 side -- the partial-PLL construction over the bridge endpoints that
-dominates ``--oracle hub`` index builds (fig10 records it at ~10s per
+dominates ``--oracle auto`` index builds (fig10 records it at ~10s per
 row on EAST-S against a sub-2s partition build).  It times
 :meth:`~repro.shortestpath.oracle.HubOracle.build` twice over the same
 network and bridge set:

@@ -69,6 +69,7 @@ from repro.graph.io import read_dimacs, write_dimacs
 from repro.graph.network import RoadNetwork
 from repro.obs import QueryStats, TraceRecorder
 from repro.shortestpath.flat import ENGINES
+from repro.shortestpath.oracle import ORACLE_POLICIES
 
 
 def _version_line() -> str:
@@ -343,18 +344,14 @@ def _cmd_serve(args) -> int:
 def _cmd_index_convert(args) -> int:
     network = _load_network(args)
     index = RoadPartIndex.load_auto(getattr(args, "in"), network)
-    if args.oracle == "none":
-        index.oracle = None
-    elif args.oracle in ("hub", "ch"):
-        # Upgrade path: (re)build the requested oracle kind from the
-        # loaded bridges, e.g. to lift a v1 file to v2 without a full
-        # index rebuild.
+    if args.oracle != "keep":
+        # "none" strips the oracle; "auto" (re)builds it from the loaded
+        # bridges without a full index rebuild.
         from repro.shortestpath.oracle import build_oracle
         index.oracle = build_oracle(network, args.oracle,
                                     sorted(index.bridges),
                                     region_of=index.regions.region_of,
                                     engine=args.engine)
-    # "keep": carry whatever the source file had (possibly nothing).
     fmt = args.format
     if fmt == "auto":
         fmt = "json" if args.out.endswith(".json") else "bin"
@@ -371,6 +368,7 @@ def _cmd_index_convert(args) -> int:
 
 def _cmd_index_info(args) -> int:
     from repro.core.roadpart import binfmt
+    from repro.core.roadpart.index import read_index_json
     from repro.shortestpath.flat import available_engines
     from repro.vec.backend import backend_name
 
@@ -381,10 +379,7 @@ def _cmd_index_info(args) -> int:
     path = getattr(args, "in")
     if binfmt.sniff_binary(path):
         header = binfmt.read_header(path)
-        name = (binfmt.FORMAT_NAME_V2
-                if header.version >= binfmt.VERSION_ORACLE
-                else binfmt.FORMAT_NAME)
-        print(f"format:      {name}"
+        print(f"format:      {binfmt.FORMAT_NAME}"
               f" (version {header.version})")
         print(f"vertices:    {header.num_vertices}")
         print(f"borders (l): {header.border_count}")
@@ -394,21 +389,15 @@ def _cmd_index_info(args) -> int:
         if meta is None:
             print("oracle:      none")
         else:
-            kind, count_a, count_b = meta
-            if kind == "hub":
-                print(f"oracle:      hub ({count_a} hubs,"
-                      f" {count_b} label entries; covers"
-                      f" (x, bridge endpoint) pairs)")
-            else:
-                print(f"oracle:      ch ({count_b} upward edges;"
-                      f" covers all pairs)")
+            hubs, entries = meta
+            print(f"oracle:      hub ({hubs} hubs, {entries} label"
+                  f" entries; covers (x, bridge endpoint) pairs)")
         for tag, (offset, length) in header.sections.items():
             print(f"section {tag.decode('ascii'):<9}"
                   f" offset={offset} bytes={length}")
         _capability_line()
         return 0
-    with open(path, "r", encoding="ascii") as stream:
-        payload = json.load(stream)
+    payload = read_index_json(path)
     print(f"format:      {payload.get('format', '?')}")
     print(f"vertices:    {payload.get('num_vertices', '?')}")
     print(f"borders (l): {len(payload.get('border_vertex_ids', []))}")
@@ -464,12 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
                             " index with every engine; numpy needs the"
                             " 'vec' extra and falls back to flat with a"
                             " notice)")
-    build.add_argument("--oracle", choices=["auto", "none", "hub", "ch"],
+    build.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
                        help="bridge-domain distance oracle to precompute"
                             " (auto: hub labels when the network has"
-                            " bridges; files without an oracle stay"
-                            " format v1)")
+                            " bridges)")
     build.add_argument("--stats", action="store_true",
                        help="print the nested build-phase trace")
     build.add_argument("--stats-json", action="store_true",
@@ -503,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SSSP kernel (identical answers with every"
                             " engine; numpy needs the 'vec' extra and"
                             " falls back to flat with a notice)")
-    query.add_argument("--oracle", choices=["auto", "none", "hub", "ch"],
+    query.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
                        help="bridge-domain oracle policy (auto: use the"
                             " index's oracle when it carries one;"
@@ -547,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="flat",
                        help="SSSP kernel (identical answers with every"
                             " engine; numpy needs the 'vec' extra)")
-    serve.add_argument("--oracle", choices=["auto", "none", "hub", "ch"],
+    serve.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
                        help="bridge-domain oracle policy; part of every"
                             " cache key")
@@ -585,14 +573,15 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="target layout (auto: json when --out"
                               " ends in .json, else bin)")
-    convert.add_argument("--oracle", choices=["keep", "none", "hub", "ch"],
+    convert.add_argument("--oracle",
+                         choices=["keep"] + list(ORACLE_POLICIES),
                          default="keep",
                          help="oracle handling: keep the source's,"
-                              " strip it, or build the named kind"
-                              " (lifts a v1 file to v2)")
+                              " strip it (none), or (re)build it from"
+                              " the index's bridges (auto)")
     convert.add_argument("--engine", choices=list(ENGINES),
                          default="flat",
-                         help="builder for --oracle hub (byte-identical"
+                         help="builder for --oracle auto (byte-identical"
                               " output with every engine; numpy runs"
                               " the batched PLL builder)")
     convert.set_defaults(func=_cmd_index_convert)

@@ -3,7 +3,7 @@
 The legacy on-disk index is JSON (``roadpart-index-v1``): simple, but a
 load parses and materialises every ``O(|V|)`` structure as Python
 objects, and every daemon worker or fork pool pays that again.  This
-module defines ``roadpart-index-bin-v1``, a sectioned little-endian
+module defines ``roadpart-index-bin-v2``, a sectioned little-endian
 binary layout whose large arrays are read through :mod:`mmap`:
 
 - the file's pages are shared by every process that maps it (the OS
@@ -19,18 +19,19 @@ Layout (all integers little-endian)::
 
     offset  size  field
     0       4     magic  b"RPIX"
-    4       4     version        u32  (currently 1)
+    4       4     version        u32  (always 2)
     8       4     flags          u32  (reserved, must be 0)
     12      4     num_vertices   u32
     16      4     border_count   u32  (= label dimensions, ℓ)
     20      4     region_count   u32
     24      4     bridge_count   u32
-    28      4     section_count  u32
+    28      4     section_count  u32  (4, or 9 with an oracle)
     32      ...   section table: section_count × (tag 8s, offset u64,
-                  length u64) -- offsets from file start, 8-aligned
-    ...           section payloads
+                  length u64) -- offsets from file start
+    ...           section payloads, packed in table order, each
+                  starting at the next 8-aligned offset
 
-Sections (tags are 8 bytes, NUL-padded):
+Sections (tags are 8 bytes, NUL-padded), in file order:
 
     ``borders``   border_count u32 vertex ids, contour order
     ``regionof``  num_vertices u32 region ids (vertex-indexed)
@@ -39,37 +40,30 @@ Sections (tags are 8 bytes, NUL-padded):
     ``bridges``   bridge_count × 2 u32 endpoints, pairs sorted
                   ascending (the same order ``to_dict`` emits)
 
-**Version 2** (``roadpart-index-bin-v2``) extends the layout with a
-distance-oracle payload (see :mod:`repro.shortestpath.oracle`).  An
-index *without* an oracle is still written as version 1, byte-identical
-to older builds; only oracle-carrying files bump the header version.
-Version-1 readers reject v2 files with a clear version error; this
-reader accepts both and hands v1 files back with ``oracle=None``.
-Oracle sections (all after the v1 base sections):
+An index carrying the hub-label distance oracle (see
+:mod:`repro.shortestpath.oracle`) appends five more sections; an
+oracle-less index simply has none of them:
 
-    ``oracle``    4 u32 meta words: kind (1=hub, 2=ch), count_a,
-                  count_b, reserved (0).  hub: count_a=hub count,
-                  count_b=label entries; ch: count_a=num_vertices,
-                  count_b=upward edges.
-    ``orhubs``    hub: hub vertex ids, processing order (u32)
-    ``orloff``    hub: num_vertices+1 label offsets (u32, CSR)
-    ``orlhub``    hub: label hub ids, vertex-major (u32)
-    ``orldst``    hub: label distances (f64, same order)
-    ``orchrk``    ch: num_vertices contraction ranks (u32)
-    ``orchof``    ch: num_vertices+1 upward-edge offsets (u32, CSR)
-    ``orchtg``    ch: upward edge targets (u32)
-    ``orchwt``    ch: upward edge weights (f64)
+    ``oracle``    4 u32 meta words: kind (1 = hub labels, the only
+                  kind), hub count, label entries, reserved (0)
+    ``orhubs``    hub vertex ids, processing order (u32)
+    ``orloff``    num_vertices+1 label offsets (u32, CSR)
+    ``orlhub``    label hub ids, vertex-major (u32)
+    ``orldst``    label distances (f64, same order)
 
-The f64 payloads are mmap views too (cast ``"d"``), so a daemon loads
+The f64 payload is an mmap view too (cast ``"d"``), so a daemon loads
 million-entry label sets without materialising a single Python float.
-A section tag this build does not know is a structural defect, not
-silent forward compatibility: the loader raises
-:class:`~repro.errors.IndexFormatError` naming the path and the tag.
 
-Every structural defect raises
-:class:`~repro.errors.IndexFormatError` naming the path and the
-problem, mirroring the JSON loader's contract.  Binding to the wrong
-network is the caller's check (``num_vertices`` is in the header).
+Every structural defect raises :class:`~repro.errors.IndexFormatError`
+naming the path and the problem, mirroring the JSON loader's contract:
+another version (version-1 files from older builds included), an
+unknown section tag or oracle kind code, sections out of layout order,
+counts that disagree with section lengths, and vertex ids (border
+vertices, bridge endpoints, hubs) or region ids out of range.  The
+label offsets must run from 0 to the entry count without decreasing;
+the label entries themselves are not scanned, so a load stays cheap.
+Binding to the wrong network is the caller's check (``num_vertices``
+is in the header).
 """
 
 from __future__ import annotations
@@ -84,32 +78,28 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import IndexFormatError
 
 MAGIC = b"RPIX"
-VERSION = 1
-VERSION_ORACLE = 2
-SUPPORTED_VERSIONS = (VERSION, VERSION_ORACLE)
-FORMAT_NAME = "roadpart-index-bin-v1"
-FORMAT_NAME_V2 = "roadpart-index-bin-v2"
+VERSION = 2
+FORMAT_NAME = "roadpart-index-bin-v2"
 
 _HEADER = struct.Struct("<4sIIIIIII")
 _SECTION = struct.Struct("<8sQQ")
 _U32_MAX = 0xFFFFFFFF
 
-#: Section tags in file order.
+#: Base section tags in file order.
 SECTION_TAGS = (b"borders", b"regionof", b"vectors", b"bridges")
 
-#: Oracle meta section (v2 only): kind, count_a, count_b, reserved.
+#: Oracle meta section: kind, hub count, label entries, reserved.
 ORACLE_META_TAG = b"oracle"
 #: Hub-label oracle payload sections, file order.
 HUB_SECTION_TAGS = (b"orhubs", b"orloff", b"orlhub", b"orldst")
-#: Contraction-hierarchy oracle payload sections, file order.
-CH_SECTION_TAGS = (b"orchrk", b"orchof", b"orchtg", b"orchwt")
-#: Every section tag a v2 file may carry beyond the v1 base.
-ORACLE_SECTION_TAGS = (ORACLE_META_TAG,) + HUB_SECTION_TAGS + CH_SECTION_TAGS
-#: Oracle kind codes in the ``oracle`` meta section.
-ORACLE_KIND_CODES = {"hub": 1, "ch": 2}
-_ORACLE_KIND_NAMES = {code: kind for kind, code in ORACLE_KIND_CODES.items()}
-#: f64 payload sections (everything else is u32).
-_F64_TAGS = frozenset({b"orldst", b"orchwt"})
+#: Every section an oracle-carrying file adds after the base ones.
+ORACLE_SECTION_TAGS = (ORACLE_META_TAG,) + HUB_SECTION_TAGS
+#: The hub-label oracle's code in the meta section's kind word.
+HUB_KIND_CODE = 1
+
+#: The two section sequences a file may carry.
+_LAYOUTS = (SECTION_TAGS, SECTION_TAGS + ORACLE_SECTION_TAGS)
+_MAX_SECTIONS = len(_LAYOUTS[-1])
 
 
 def _pad8(n: int) -> int:
@@ -132,30 +122,8 @@ def _f64_bytes(values) -> bytes:
     return bytes(out)
 
 
-def _oracle_sections(oracle: Dict[str, object]) -> Dict[bytes, bytes]:
-    """Flatten one oracle payload dict (the ``to_payload`` form of
-    :mod:`repro.shortestpath.oracle`) into v2 section blobs."""
-    kind = oracle["kind"]
-    code = ORACLE_KIND_CODES.get(kind)
-    if code is None:
-        raise ValueError(f"unknown oracle payload kind {kind!r}")
-    if kind == "hub":
-        meta = (code, len(oracle["hubs"]), len(oracle["label_hubs"]), 0)
-        return {
-            ORACLE_META_TAG: _u32_bytes(meta),
-            b"orhubs": _u32_bytes(oracle["hubs"]),
-            b"orloff": _u32_bytes(oracle["offsets"]),
-            b"orlhub": _u32_bytes(oracle["label_hubs"]),
-            b"orldst": _f64_bytes(oracle["label_dists"]),
-        }
-    meta = (code, len(oracle["rank"]), len(oracle["up_targets"]), 0)
-    return {
-        ORACLE_META_TAG: _u32_bytes(meta),
-        b"orchrk": _u32_bytes(oracle["rank"]),
-        b"orchof": _u32_bytes(oracle["offsets"]),
-        b"orchtg": _u32_bytes(oracle["up_targets"]),
-        b"orchwt": _f64_bytes(oracle["up_weights"]),
-    }
+def _tag_names(tags) -> str:
+    return ", ".join(t.decode("ascii", "replace") for t in tags)
 
 
 def write_index_binary(path, num_vertices: int,
@@ -168,10 +136,8 @@ def write_index_binary(path, num_vertices: int,
 
     ``bridges`` must already be the canonical sorted pair list (the
     writer sorts defensively so binary and JSON agree byte-for-byte on
-    bridge order).  Without ``oracle`` the file is written as version 1
-    -- byte-identical to pre-oracle builds; with an oracle payload dict
-    (the ``to_payload`` form) the header says version 2 and the oracle
-    sections follow the v1 base sections.
+    bridge order).  ``oracle`` is a hub-label payload dict (the
+    ``to_payload`` form); without one the oracle sections are omitted.
     """
     dims = len(vectors[0]) if vectors else len(border_vertex_ids)
     flat_vectors: List[int] = []
@@ -188,15 +154,18 @@ def write_index_binary(path, num_vertices: int,
         b"vectors": _u32_bytes(flat_vectors),
         b"bridges": _u32_bytes(v for pair in bridge_pairs for v in pair),
     }
-    tags: Tuple[bytes, ...] = SECTION_TAGS
-    version = VERSION
+    tags = SECTION_TAGS
     if oracle is not None:
-        extra = _oracle_sections(oracle)
-        payloads.update(extra)
-        kind_tags = (HUB_SECTION_TAGS if oracle["kind"] == "hub"
-                     else CH_SECTION_TAGS)
-        tags = SECTION_TAGS + (ORACLE_META_TAG,) + kind_tags
-        version = VERSION_ORACLE
+        meta = (HUB_KIND_CODE, len(oracle["hubs"]),
+                len(oracle["label_hubs"]), 0)
+        payloads.update({
+            ORACLE_META_TAG: _u32_bytes(meta),
+            b"orhubs": _u32_bytes(oracle["hubs"]),
+            b"orloff": _u32_bytes(oracle["offsets"]),
+            b"orlhub": _u32_bytes(oracle["label_hubs"]),
+            b"orldst": _f64_bytes(oracle["label_dists"]),
+        })
+        tags = SECTION_TAGS + ORACLE_SECTION_TAGS
     table_offset = _HEADER.size
     data_offset = _pad8(table_offset + _SECTION.size * len(tags))
     table = bytearray()
@@ -207,7 +176,7 @@ def write_index_binary(path, num_vertices: int,
         table += _SECTION.pack(tag.ljust(8, b"\0"), offset, len(payload))
         body += payload
         body += b"\0" * (_pad8(len(payload)) - len(payload))
-    header = _HEADER.pack(MAGIC, version, 0, num_vertices,
+    header = _HEADER.pack(MAGIC, VERSION, 0, num_vertices,
                           len(border_vertex_ids), len(vectors),
                           len(bridge_pairs), len(tags))
     blob = header + bytes(table)
@@ -245,8 +214,8 @@ class BinaryIndexPayload:
     vectors: List[Tuple[Tuple[int, int], ...]]
     bridges: List[Tuple[int, int]]
     mapping: object
-    #: Oracle payload dict (``to_payload`` form, arrays as mmap views)
-    #: for v2 files; ``None`` for v1.
+    #: Oracle payload dict (``to_payload`` form, arrays as mmap views),
+    #: or ``None`` when the file carries no oracle sections.
     oracle: Optional[Dict[str, object]] = None
 
 
@@ -267,12 +236,13 @@ def read_header(path,
     are read directly -- ``repro index info`` uses this to describe a
     file without touching its payload sections.
     """
+    table_max = _HEADER.size + _SECTION.size * _MAX_SECTIONS
     if data is None:
         with open(path, "rb") as stream:
-            raw = stream.read(_HEADER.size + _SECTION.size * 16)
+            raw = stream.read(table_max)
         size = os.path.getsize(path)
     else:
-        raw = bytes(data[:_HEADER.size + _SECTION.size * 16])
+        raw = bytes(data[:table_max])
         size = len(data)
     if len(raw) < _HEADER.size:
         raise IndexFormatError(
@@ -284,17 +254,18 @@ def read_header(path,
         raise IndexFormatError(
             f"{path}: not a binary RoadPart index (magic {magic!r},"
             f" expected {MAGIC!r})")
-    if version not in SUPPORTED_VERSIONS:
+    if version != VERSION:
         raise IndexFormatError(
             f"{path}: unsupported binary index version {version}"
-            f" (this build reads versions"
-            f" {', '.join(str(v) for v in SUPPORTED_VERSIONS)})")
+            f" (this build reads only version {VERSION}, {FORMAT_NAME};"
+            f" rebuild the index)")
     if flags != 0:
         raise IndexFormatError(
             f"{path}: reserved flags field is {flags:#x}, expected 0")
-    if section_count < len(SECTION_TAGS) or section_count > 64:
+    if not len(SECTION_TAGS) <= section_count <= _MAX_SECTIONS:
         raise IndexFormatError(
-            f"{path}: implausible section count {section_count}")
+            f"{path}: implausible section count {section_count}"
+            f" (expected {len(SECTION_TAGS)} to {_MAX_SECTIONS})")
     table_end = _HEADER.size + _SECTION.size * section_count
     if len(raw) < table_end:
         raise IndexFormatError(
@@ -305,72 +276,92 @@ def read_header(path,
         tag, offset, length = _SECTION.unpack_from(
             raw, _HEADER.size + _SECTION.size * i)
         tag = tag.rstrip(b"\0")
+        name = tag.decode("ascii", "replace")
         if offset + length > size:
             raise IndexFormatError(
-                f"{path}: section {tag.decode('ascii', 'replace')!r}"
-                f" runs past end of file"
+                f"{path}: section {name!r} runs past end of file"
                 f" (offset {offset} + length {length} > {size})")
         if length % 4:
             raise IndexFormatError(
-                f"{path}: section {tag.decode('ascii', 'replace')!r}"
-                f" length {length} is not a multiple of 4")
+                f"{path}: section {name!r} length {length} is not a"
+                f" multiple of 4")
+        if tag in sections:
+            raise IndexFormatError(f"{path}: duplicate section {name!r}")
         sections[tag] = (offset, length)
-    known = set(SECTION_TAGS)
-    if version >= VERSION_ORACLE:
-        known.update(ORACLE_SECTION_TAGS)
+    known = _LAYOUTS[-1]
     unknown = [t for t in sections if t not in known]
     if unknown:
-        names = ", ".join(repr(t.decode("ascii", "replace"))
-                          for t in unknown)
         raise IndexFormatError(
-            f"{path}: unknown section {names} (this build understands:"
-            f" {', '.join(t.decode('ascii') for t in sorted(known))})")
-    missing = [t for t in SECTION_TAGS if t not in sections]
-    if missing:
+            f"{path}: unknown section {_tag_names(unknown)} (this build"
+            f" understands: {_tag_names(sorted(known))}; rebuild the"
+            f" index)")
+    if tuple(sections) not in _LAYOUTS:
         raise IndexFormatError(
-            f"{path}: missing sections:"
-            f" {', '.join(t.decode('ascii') for t in missing)}")
+            f"{path}: sections {_tag_names(sections)} are missing or out"
+            f" of layout order (expected {_tag_names(known)}; the oracle"
+            f" sections come all or none)")
+    expected = _pad8(table_end)
+    for tag, (offset, length) in sections.items():
+        if offset != expected:
+            raise IndexFormatError(
+                f"{path}: section {tag.decode('ascii')!r} starts at"
+                f" offset {offset}, the layout puts it at {expected}")
+        expected = _pad8(offset + length)
     return BinaryIndexHeader(version, num_vertices, border_count,
                              region_count, bridge_count, sections)
 
 
-def _u32_view(path, data: memoryview, tag: bytes, offset: int,
-              length: int, expected: int) -> Sequence[int]:
-    if length != expected * 4:
+def _view(path, data: memoryview, header: BinaryIndexHeader, tag: bytes,
+          expected: int, fmt: str = "I") -> Sequence:
+    """Typed view of one section (``"I"`` u32 or ``"d"`` f64), checked
+    against the element count the header/meta words imply."""
+    offset, length = header.sections[tag]
+    width = struct.calcsize(fmt)
+    if length != expected * width:
         raise IndexFormatError(
             f"{path}: section {tag.decode('ascii')!r} holds"
-            f" {length // 4} u32s, header implies {expected}")
+            f" {length // width} {'u32' if fmt == 'I' else 'f64'}s,"
+            f" header implies {expected}")
     view = data[offset:offset + length]
     if sys.byteorder == "little":
-        return view.cast("I")
+        return view.cast(fmt)
     # Big-endian host: one byte-swapped copy (correctness over zero-copy
     # on the rare platform where the layout is foreign).
     import array
-    arr = array.array("I", view.tobytes())
+    arr = array.array(fmt, view.tobytes())
     arr.byteswap()
     return arr
 
 
-def _f64_view(path, data: memoryview, tag: bytes, offset: int,
-              length: int, expected: int) -> Sequence[float]:
-    if length != expected * 8:
+def _check_ids(path, what: str, ids: Sequence[int], limit: int,
+               bound: str = "num_vertices") -> None:
+    """Every id must be below ``limit``: query code indexes by them."""
+    top = max(ids, default=-1)
+    if top >= limit:
         raise IndexFormatError(
-            f"{path}: section {tag.decode('ascii')!r} holds"
-            f" {length // 8} f64s, header implies {expected}")
-    view = data[offset:offset + length]
-    if sys.byteorder == "little":
-        return view.cast("d")
-    import array
-    arr = array.array("d", view.tobytes())
-    arr.byteswap()
-    return arr
+            f"{path}: {what} {top} out of range ({bound} {limit})")
+
+
+def _oracle_counts(path, meta: Sequence[int]) -> Tuple[int, int]:
+    """Validate the four oracle meta words; returns ``(hub count, label
+    entries)``."""
+    code, hub_count, entries, reserved = meta
+    if code != HUB_KIND_CODE:
+        raise IndexFormatError(
+            f"{path}: unsupported oracle kind code {code} (this build"
+            f" reads only hub labels, code {HUB_KIND_CODE}; rebuild the"
+            f" index)")
+    if reserved != 0:
+        raise IndexFormatError(
+            f"{path}: oracle reserved word is {reserved:#x}, expected 0")
+    return hub_count, entries
 
 
 def read_oracle_meta(path, header: BinaryIndexHeader,
-                     ) -> Optional[Tuple[str, int, int]]:
-    """Return ``(kind, count_a, count_b)`` from the oracle meta section
-    without touching the payload arrays (``repro index info``), or
-    ``None`` when the file carries no oracle."""
+                     ) -> Optional[Tuple[int, int]]:
+    """Return ``(hub count, label entries)`` from the oracle meta
+    section without touching the payload arrays (``repro index info``),
+    or ``None`` when the file carries no oracle."""
     got = header.sections.get(ORACLE_META_TAG)
     if got is None:
         return None
@@ -381,64 +372,29 @@ def read_oracle_meta(path, header: BinaryIndexHeader,
     with open(path, "rb") as stream:
         stream.seek(offset)
         raw = stream.read(16)
-    code, count_a, count_b, _reserved = struct.unpack("<IIII", raw)
-    kind = _ORACLE_KIND_NAMES.get(code)
-    if kind is None:
-        raise IndexFormatError(
-            f"{path}: unknown oracle kind code {code}")
-    return kind, count_a, count_b
-
-
-def _section(path, header: BinaryIndexHeader,
-             tag: bytes) -> Tuple[int, int]:
-    got = header.sections.get(tag)
-    if got is None:
-        raise IndexFormatError(
-            f"{path}: oracle section {tag.decode('ascii')!r} missing")
-    return got
+    return _oracle_counts(path, struct.unpack("<IIII", raw))
 
 
 def _read_oracle(path, data: memoryview,
                  header: BinaryIndexHeader) -> Dict[str, object]:
-    """Decode the v2 oracle sections into the payload-dict form
+    """Decode the oracle sections into the payload-dict form
     :func:`repro.shortestpath.oracle.oracle_from_payload` accepts, with
     the big arrays as zero-copy views over the mapping."""
-    off, length = _section(path, header, ORACLE_META_TAG)
-    meta = _u32_view(path, data, ORACLE_META_TAG, off, length, 4)
-    code, count_a, count_b, reserved = meta
-    kind = _ORACLE_KIND_NAMES.get(code)
-    if kind is None:
-        raise IndexFormatError(
-            f"{path}: unknown oracle kind code {code}")
-    if reserved != 0:
-        raise IndexFormatError(
-            f"{path}: oracle reserved word is {reserved:#x}, expected 0")
     n = header.num_vertices
-    if kind == "hub":
-        off, length = _section(path, header, b"orhubs")
-        hubs = _u32_view(path, data, b"orhubs", off, length, count_a)
-        off, length = _section(path, header, b"orloff")
-        offsets = _u32_view(path, data, b"orloff", off, length, n + 1)
-        off, length = _section(path, header, b"orlhub")
-        label_hubs = _u32_view(path, data, b"orlhub", off, length, count_b)
-        off, length = _section(path, header, b"orldst")
-        label_dists = _f64_view(path, data, b"orldst", off, length, count_b)
-        return {"kind": "hub", "hubs": hubs, "offsets": offsets,
-                "label_hubs": label_hubs, "label_dists": label_dists}
-    if count_a != n:
+    hub_count, entries = _oracle_counts(
+        path, _view(path, data, header, ORACLE_META_TAG, 4))
+    hubs = _view(path, data, header, b"orhubs", hub_count)
+    _check_ids(path, "oracle hub", hubs, n)
+    offsets = _view(path, data, header, b"orloff", n + 1)
+    if (offsets[0] != 0 or offsets[n] != entries
+            or any(a > b for a, b in zip(offsets, offsets[1:]))):
         raise IndexFormatError(
-            f"{path}: oracle rank count {count_a} does not match"
-            f" num_vertices {n}")
-    off, length = _section(path, header, b"orchrk")
-    rank = _u32_view(path, data, b"orchrk", off, length, n)
-    off, length = _section(path, header, b"orchof")
-    offsets = _u32_view(path, data, b"orchof", off, length, n + 1)
-    off, length = _section(path, header, b"orchtg")
-    targets = _u32_view(path, data, b"orchtg", off, length, count_b)
-    off, length = _section(path, header, b"orchwt")
-    weights = _f64_view(path, data, b"orchwt", off, length, count_b)
-    return {"kind": "ch", "rank": rank, "offsets": offsets,
-            "up_targets": targets, "up_weights": weights}
+            f"{path}: oracle label offsets must run from 0 to {entries}"
+            f" without decreasing")
+    return {"kind": "hub", "hubs": hubs, "offsets": offsets,
+            "label_hubs": _view(path, data, header, b"orlhub", entries),
+            "label_dists": _view(path, data, header, b"orldst", entries,
+                                 "d")}
 
 
 def read_index_binary(path) -> BinaryIndexPayload:
@@ -454,33 +410,27 @@ def read_index_binary(path) -> BinaryIndexPayload:
         mapped = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
     data = memoryview(mapped)
     header = read_header(path, data)
-    off, length = header.sections[b"borders"]
-    borders = list(_u32_view(path, data, b"borders", off, length,
-                             header.border_count))
-    off, length = header.sections[b"regionof"]
-    region_of = _u32_view(path, data, b"regionof", off, length,
-                          header.num_vertices)
-    off, length = header.sections[b"vectors"]
-    flat = _u32_view(path, data, b"vectors", off, length,
-                     header.region_count * header.border_count * 2)
+    n = header.num_vertices
     dims = header.border_count
+    borders = list(_view(path, data, header, b"borders", dims))
+    _check_ids(path, "border vertex", borders, n)
+    region_of = _view(path, data, header, b"regionof", n)
+    _check_ids(path, "region id", region_of, header.region_count,
+               "region_count")
+    flat = _view(path, data, header, b"vectors",
+                 header.region_count * dims * 2)
     vectors: List[Tuple[Tuple[int, int], ...]] = []
     for r in range(header.region_count):
         base = r * dims * 2
         vectors.append(tuple((flat[base + 2 * d], flat[base + 2 * d + 1])
                              for d in range(dims)))
-    off, length = header.sections[b"bridges"]
-    flat_bridges = _u32_view(path, data, b"bridges", off, length,
-                             header.bridge_count * 2)
+    flat_bridges = _view(path, data, header, b"bridges",
+                         header.bridge_count * 2)
+    _check_ids(path, "bridge endpoint", flat_bridges, n)
     bridges = [(flat_bridges[2 * i], flat_bridges[2 * i + 1])
                for i in range(header.bridge_count)]
-    bad = max(region_of, default=0)
-    if header.region_count and bad >= header.region_count:
-        raise IndexFormatError(
-            f"{path}: region id {bad} out of range"
-            f" (region_count {header.region_count})")
     oracle = None
-    if header.version >= VERSION_ORACLE and ORACLE_META_TAG in header.sections:
+    if ORACLE_META_TAG in header.sections:
         oracle = _read_oracle(path, data, header)
     return BinaryIndexPayload(header, borders, region_of, vectors,
                               bridges, mapped, oracle)

@@ -16,7 +16,7 @@ paper's deployment story).  Two on-disk formats coexist:
 
 - the legacy JSON layout (``roadpart-index-v1``, :meth:`save` /
   :meth:`load`) -- human-inspectable, parsed in full on load;
-- the compact binary layout (``roadpart-index-bin-v1``,
+- the compact binary layout (``roadpart-index-bin-v2``,
   :meth:`save_binary` / :meth:`load_binary`, spec in
   :mod:`repro.core.roadpart.binfmt`) -- mmap-loaded so the ``O(|V|)``
   ``region_of`` array is a zero-copy view over shared pages; the
@@ -48,11 +48,32 @@ from repro.core.roadpart.regions import RegionBuilder, RegionSet
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
 from repro.shortestpath.oracle import (
-    DistanceOracle,
+    HubOracle,
     build_oracle,
     oracle_from_payload,
     resolve_oracle_kind,
 )
+
+
+def read_index_json(path: Union[str, os.PathLike]) -> Dict:
+    """Parse a JSON index file into its top-level object.
+
+    The one JSON entry point of :meth:`RoadPartIndex.load` and ``repro
+    index info``: a file that is not ASCII JSON, or whose top level is
+    not an object, raises :class:`~repro.errors.IndexFormatError`
+    naming the path.
+    """
+    with open(path, "rb") as stream:
+        raw = stream.read()
+    try:
+        payload = json.loads(raw.decode("ascii"))
+    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise IndexFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise IndexFormatError(
+            f"{path}: expected a JSON object, got"
+            f" {type(payload).__name__}")
+    return payload
 
 
 @dataclass
@@ -101,8 +122,8 @@ class RoadPartIndex:
     stats: IndexBuildStats = field(default_factory=IndexBuildStats)
     #: Precomputed bridge-domain distance oracle (see
     #: :mod:`repro.shortestpath.oracle`); ``None`` when built with
-    #: ``oracle="none"`` or loaded from a v1 file.
-    oracle: Optional[DistanceOracle] = None
+    #: ``oracle="none"`` or over a network without bridges.
+    oracle: Optional[HubOracle] = None
 
     @property
     def border_count(self) -> int:
@@ -165,16 +186,7 @@ class RoadPartIndex:
         ``roadpart-index-v1`` file, and a plain :class:`ValueError` when
         the file is fine but was built for a different network.
         """
-        with open(path, "r", encoding="ascii") as stream:
-            try:
-                payload = json.load(stream)
-            except json.JSONDecodeError as exc:
-                raise IndexFormatError(
-                    f"{path}: not valid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise IndexFormatError(
-                f"{path}: expected a JSON object, got"
-                f" {type(payload).__name__}")
+        payload = read_index_json(path)
         missing = [k for k in cls.REQUIRED_KEYS if k not in payload]
         if missing:
             raise IndexFormatError(
@@ -213,9 +225,8 @@ class RoadPartIndex:
         """Write the compact binary layout (see
         :mod:`repro.core.roadpart.binfmt` for the byte-level spec).
 
-        Indexes without an oracle are written as version 1 --
-        byte-identical to pre-oracle builds; an attached oracle bumps
-        the file to version 2 with the oracle sections appended.
+        An attached oracle appends the oracle sections; an oracle-less
+        index is the same layout without them.
         """
         from repro.core.roadpart import binfmt
         binfmt.write_index_binary(
@@ -302,11 +313,12 @@ def build_index(network: RoadNetwork, border_count: int,
     knobs that degrade to scalar without a backend or under
     ``REPRO_VEC_DISABLE``.
 
-    ``oracle`` (``"none"``/``"auto"``/``"hub"``/``"ch"``, see
-    :mod:`repro.shortestpath.oracle`) adds a distance-oracle
-    construction phase after labelling; the oracle runs in the parent
-    process in both the serial and fork-parallel paths, so parallel
-    builds stay byte-identical to serial ones.
+    ``oracle`` (``"none"``/``"auto"``, see
+    :mod:`repro.shortestpath.oracle`) adds a hub-label oracle
+    construction phase after labelling when ``auto`` finds bridges;
+    the oracle runs in the parent process in both the serial and
+    fork-parallel paths, so parallel builds stay byte-identical to
+    serial ones.
 
     ``trace`` (optional, see :mod:`repro.obs.trace`) records a nested
     span tree of the build: ``bridges`` / ``contour`` / ``labeling`` with
@@ -314,7 +326,7 @@ def build_index(network: RoadNetwork, border_count: int,
     ``cuts`` / ``flood`` / ``pockets``; an oracle build adds an
     ``oracle`` span whose ``pll-scalar`` or ``pll-vectorized`` child
     names the builder that ran, with one ``region-<id>`` grandchild per
-    hub region group (or one ``contract`` child for ``ch``).
+    hub region group.
     """
     trace = resolve_trace(trace)
     stats = IndexBuildStats()
@@ -377,9 +389,9 @@ def build_index(network: RoadNetwork, border_count: int,
         stats.oracle_seconds = time.perf_counter() - step
         stats.oracle_kind = built_oracle.kind
         stats.oracle_entries = built_oracle.entry_count()
-        stats.oracle_engine = (
-            "vectorized" if built_oracle.kind == "hub"
-            and resolve_engine(engine) == "numpy" else "scalar")
+        stats.oracle_engine = ("vectorized"
+                               if resolve_engine(engine) == "numpy"
+                               else "scalar")
 
     stats.build_seconds = time.perf_counter() - started
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]

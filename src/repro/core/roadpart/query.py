@@ -61,6 +61,7 @@ from repro.core.roadpart.index import RoadPartIndex
 from repro.core.roadpart.window import loose_window, region_in_window, tight_window
 from repro.shortestpath.bidirectional import bridge_domains
 from repro.shortestpath.deadline import Deadline
+from repro.shortestpath.oracle import ORACLE_POLICIES
 from repro.shortestpath.paths import collect_path_vertices
 
 
@@ -96,9 +97,8 @@ class RoadPartQueryProcessor:
     oracle:
         Bridge-domain distance-oracle policy.  ``'auto'`` (default)
         consults the oracle attached to the index when there is one;
-        ``'none'`` never consults it (today's pure dual-heap path);
-        ``'hub'``/``'ch'`` require the index to carry an oracle of that
-        kind and raise :class:`ValueError` otherwise.  The oracle only
+        ``'none'`` never consults it (the pure dual-heap path); any
+        other value raises :class:`ValueError`.  The oracle only
         ever answers the Theorem 5 *validity test*; a valid bridge
         still runs the dual-heap search, because patching needs the
         pred trees -- which is what keeps the DPS output byte-identical
@@ -125,19 +125,9 @@ class RoadPartQueryProcessor:
         self._cut_pair_order = cut_pair_order
         self._examine_all = examine_all_bridges
         self._engine = engine
-        if oracle in ("auto", "none"):
-            self._oracle = index.oracle if oracle == "auto" else None
-        elif oracle in ("hub", "ch"):
-            if index.oracle is None or index.oracle.kind != oracle:
-                have = "no oracle" if index.oracle is None else \
-                    f"a {index.oracle.kind!r} oracle"
-                raise ValueError(
-                    f"oracle={oracle!r} requested but the index carries"
-                    f" {have}; rebuild with build_index(...,"
-                    f" oracle={oracle!r})")
-            self._oracle = index.oracle
-        else:
+        if oracle not in ORACLE_POLICIES:
             raise ValueError(f"unknown oracle policy {oracle!r}")
+        self._oracle = index.oracle if oracle == "auto" else None
 
     # ------------------------------------------------------------------
 
@@ -294,7 +284,7 @@ class RoadPartQueryProcessor:
         scratch = None
         if self._oracle is not None and to_examine:
             # One scratch per query: the target-side state (label
-            # buckets / upward sweeps) is shared by every bridge.
+            # buckets) is shared by every bridge.
             scratch = self._oracle.scratch(q_vertices)
         for u, v in to_examine:
             examined += 1

@@ -385,7 +385,7 @@ def run_queries(algorithm: str, queries: Iterable[DPSQuery],
     the parent, up to ``max_retries`` lost chunks per batch.  ``faults``
     injects deterministic failures (see :mod:`repro.serve.faults`).
     ``oracle`` is the RoadPart bridge-domain oracle policy
-    (``'auto'``/``'none'``/``'hub'``/``'ch'``, see
+    (``'auto'``/``'none'``, see
     :mod:`repro.shortestpath.oracle`); non-RoadPart algorithms ignore
     it.
     """

@@ -29,18 +29,17 @@ Three index families can be *built on a DPS* (the Section I deployment):
 (contraction hierarchies, [15] of the paper) and
 :mod:`repro.shortestpath.hub_labels` (2-hop labels, [9] of the paper).
 
-Oracle backends
+Distance oracle
 ---------------
 
-The hub-label and CH families double as **distance oracles** for the
-RoadPart bridge-domain workload: :mod:`repro.shortestpath.oracle`
-wraps them behind one facade (:class:`HubOracle` over the bridge
-endpoints as a partial PLL, :class:`CHOracle` over the full network)
-that ``build_index`` precomputes and the query processor consults to
-answer bridge validity tests without a dual-heap sweep, falling back
-to the fused flat kernel whenever an actual path is needed.
-:func:`build_oracle` / :func:`resolve_oracle_kind` implement the
-``--oracle`` policy (``auto``/``none``/``hub``/``ch``).
+The hub-label family doubles as a **distance oracle** for the RoadPart
+bridge-domain workload: :class:`HubOracle` in
+:mod:`repro.shortestpath.oracle` (a partial PLL over the bridge
+endpoints) is what ``build_index`` precomputes and the query processor
+consults to answer bridge validity tests without a dual-heap sweep,
+falling back to the fused flat kernel whenever an actual path is
+needed.  :func:`build_oracle` / :func:`resolve_oracle_kind` implement
+the ``--oracle`` policy (``auto``/``none``).
 """
 
 from repro.shortestpath.alt import ALTIndex
@@ -57,10 +56,7 @@ from repro.shortestpath.flat import (
 from repro.shortestpath.heap import AddressableHeap
 from repro.shortestpath.hub_labels import HubLabelIndex
 from repro.shortestpath.oracle import (
-    ORACLE_KINDS,
     ORACLE_POLICIES,
-    CHOracle,
-    DistanceOracle,
     HubOracle,
     build_oracle,
     oracle_from_payload,
@@ -71,14 +67,11 @@ from repro.shortestpath.paths import collect_path_vertices, reconstruct_path
 __all__ = [
     "ALTIndex",
     "AddressableHeap",
-    "CHOracle",
     "ContractionHierarchy",
     "DensePPSPEngine",
-    "DistanceOracle",
     "FlatDijkstraSearch",
     "HubLabelIndex",
     "HubOracle",
-    "ORACLE_KINDS",
     "ORACLE_POLICIES",
     "ShortestPathTree",
     "astar",

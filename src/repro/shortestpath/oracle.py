@@ -1,4 +1,4 @@
-"""Distance oracles for the bridge-domain workload.
+"""Distance oracle for the bridge-domain workload.
 
 RoadPart's dominant query phase is ``bridge-domains``: for every
 examined bridge ``(u, v)`` a dual-heap Dijkstra settles the network
@@ -6,42 +6,30 @@ until each query vertex ``x`` is reached from both endpoints, just to
 test the domain memberships ``dist(x,u) = dist(x,v) + |vu|`` (and the
 symmetric one).  That is a pure point-to-point distance workload over
 pairs ``(x, bridge endpoint)`` -- exactly what a precomputed distance
-oracle answers without touching the graph.  This module wires the two
-index families that were already in the tree -- 2-hop hub labels
-(:mod:`repro.shortestpath.hub_labels`) and contraction hierarchies
-(:mod:`repro.shortestpath.ch`) -- into one facade the RoadPart index
-builds offline and the query processor consults online.
+oracle answers without touching the graph.  :class:`HubOracle` builds
+2-hop hub labels (:mod:`repro.shortestpath.hub_labels`) offline for the
+RoadPart index, and the query processor consults them online.
 
-Two oracle kinds:
+The labels are a pruned landmark labelling restricted to the **bridge
+endpoints** as hubs.  PLL's correctness invariant -- the label distance
+of a pair is exact whenever some processed hub lies on a shortest path
+between them -- makes this partial build exact for every pair ``(x, e)``
+with ``e`` a bridge endpoint (``e`` is a hub and lies on its own
+shortest paths), i.e. for the *entire* bridge-domain workload, at
+``O(|endpoints|)`` pruned sweeps instead of a full ``O(|V|)``-hub PLL.
+Hubs are processed grouped by index region (region id order, by
+descending degree inside a region), which keeps the construction a
+per-region phase with per-region trace spans; any hub order is
+correct, so the grouping is free.
 
-``hub``
-    Pruned landmark labelling restricted to the **bridge endpoints** as
-    hubs.  PLL's correctness invariant -- the label distance of a pair
-    is exact whenever some processed hub lies on a shortest path
-    between them -- makes this partial build exact for every pair
-    ``(x, e)`` with ``e`` a bridge endpoint (``e`` is a hub and lies on
-    its own shortest paths), i.e. for the *entire* bridge-domain
-    workload, at ``O(|endpoints|)`` pruned sweeps instead of a full
-    ``O(|V|)``-hub PLL.  Hubs are processed grouped by index region
-    (region id order, by descending degree inside a region), which
-    keeps the construction a per-region phase with per-region trace
-    spans; any hub order is correct, so the grouping is free.
+``resolve_oracle_kind`` implements the build-time policy behind
+``oracle="auto"``: hub labels when the network has bridges (cheap
+build, exact for the workload), no oracle otherwise.
 
-``ch``
-    A full contraction hierarchy: exact for **all** pairs, but the
-    contraction itself is the classically expensive step, so it is
-    never chosen automatically -- it is the opt-in for workloads that
-    also need non-endpoint pairs or tiny label storage.
-
-``resolve_oracle_kind`` implements the build-time size/speed tradeoff
-behind ``oracle="auto"``: hub labels when the network has bridges
-(cheap build, exact for the workload), no oracle otherwise.
-
-Query-time entry point: :meth:`DistanceOracle.scratch` returns a
-per-query helper that caches the target-label inversion (hub) or the
-upward sweeps (ch) across all bridges of one query, then
-:meth:`OracleScratch.bridge_valid` answers the Theorem 5 validity test
-for one bridge.  Membership uses the same
+Query-time entry point: :meth:`HubOracle.scratch` returns a per-query
+helper that caches the target-label inversion across all bridges of
+one query, then :meth:`OracleScratch.bridge_valid` answers the Theorem
+5 validity test for one bridge.  Membership uses the same
 :func:`~repro.shortestpath.bidirectional._in_domain` tolerance as the
 dual-heap engines, so oracle decisions coincide with theirs.
 
@@ -53,33 +41,25 @@ with and without an oracle.
 
 from __future__ import annotations
 
-import heapq
-import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
 from repro.shortestpath.bidirectional import _in_domain
-from repro.shortestpath.ch import ContractionHierarchy
 from repro.shortestpath.hub_labels import HubLabelIndex
 
-#: Concrete oracle kinds an index can carry.
-ORACLE_KINDS = ("hub", "ch")
-
-#: Build/query policies: the kinds plus ``none`` (no oracle) and
-#: ``auto`` (resolved by :func:`resolve_oracle_kind`).
-ORACLE_POLICIES = ("auto", "none") + ORACLE_KINDS
+#: Build/query policies: ``auto`` (hub labels when there are bridges,
+#: resolved by :func:`resolve_oracle_kind`) and ``none`` (no oracle).
+ORACLE_POLICIES = ("auto", "none")
 
 
 def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
-    """Resolve an oracle policy to a concrete kind (``none`` allowed).
+    """Resolve an oracle policy to ``"hub"`` or ``"none"``.
 
-    ``auto`` is the build-time size/speed tradeoff: hub labels over the
-    bridge endpoints when the network has bridges (a handful of pruned
-    sweeps, exact for the whole bridge-domain workload), nothing when
-    it has none (an oracle could never be consulted).  ``ch`` is never
-    picked automatically -- contracting the full network is the
-    expensive step CH is famous for.
+    ``auto`` builds hub labels over the bridge endpoints when the
+    network has bridges (a handful of pruned sweeps, exact for the
+    whole bridge-domain workload) and nothing when it has none (an
+    oracle could never be consulted).
 
     Any iterable is accepted: sized containers are probed with
     ``len()`` and never consumed; only a non-sized iterable (a
@@ -100,9 +80,9 @@ def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
 class OracleScratch:
     """Per-query oracle state, shared across all bridges of one query.
 
-    Subclasses cache whatever makes per-bridge answers cheap: the
-    hub-bucket inversion of the target labels, or the CH upward sweeps
-    of the targets (identical for every bridge of the query).
+    Subclasses cache whatever makes per-bridge answers cheap -- the
+    hub-bucket inversion of the target labels, identical for every
+    bridge of the query -- and implement :meth:`domain_maps`.
     """
 
     def domain_maps(self, u: int, v: int,
@@ -147,42 +127,6 @@ class OracleScratch:
             if _in_domain(dv, du, weight):
                 vd.add(x)
         return ud, vd
-
-
-class DistanceOracle:
-    """Interface both oracle kinds implement."""
-
-    kind: str = "none"
-
-    def covers(self, u: int, v: int) -> bool:
-        """True when the oracle answers ``(x, u)`` / ``(x, v)`` pairs
-        exactly for arbitrary ``x``."""
-        raise NotImplementedError
-
-    def scratch(self, targets: Sequence[int]) -> OracleScratch:
-        """Per-query helper over a fixed target set."""
-        raise NotImplementedError
-
-    def entry_count(self) -> int:
-        """Stored label/edge entries -- the size driver."""
-        raise NotImplementedError
-
-    def oracle_bytes(self) -> int:
-        """Estimated serialised footprint."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """One human line for ``repro index info`` and build logs."""
-        raise NotImplementedError
-
-    def to_payload(self) -> Dict[str, object]:
-        """Flat-array form for the binary/JSON serialisers."""
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Hub-label oracle
-# ----------------------------------------------------------------------
 
 
 class _HubScratch(OracleScratch):
@@ -233,7 +177,7 @@ class _HubScratch(OracleScratch):
         return self._endpoint_distances(u), self._endpoint_distances(v)
 
 
-class HubOracle(DistanceOracle):
+class HubOracle:
     """2-hop labels over the bridge endpoints (partial PLL).
 
     Exact for every pair with a hub endpoint -- the coverage is the hub
@@ -343,12 +287,15 @@ class HubOracle(DistanceOracle):
     def hub_order(self) -> Tuple[int, ...]:
         return self._hub_order
 
-    # -- oracle interface ----------------------------------------------
+    # -- queries -------------------------------------------------------
 
     def covers(self, u: int, v: int) -> bool:
+        """True when both endpoints are hubs, i.e. the labels answer
+        ``(x, u)`` / ``(x, v)`` pairs exactly for arbitrary ``x``."""
         return u in self._hub_set and v in self._hub_set
 
     def scratch(self, targets: Sequence[int]) -> OracleScratch:
+        """Per-query helper over a fixed target set."""
         # The vectorized scratch produces bit-identical distance maps
         # (same min over the same candidate multiset), so picking it
         # whenever the backend is up never changes an answer.
@@ -359,6 +306,7 @@ class HubOracle(DistanceOracle):
         return _HubScratch(self, targets)
 
     def entry_count(self) -> int:
+        """Stored label entries -- the size driver."""
         if self._label_dicts is not None:
             return sum(len(label) for label in self._label_dicts)
         return len(self._label_hubs)
@@ -368,11 +316,13 @@ class HubOracle(DistanceOracle):
         return 12 * self.entry_count() + 4 * (self.num_vertices() + 1)
 
     def describe(self) -> str:
+        """One human line for build logs."""
         return (f"hub labels over {len(self._hub_order)} bridge-endpoint"
                 f" hubs, {self.entry_count()} entries"
                 f" (covers (x, endpoint) pairs)")
 
     def to_payload(self) -> Dict[str, object]:
+        """Flat-array form for the binary/JSON serialisers."""
         offsets: List[int] = [0]
         hubs: List[int] = []
         dists: List[float] = []
@@ -387,166 +337,6 @@ class HubOracle(DistanceOracle):
 
 
 # ----------------------------------------------------------------------
-# Contraction-hierarchy oracle
-# ----------------------------------------------------------------------
-
-
-class _CHScratch(OracleScratch):
-    """Memoised upward sweeps for one query.
-
-    Every bridge of a query shares the same target set, so each
-    target's upward cone is computed once; a bridge then costs two
-    endpoint sweeps plus one cone intersection per target.
-    """
-
-    def __init__(self, oracle: "CHOracle", targets: Sequence[int]) -> None:
-        self._oracle = oracle
-        self._targets = list(targets)
-        self._sweeps: Dict[int, Dict[int, float]] = {}
-
-    def _sweep(self, source: int) -> Dict[int, float]:
-        got = self._sweeps.get(source)
-        if got is None:
-            got = self._oracle.upward_sweep(source)
-            self._sweeps[source] = got
-        return got
-
-    def domain_maps(self, u: int, v: int,
-                    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        cone_u = self._sweep(u)
-        cone_v = self._sweep(v)
-        du_map: Dict[int, float] = {}
-        dv_map: Dict[int, float] = {}
-        for x in self._targets:
-            cone_x = self._sweep(x)
-            du = _cone_intersect(cone_x, cone_u)
-            dv = _cone_intersect(cone_x, cone_v)
-            if du < math.inf:
-                du_map[x] = du
-            if dv < math.inf:
-                dv_map[x] = dv
-        return du_map, dv_map
-
-
-def _cone_intersect(a: Dict[int, float], b: Dict[int, float]) -> float:
-    if len(b) < len(a):
-        a, b = b, a
-    best = math.inf
-    for w, da in a.items():
-        db = b.get(w)
-        if db is not None and da + db < best:
-            best = da + db
-    return best
-
-
-class CHOracle(DistanceOracle):
-    """A serialisable contraction hierarchy (distance queries only).
-
-    Holds the rank array and the upward search graph -- everything a
-    distance query needs, with no path unpacking state -- either as
-    per-vertex lists (fresh build) or as flat CSR arrays (mmap views).
-    Exact for **all** vertex pairs, so :meth:`covers` is always true.
-    """
-
-    kind = "ch"
-
-    def __init__(self, rank: Sequence[int],
-                 up_lists: Optional[List[List[Tuple[int, float]]]] = None,
-                 up_offsets: Optional[Sequence[int]] = None,
-                 up_targets: Optional[Sequence[int]] = None,
-                 up_weights: Optional[Sequence[float]] = None) -> None:
-        self._rank = rank
-        self._up_lists = up_lists
-        self._up_offsets = up_offsets
-        self._up_targets = up_targets
-        self._up_weights = up_weights
-        if up_lists is None and up_offsets is None:
-            raise ValueError("CHOracle needs upward lists or flat arrays")
-
-    @classmethod
-    def build(cls, network: RoadNetwork,
-              trace: Optional[TraceRecorder] = None) -> "CHOracle":
-        """Contract the full network (the expensive, global step -- one
-        ``contract`` span; CH has no sound per-region decomposition
-        here because bridge-domain distances are full-network)."""
-        trace = resolve_trace(trace)
-        with trace.span("contract"):
-            ch = ContractionHierarchy(network)
-        # Canonical edge order per vertex so serial/parallel builds and
-        # a save/load round-trip serialise byte-identically.
-        up = [sorted(edges) for edges in ch.upward_adjacency()]
-        return cls(ch.ranks(), up_lists=up)
-
-    # -- storage -------------------------------------------------------
-
-    def up_edges(self, u: int) -> Iterable[Tuple[int, float]]:
-        if self._up_lists is not None:
-            return self._up_lists[u]
-        lo = self._up_offsets[u]
-        hi = self._up_offsets[u + 1]
-        return zip(self._up_targets[lo:hi], self._up_weights[lo:hi])
-
-    def num_vertices(self) -> int:
-        return len(self._rank)
-
-    def upward_sweep(self, source: int) -> Dict[int, float]:
-        """Exhaustive Dijkstra over the upward graph (the cone is small
-        by construction)."""
-        dist: Dict[int, float] = {}
-        best = {source: 0.0}
-        frontier: List[Tuple[float, int]] = [(0.0, source)]
-        up_edges = self.up_edges
-        while frontier:
-            d, u = heapq.heappop(frontier)
-            if u in dist:
-                continue
-            dist[u] = d
-            for v, w in up_edges(u):
-                if v in dist:
-                    continue
-                candidate = d + w
-                known = best.get(v)
-                if known is None or candidate < known:
-                    best[v] = candidate
-                    heapq.heappush(frontier, (candidate, v))
-        return dist
-
-    # -- oracle interface ----------------------------------------------
-
-    def covers(self, u: int, v: int) -> bool:
-        return True
-
-    def scratch(self, targets: Sequence[int]) -> OracleScratch:
-        return _CHScratch(self, targets)
-
-    def entry_count(self) -> int:
-        if self._up_lists is not None:
-            return sum(len(edges) for edges in self._up_lists)
-        return len(self._up_targets)
-
-    def oracle_bytes(self) -> int:
-        return (12 * self.entry_count()
-                + 4 * (2 * self.num_vertices() + 1))
-
-    def describe(self) -> str:
-        return (f"contraction hierarchy, {self.entry_count()} upward"
-                f" edges (covers all pairs)")
-
-    def to_payload(self) -> Dict[str, object]:
-        offsets: List[int] = [0]
-        targets: List[int] = []
-        weights: List[float] = []
-        for u in range(self.num_vertices()):
-            for v, w in self.up_edges(u):
-                targets.append(v)
-                weights.append(w)
-            offsets.append(len(targets))
-        return {"kind": "ch", "rank": list(self._rank),
-                "offsets": offsets, "up_targets": targets,
-                "up_weights": weights}
-
-
-# ----------------------------------------------------------------------
 # Construction / serialisation entry points
 # ----------------------------------------------------------------------
 
@@ -555,38 +345,29 @@ def build_oracle(network: RoadNetwork, kind: str,
                  bridges: Iterable[Tuple[int, int]],
                  region_of: Optional[Sequence[int]] = None,
                  trace: Optional[TraceRecorder] = None,
-                 engine: str = "flat") -> Optional[DistanceOracle]:
+                 engine: str = "flat") -> Optional[HubOracle]:
     """Build the oracle a policy resolves to (``None`` for none).
 
     ``bridges`` may be any iterable, a generator included: it is
     materialised exactly once here, so the ``auto`` emptiness probe and
     the hub-endpoint collection see the same elements (a generator used
     to be drained by the probe, leaving the hub build with no
-    endpoints).  ``engine`` selects the hub-label builder; the CH
-    contraction has no vectorized path and ignores it.
+    endpoints).  ``engine`` selects the hub-label builder.
     """
     bridges = list(bridges)
-    resolved = resolve_oracle_kind(kind, bridges)
-    if resolved == "none":
+    if resolve_oracle_kind(kind, bridges) == "none":
         return None
-    if resolved == "hub":
-        return HubOracle.build(network, bridges, region_of=region_of,
-                               trace=trace, engine=engine)
-    return CHOracle.build(network, trace=trace)
+    return HubOracle.build(network, bridges, region_of=region_of,
+                           trace=trace, engine=engine)
 
 
-def oracle_from_payload(payload: Dict[str, object]) -> DistanceOracle:
+def oracle_from_payload(payload: Dict[str, object]) -> HubOracle:
     """Rehydrate an oracle from its flat-array payload (JSON lists or
     zero-copy binary views -- both index loaders funnel through here)."""
     kind = payload.get("kind")
-    if kind == "hub":
-        return HubOracle(payload["hubs"],
-                         offsets=payload["offsets"],
-                         label_hubs=payload["label_hubs"],
-                         label_dists=payload["label_dists"])
-    if kind == "ch":
-        return CHOracle(payload["rank"],
-                        up_offsets=payload["offsets"],
-                        up_targets=payload["up_targets"],
-                        up_weights=payload["up_weights"])
-    raise ValueError(f"unknown oracle payload kind {kind!r}")
+    if kind != "hub":
+        raise ValueError(f"unknown oracle payload kind {kind!r}")
+    return HubOracle(payload["hubs"],
+                     offsets=payload["offsets"],
+                     label_hubs=payload["label_hubs"],
+                     label_dists=payload["label_dists"])

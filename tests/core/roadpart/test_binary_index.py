@@ -8,6 +8,7 @@ produces, and any structural defect in the file must surface as an
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.roadpart.index import RoadPartIndex
 from repro.core.roadpart.query import roadpart_dps
 from repro.datasets.queries import window_query
 from repro.errors import IndexFormatError
+from repro.shortestpath.oracle import build_oracle
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,45 @@ class TestValidation:
         with pytest.raises(IndexFormatError, match="truncated header"):
             RoadPartIndex.load_binary(bad, medium_network)
 
+    def test_shifted_section_offset(self, saved_pair, tmp_path,
+                                    medium_network):
+        """Sections are packed in table order; a shifted one used to
+        load and reinterpret its neighbour's bytes."""
+        _, bin_path = saved_pair
+        offset, _ = binfmt.read_header(bin_path).sections[b"regionof"]
+        entry = 32 + 24 * binfmt.SECTION_TAGS.index(b"regionof")
+        bad = _corrupt(bin_path, tmp_path, entry + 8,
+                       struct.pack("<Q", offset + 8))
+        with pytest.raises(IndexFormatError, match="layout puts it at"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_duplicate_section(self, saved_pair, tmp_path,
+                               medium_network):
+        _, bin_path = saved_pair
+        entry = 32 + 24 * binfmt.SECTION_TAGS.index(b"vectors")
+        bad = _corrupt(bin_path, tmp_path, entry, b"regionof")
+        with pytest.raises(IndexFormatError,
+                           match="duplicate section 'regionof'"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_oracle_sections_all_or_none(self, oracle_bin, tmp_path,
+                                         medium_network):
+        # Keep the base sections and the meta section, drop the rest.
+        bad = _corrupt(oracle_bin, tmp_path, 28, struct.pack("<I", 5))
+        with pytest.raises(IndexFormatError, match="all or none"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    @pytest.mark.parametrize("count", [10, 17, 64])
+    def test_section_count_bounded_by_known_tags(self, saved_pair,
+                                                 tmp_path, count):
+        """More sections than the layout has tags is implausible, not a
+        'truncated section table'."""
+        _, bin_path = saved_pair
+        bad = _corrupt(bin_path, tmp_path, 28, struct.pack("<I", count))
+        with pytest.raises(IndexFormatError,
+                           match=f"implausible section count {count}"):
+            binfmt.read_header(bad)
+
     def test_wrong_network(self, saved_pair, grid5):
         _, bin_path = saved_pair
         with pytest.raises(ValueError, match="vertices"):
@@ -158,3 +199,147 @@ class TestValidation:
         with pytest.raises(ValueError, match="u32"):
             binfmt.write_index_binary(
                 tmp_path / "x.bin", 1, [2 ** 40], [0], [((1, 1),)], [])
+
+
+@pytest.fixture(scope="module")
+def oracle_bin(medium_index, medium_network, tmp_path_factory):
+    """The medium index with a hub-label oracle attached, saved."""
+    oracle = build_oracle(medium_network, "auto",
+                          sorted(medium_index.bridges),
+                          region_of=medium_index.regions.region_of)
+    path = tmp_path_factory.mktemp("oraclebin") / "index.bin"
+    dataclasses.replace(medium_index, oracle=oracle).save_binary(path)
+    return path
+
+
+def _word_at(path, tag, item):
+    """File offset of u32 number ``item`` of section ``tag`` (negative
+    ``item`` counts from the section end)."""
+    offset, length = binfmt.read_header(path).sections[tag]
+    return offset + 4 * (item % (length // 4))
+
+
+def _patch_section(path, tmp_path, tag, item, value):
+    """Copy ``path`` with u32 number ``item`` of section ``tag``
+    overwritten."""
+    return _corrupt(path, tmp_path, _word_at(path, tag, item),
+                    struct.pack("<I", value))
+
+
+class TestIdChecks:
+    """Payload ids that query code indexes by are range-checked at load
+    time, so a corrupt file fails there instead of in the first query."""
+
+    def test_bridge_endpoint_out_of_range(self, saved_pair, tmp_path,
+                                          medium_network):
+        _, bin_path = saved_pair
+        bad = _patch_section(bin_path, tmp_path, b"bridges", 0, 10 ** 7)
+        with pytest.raises(IndexFormatError,
+                           match="bridge endpoint 10000000 out of range"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_border_vertex_out_of_range(self, saved_pair, tmp_path,
+                                        medium_network):
+        _, bin_path = saved_pair
+        n = medium_network.num_vertices
+        bad = _patch_section(bin_path, tmp_path, b"borders", 0, n)
+        with pytest.raises(IndexFormatError,
+                           match=f"border vertex {n} out of range"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_oracle_hub_out_of_range(self, oracle_bin, tmp_path,
+                                     medium_network):
+        n = medium_network.num_vertices
+        bad = _patch_section(oracle_bin, tmp_path, b"orhubs", 0, n)
+        with pytest.raises(IndexFormatError,
+                           match=f"oracle hub {n} out of range"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    @pytest.mark.parametrize("item, delta", [(0, 1), (5, 10 ** 6),
+                                             (-1, 1), (-1, -1)])
+    def test_label_offsets_checked(self, oracle_bin, tmp_path,
+                                   medium_network, item, delta):
+        """First offset 0, no decrease, last offset = entry count."""
+        at = _word_at(oracle_bin, b"orloff", item)
+        (value,) = struct.unpack_from("<I", oracle_bin.read_bytes(), at)
+        bad = _corrupt(oracle_bin, tmp_path, at,
+                       struct.pack("<I", value + delta))
+        with pytest.raises(IndexFormatError, match="label offsets"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_intact_oracle_file_loads(self, oracle_bin, medium_network,
+                                      medium_query):
+        loaded = RoadPartIndex.load_binary(oracle_bin, medium_network)
+        assert loaded.oracle is not None
+        assert "oracle_hits" in roadpart_dps(loaded, medium_query).stats
+
+
+def _header_and_table_words(path):
+    """File offsets of every u32 word of the header and section table."""
+    header = binfmt.read_header(path)
+    table_end = 32 + 24 * len(header.sections)
+    return range(0, table_end, 4)
+
+
+def _section_boundaries(path):
+    header = binfmt.read_header(path)
+    points = {4, 32, 32 + 24 * len(header.sections)}
+    for offset, length in header.sections.values():
+        points.update((offset, offset + length))
+    size = path.stat().st_size
+    return sorted(p for p in points if 0 < p < size)
+
+
+class TestCorruptionSweep:
+    """Deterministic sweep over files with and without an oracle: every
+    truncation at a section boundary and every single u32 overwrite of
+    a header field or section-table word either raises
+    IndexFormatError or loads an index whose RoadPart query raises
+    nothing -- never a stray IndexError, struct.error or the like."""
+
+    @pytest.fixture(params=["plain", "oracle"])
+    def source(self, request, saved_pair, oracle_bin):
+        return saved_pair[1] if request.param == "plain" else oracle_bin
+
+    @staticmethod
+    def _load_or_reject(blob, tmp_path, network, query):
+        path = tmp_path / "case.bin"
+        if path.exists():
+            # A fresh inode per case: the previous case's mapping (kept
+            # alive by its traceback) never sees the file change.
+            path.unlink()
+        path.write_bytes(blob)
+        try:
+            index = RoadPartIndex.load_binary(path, network)
+        except IndexFormatError:
+            return "rejected"
+        roadpart_dps(index, query)
+        return "loaded"
+
+    def test_truncation_at_every_section_boundary(self, source, tmp_path,
+                                                  medium_network,
+                                                  medium_query):
+        blob = source.read_bytes()
+        for cut in _section_boundaries(source):
+            outcome = self._load_or_reject(blob[:cut], tmp_path,
+                                           medium_network, medium_query)
+            assert outcome == "rejected", f"truncation at {cut} loaded"
+
+    def test_overwrite_of_every_header_and_table_word(self, source,
+                                                      tmp_path,
+                                                      medium_network,
+                                                      medium_query):
+        blob = source.read_bytes()
+        outcomes = []
+        for at in _header_and_table_words(source):
+            (original,) = struct.unpack_from("<I", blob, at)
+            for value in (0, 1, original + 1, original - 1, 0xFFFFFFFF):
+                value &= 0xFFFFFFFF
+                if value == original:
+                    continue
+                mutated = bytearray(blob)
+                struct.pack_into("<I", mutated, at, value)
+                outcomes.append(self._load_or_reject(
+                    bytes(mutated), tmp_path, medium_network,
+                    medium_query))
+        assert "rejected" in outcomes

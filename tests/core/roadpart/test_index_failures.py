@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.roadpart.index import RoadPartIndex
 from repro.errors import IndexFormatError
 
@@ -89,6 +90,32 @@ class TestCorruptedIndexFiles:
     def test_missing_file(self, tmp_path, medium_network):
         with pytest.raises(OSError):
             RoadPartIndex.load(tmp_path / "nope.json", medium_network)
+
+
+class TestNonIndexFiles:
+    """A file that is neither a binary nor a JSON index fails with
+    IndexFormatError naming the path, through every entry point."""
+
+    @pytest.fixture()
+    def garbage(self, tmp_path):
+        path = tmp_path / "garbage.bin"
+        path.write_bytes(bytes(range(256)))
+        return path
+
+    def test_load_and_load_auto(self, garbage, medium_network):
+        for load in (RoadPartIndex.load, RoadPartIndex.load_auto):
+            with pytest.raises(IndexFormatError, match="garbage.bin"):
+                load(garbage, medium_network)
+
+    def test_index_info_on_garbage(self, garbage):
+        with pytest.raises(IndexFormatError, match="garbage.bin"):
+            main(["index", "info", "--in", str(garbage)])
+
+    def test_index_info_on_json_array(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
+        with pytest.raises(IndexFormatError, match="expected a JSON object"):
+            main(["index", "info", "--in", str(path)])
 
 
 class TestRoundTripStability:

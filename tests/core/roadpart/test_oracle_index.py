@@ -1,15 +1,15 @@
 """Oracle-carrying indexes end to end: build, serialise (JSON and the
-v2 binary layout), reload, and answer queries.
+binary layout), reload, and answer queries.
 
 The load-bearing contracts:
 
 * DPS outputs are byte-identical with and without an oracle -- the
   oracle only short-circuits *invalid* bridges, which contribute
   nothing to the answer.
-* ``oracle="none"`` builds keep writing version-1 binaries, so every
-  pre-oracle reader (and CI baseline) still applies.
-* Version-1 files load into an oracle-less index and answer exactly as
-  before -- version negotiation is by header sniffing, not file name.
+* There is one binary layout: ``oracle="none"`` builds write the same
+  version-2 header with the oracle sections left out.
+* Files from older layouts -- version 1, or a version-2 file carrying a
+  contraction-hierarchy oracle -- are rejected; the fix is a rebuild.
 * Structural defects (unknown section tags, malformed oracle payloads)
   surface as :class:`~repro.errors.IndexFormatError` naming the path.
 """
@@ -17,6 +17,7 @@ The load-bearing contracts:
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -75,29 +76,26 @@ class TestQueryByteIdentity:
         off = roadpart_dps(hub_index, medium_query, oracle="none")
         assert "oracle_hits" not in off.stats
 
-    def test_requesting_missing_oracle_kind_raises(self, medium_index,
-                                                   hub_index):
-        with pytest.raises(ValueError, match="no oracle"):
-            RoadPartQueryProcessor(medium_index, oracle="hub")
-        with pytest.raises(ValueError, match="'hub' oracle"):
-            RoadPartQueryProcessor(hub_index, oracle="ch")
-        with pytest.raises(ValueError, match="unknown oracle policy"):
-            RoadPartQueryProcessor(hub_index, oracle="plateau")
+    def test_unknown_oracle_policy_raises(self, hub_index):
+        # The retired per-kind policies are unknown now, like any typo.
+        for policy in ("hub", "ch", "plateau"):
+            with pytest.raises(ValueError, match="unknown oracle policy"):
+                RoadPartQueryProcessor(hub_index, oracle=policy)
 
 
 class TestSerialisation:
-    def test_oracle_none_build_stays_version_1(self, medium_index,
-                                               tmp_path):
+    def test_oracle_none_build_writes_version_2(self, medium_index,
+                                                tmp_path):
         path = tmp_path / "plain.bin"
         medium_index.save_binary(path)
         header = binfmt.read_header(path)
-        assert header.version == binfmt.VERSION
-        assert set(header.sections) == set(binfmt.SECTION_TAGS)
+        assert header.version == binfmt.VERSION == 2
+        assert tuple(header.sections) == binfmt.SECTION_TAGS
 
     def test_oracle_build_writes_version_2(self, saved_v2):
         _, bin_path = saved_v2
         header = binfmt.read_header(bin_path)
-        assert header.version == binfmt.VERSION_ORACLE
+        assert header.version == binfmt.VERSION
         assert binfmt.ORACLE_META_TAG in header.sections
         for tag in binfmt.HUB_SECTION_TAGS:
             assert tag in header.sections
@@ -127,15 +125,62 @@ class TestSerialisation:
     def test_json_omits_oracle_key_when_absent(self, medium_index):
         assert "oracle" not in medium_index.to_dict()
 
-    def test_version_1_file_loads_oracle_less(self, medium_index,
-                                              medium_network,
-                                              medium_query, tmp_path):
+    def test_version_1_file_rejected(self, medium_index, medium_network,
+                                     tmp_path):
+        """An older build's oracle-less file: the version-2 layout with
+        a version-1 header word."""
         path = tmp_path / "v1.bin"
         medium_index.save_binary(path)
-        loaded = RoadPartIndex.load_binary(path, medium_network)
-        assert loaded.oracle is None
-        assert (roadpart_dps(loaded, medium_query).vertices
-                == roadpart_dps(medium_index, medium_query).vertices)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="version 1") as excinfo:
+            RoadPartIndex.load_binary(path, medium_network)
+        assert "rebuild" in str(excinfo.value)
+        with pytest.raises(IndexFormatError, match="version 1"):
+            binfmt.read_header(path)
+
+    def test_oracle_kind_code_2_rejected(self, saved_v2, medium_network,
+                                         tmp_path):
+        """Kind code 2 was the contraction-hierarchy oracle."""
+        _, bin_path = saved_v2
+        header = binfmt.read_header(bin_path)
+        meta_offset, _ = header.sections[binfmt.ORACLE_META_TAG]
+        blob = bytearray(bin_path.read_bytes())
+        blob[meta_offset:meta_offset + 4] = struct.pack("<I", 2)
+        path = tmp_path / "ch.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError, match="kind code 2"):
+            RoadPartIndex.load_binary(path, medium_network)
+        with pytest.raises(IndexFormatError, match="kind code 2"):
+            binfmt.read_oracle_meta(path, binfmt.read_header(path))
+
+    def test_contraction_hierarchy_sections_rejected(self, saved_v2,
+                                                     medium_network,
+                                                     tmp_path):
+        """A file laid out the way older builds wrote a CH oracle names
+        the section this build does not know."""
+        _, bin_path = saved_v2
+        blob = bin_path.read_bytes()
+        for old, new in zip(binfmt.HUB_SECTION_TAGS,
+                            (b"orchrk", b"orchof", b"orchtg", b"orchwt")):
+            blob = blob.replace(old.ljust(8, b"\0"), new.ljust(8, b"\0"))
+        path = tmp_path / "ch.bin"
+        path.write_bytes(blob)
+        with pytest.raises(IndexFormatError, match="orchrk") as excinfo:
+            RoadPartIndex.load_binary(path, medium_network)
+        assert "rebuild" in str(excinfo.value)
+
+    def test_json_ch_oracle_payload_rejected(self, saved_v2,
+                                             medium_network, tmp_path):
+        json_path, _ = saved_v2
+        doc = json.loads(json_path.read_text())
+        doc["oracle"] = {"kind": "ch", "rank": [], "offsets": [0],
+                         "up_targets": [], "up_weights": []}
+        bad = tmp_path / "ch.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError, match="'ch'"):
+            RoadPartIndex.load(bad, medium_network)
 
     def test_unknown_section_tag_names_path_and_section(self, saved_v2,
                                                         tmp_path):

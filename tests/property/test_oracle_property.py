@@ -1,11 +1,11 @@
-"""Property tests pinning the distance oracles to the dict engine.
+"""Property tests pinning the hub-label oracle to the dict engine.
 
 The query processor substitutes an oracle classification for a
 dual-heap :func:`bridge_domains` search, so the two must agree on every
 ``(UD*, VD*)`` pair of every bridge of every network -- with the same
 float tolerance, since a classification flip on a borderline pair
 would change which bridges the processor skips.  Fuzzed here on random
-perturbed grids with random flyovers, for both oracle kinds.
+perturbed grids with random flyovers.
 """
 
 from hypothesis import assume, given, settings
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.roadpart.bridges import find_bridges
 from repro.datasets.synthetic import add_bridges, grid_network
-from repro.shortestpath import CHOracle, HubOracle
+from repro.shortestpath import HubOracle
 from repro.shortestpath.bidirectional import bridge_domains
 
 network_params = st.tuples(st.integers(4, 8), st.integers(4, 8),
@@ -55,15 +55,3 @@ def test_hub_oracle_matches_dict_engine(params):
         assert scratch.domains(u, v, weight) == reference[(u, v)], (u, v)
         assert scratch.bridge_valid(u, v, weight) == all(
             reference[(u, v)])
-
-
-@given(network_params)
-@settings(max_examples=8, deadline=None)
-def test_ch_oracle_matches_dict_engine(params):
-    network, bridges, targets, reference = _make(*params)
-    assume(bridges)
-    oracle = CHOracle.build(network)
-    scratch = oracle.scratch(targets)
-    for u, v in bridges:
-        weight = network.edge_weight(u, v)
-        assert scratch.domains(u, v, weight) == reference[(u, v)], (u, v)

@@ -151,7 +151,7 @@ def test_hub_scratch_matches_dict_scratch(seed):
     from repro.shortestpath.oracle import _HubScratch, build_oracle
     from repro.shortestpath.vec import VecHubScratch
     network, bridges = _bridged_fixture(seed)
-    oracle = build_oracle(network, "hub", sorted(bridges))
+    oracle = build_oracle(network, "auto", sorted(bridges))
     targets = window_query(network, 0.35, seed=seed)
     ref = _HubScratch(oracle, targets)
     vec = VecHubScratch(oracle, targets)

@@ -5,7 +5,7 @@ the build-side contract is **identity**: :func:`vec_pruned_labeling`
 must reproduce the scalar :class:`HubLabelIndex` labels exactly --
 same hub order, same prune decisions, bit-identical float64 distances,
 same canonical per-vertex serialisation order -- because ``--oracle
-hub`` index files are compared byte-for-byte across engines (here and
+auto`` index files are compared byte-for-byte across engines (here and
 in the index-roundtrip CI job).
 
 The whole module skips on a stdlib-only install (no numpy, or
@@ -109,7 +109,7 @@ def test_flood_engine_matches_scalar_rounds():
 
 @pytest.mark.parametrize("fmt", ["json", "bin"])
 def test_oracle_index_files_byte_identical(tmp_path, fmt):
-    """The acceptance contract: --oracle hub index files compare equal
+    """The acceptance contract: --oracle auto index files compare equal
     (cmp-style, byte for byte) across engine=dict|flat|numpy, serial
     and --jobs 2, in both on-disk formats."""
     network, bridges = _bridged_fixture(9)
@@ -117,7 +117,7 @@ def test_oracle_index_files_byte_identical(tmp_path, fmt):
     for engine in ("dict", "flat", "numpy"):
         for jobs in (1, 2):
             index = build_index(network, 6, bridges=bridges, jobs=jobs,
-                                engine=engine, oracle="hub")
+                                engine=engine, oracle="auto")
             path = tmp_path / f"{engine}-{jobs}.{fmt}"
             if fmt == "json":
                 index.save(str(path))
@@ -132,10 +132,10 @@ def test_oracle_index_files_byte_identical(tmp_path, fmt):
 def test_build_index_reports_vectorized_oracle_engine():
     network, bridges = _bridged_fixture(11)
     index = build_index(network, 6, bridges=bridges, engine="numpy",
-                        oracle="hub")
+                        oracle="auto")
     assert index.stats.oracle_engine == "vectorized"
     index = build_index(network, 6, bridges=bridges, engine="flat",
-                        oracle="hub")
+                        oracle="auto")
     assert index.stats.oracle_engine == "scalar"
 
 
@@ -146,7 +146,7 @@ def test_oracle_build_trace_names_the_builder():
                           ("numpy", "pll-vectorized")):
         trace = TraceRecorder()
         build_index(network, 6, bridges=bridges, engine=engine,
-                    oracle="hub", trace=trace)
+                    oracle="auto", trace=trace)
         span = trace.find(label)
         assert span is not None, f"{label} span missing for {engine}"
         assert any(child.label.startswith("region-")

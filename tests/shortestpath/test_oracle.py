@@ -1,10 +1,9 @@
 """Unit tests for the bridge-domain distance-oracle facade.
 
-The contract under test: both oracle kinds answer the workload pairs
-*exactly* (hub labels for ``(x, bridge endpoint)`` pairs, CH for all
-pairs), their payloads round-trip through the flat-array form the
-serialisers use, and the policy resolution behind ``oracle="auto"``
-matches its documentation.
+The contract under test: the hub-label oracle answers the workload
+pairs ``(x, bridge endpoint)`` *exactly*, its payload round-trips
+through the flat-array form the serialisers use, and the policy
+resolution behind ``oracle="auto"`` matches its documentation.
 """
 
 import math
@@ -14,9 +13,7 @@ import pytest
 from repro.core.roadpart.bridges import find_bridges
 from repro.datasets.synthetic import add_bridges, grid_network
 from repro.shortestpath import (
-    CHOracle,
     HubOracle,
-    ORACLE_KINDS,
     ORACLE_POLICIES,
     build_oracle,
     oracle_from_payload,
@@ -55,15 +52,18 @@ class TestPolicyResolution:
         assert resolve_oracle_kind("auto", []) == "none"
 
     def test_concrete_kinds_pass_through(self):
-        for kind in ORACLE_KINDS + ("none",):
-            assert resolve_oracle_kind(kind, []) == kind
+        # "none" is the one policy that already names a concrete kind.
+        assert resolve_oracle_kind("none", [(0, 1)]) == "none"
 
     def test_unknown_policy_raises(self):
         with pytest.raises(ValueError, match="unknown oracle kind"):
             resolve_oracle_kind("plateau", [(0, 1)])
 
-    def test_policies_superset_kinds(self):
-        assert set(ORACLE_KINDS) < set(ORACLE_POLICIES)
+    def test_policies_are_auto_and_none(self):
+        assert ORACLE_POLICIES == ("auto", "none")
+        for retired in ("hub", "ch"):
+            with pytest.raises(ValueError, match="unknown oracle kind"):
+                resolve_oracle_kind(retired, [(0, 1)])
 
     def test_build_oracle_none(self, bridged):
         network, bridges = bridged
@@ -173,38 +173,8 @@ class TestHubOracle:
         assert degraded.to_payload() == oracle.to_payload()
 
 
-class TestCHOracle:
-    @pytest.fixture(scope="class")
-    def oracle(self, bridged):
-        network, _ = bridged
-        return CHOracle.build(network)
-
-    def test_covers_everything(self, oracle):
-        assert oracle.covers(0, 1)
-        assert oracle.covers(17, 40)
-
-    def test_distances_exact_for_any_pair(self, bridged, oracle, targets):
-        network, bridges = bridged
-        scratch = oracle.scratch(targets)
-        for u, v in bridges[:2]:
-            du_map, _ = scratch.domain_maps(u, v)
-            expect = _true_distances(network, u, targets)
-            assert set(du_map) == set(expect)
-            for x, d in expect.items():
-                assert math.isclose(du_map[x], d, rel_tol=1e-9,
-                                    abs_tol=1e-12)
-
-    def test_payload_round_trip(self, bridged, oracle, targets):
-        network, bridges = bridged
-        back = oracle_from_payload(oracle.to_payload())
-        assert isinstance(back, CHOracle)
-        assert back.entry_count() == oracle.entry_count()
-        u, v = bridges[0]
-        assert (back.scratch(targets).domain_maps(u, v)
-                == oracle.scratch(targets).domain_maps(u, v))
-
-
 class TestPayloadValidation:
     def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown oracle payload"):
-            oracle_from_payload({"kind": "plateau"})
+        for kind in ("plateau", "ch"):
+            with pytest.raises(ValueError, match="unknown oracle payload"):
+                oracle_from_payload({"kind": kind})

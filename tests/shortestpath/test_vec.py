@@ -181,7 +181,7 @@ def test_stdlib_only_oracle_uses_dict_scratch(no_numpy):
     from repro.core.roadpart.bridges import find_bridges
     from repro.shortestpath.oracle import _HubScratch, build_oracle
     network, query = _small_workload()
-    oracle = build_oracle(network, "hub", sorted(find_bridges(network)))
+    oracle = build_oracle(network, "auto", sorted(find_bridges(network)))
     scratch = oracle.scratch(sorted(query.combined))
     assert isinstance(scratch, _HubScratch)
 
@@ -193,7 +193,7 @@ def test_oracle_hands_out_vec_scratch_with_backend(clean_probe):
     from repro.shortestpath.oracle import build_oracle
     from repro.shortestpath.vec import VecHubScratch
     network, query = _small_workload()
-    oracle = build_oracle(network, "hub", sorted(find_bridges(network)))
+    oracle = build_oracle(network, "auto", sorted(find_bridges(network)))
     scratch = oracle.scratch(sorted(query.combined))
     assert isinstance(scratch, VecHubScratch)
 

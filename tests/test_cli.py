@@ -394,6 +394,19 @@ class TestIndexTools:
         assert "roadpart-index-v1" in out
         assert "borders (l): 6" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["build-index", "--out", "x.idx"], ["query"], ["serve"],
+        ["index", "convert", "--in", "x.idx", "--out", "y.rpix"]])
+    @pytest.mark.parametrize("policy", ["hub", "ch"])
+    def test_retired_oracle_policies_rejected(self, argv, policy, capsys):
+        """--oracle takes auto|none (convert also keep); the per-kind
+        policies are argparse errors."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--graph", "g.gr", "--coords", "g.co",
+                         "--oracle", policy])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_serve_roadpart_requires_index(self, generated_map, capsys):
         code = main(["serve", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co"])

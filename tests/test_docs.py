@@ -185,7 +185,9 @@ class TestServingDoc:
     def test_documents_binary_format(self, serving_doc):
         from repro.core.roadpart import binfmt
         assert binfmt.FORMAT_NAME in serving_doc
-        assert binfmt.FORMAT_NAME_V2 in serving_doc
+        # One layout: the retired version-1 name and CH sections are gone.
+        assert "roadpart-index-bin-v1" not in serving_doc
+        assert "orchrk" not in serving_doc
         assert binfmt.MAGIC.decode("ascii") in serving_doc
         for tag in binfmt.SECTION_TAGS + binfmt.ORACLE_SECTION_TAGS:
             assert f"`{tag.decode('ascii')}`" in serving_doc, (
@@ -259,18 +261,20 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("DPSDaemon", "binfmt", "ResultCache",
                        "canonical_key", "mmap", "save_binary",
-                       "load_auto", "roadpart-index-bin-v1"):
+                       "load_auto", "roadpart-index-bin-v2"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
+        assert "roadpart-index-bin-v1" not in doc
 
     def test_architecture_doc_covers_distance_oracles(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
-        for needle in ("HubOracle", "CHOracle", "build_oracle",
+        for needle in ("HubOracle", "build_oracle",
                        "oracle_from_payload", "roadpart-index-bin-v2",
                        "repro.shortestpath.oracle",
                        "ORACLE_CHECK_RATIO"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
+        assert "CHOracle" not in doc
 
     def test_architecture_doc_covers_vectorized_engine(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
