@@ -87,6 +87,27 @@ def _load_network(args) -> RoadNetwork:
     return read_dimacs(args.graph, args.coords)
 
 
+def _epsilon(text: str) -> float:
+    """argparse type of ``--epsilon``: a window fraction in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not 0.0 < value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
+    return value
+
+
+def _vertex_ids(text: str) -> List[int]:
+    """argparse type of ``--vertices``: a non-empty comma list of ints
+    (the range check needs the network; see :func:`_cmd_query`)."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated vertex ids, got {text!r}")
+
+
 def _cmd_generate(args) -> int:
     if args.kind == "grid":
         network = grid_network(args.columns, args.rows, seed=args.seed)
@@ -165,8 +186,7 @@ def _cmd_build_index(args) -> int:
 
 def _parse_query(args, network: RoadNetwork) -> DPSQuery:
     if args.vertices:
-        ids = [int(v) for v in args.vertices.split(",")]
-        return DPSQuery.q_query(ids)
+        return DPSQuery.q_query(args.vertices)
     q = window_query(network, args.epsilon, seed=args.seed)
     return DPSQuery.q_query(q)
 
@@ -238,6 +258,12 @@ def _cmd_query_batch(args, network: RoadNetwork) -> int:
 
 def _cmd_query(args) -> int:
     network = _load_network(args)
+    if args.vertices:
+        try:
+            DPSQuery.q_query(args.vertices).validate_against(network)
+        except ValueError as exc:
+            print(f"error: --vertices: {exc}", file=sys.stderr)
+            return 2
     if args.batch > 1 or args.jobs > 1 or args.deadline_ms is not None:
         return _cmd_query_batch(args, network)
     query = _parse_query(args, network)
@@ -471,11 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--algorithm", choices=["roadpart", "blq", "ble",
                                                "hull"],
                        default="roadpart")
-    query.add_argument("--epsilon", type=float, default=0.1,
-                       help="query window size as a fraction of the map")
+    query.add_argument("--epsilon", type=_epsilon, default=0.1,
+                       help="query window size as a fraction of the map,"
+                            " in (0, 1]")
     query.add_argument("--seed", type=int, default=0,
                        help="window placement seed")
-    query.add_argument("--vertices",
+    query.add_argument("--vertices", type=_vertex_ids,
                        help="comma-separated vertex ids (0-based,"
                             " overrides --epsilon)")
     query.add_argument("--refine", action="store_true",

@@ -1,10 +1,12 @@
 """BL-Q: the quality-centric baseline (Section III-A of the paper).
 
 BL-Q computes the *smallest* DPS: exactly the vertices lying on some
-``sp(s, t)``.  It runs one single-source Dijkstra per vertex of the
+``sp(s, t)``.  It runs one single-source search per vertex of the
 smaller query side, each terminated as soon as every vertex of the other
 side is settled, then harvests path vertices with the ``O(|E|)``
-vertex-collection routine.  Total cost
+vertex-collection routine (both in
+:func:`~repro.shortestpath.settle.settle_targets`, whose default kernel
+aims each search at the other side with A*).  Total cost
 ``O(min(|S|, |T|) · |V| log |V|)`` -- the paper's gold standard for DPS
 quality and the denominator of every V-ratio in Figure 11.
 """
@@ -18,8 +20,7 @@ from repro.core.dps import DPSQuery, DPSResult
 from repro.graph.network import RoadNetwork
 from repro.obs.stats import QueryStats, resolve_stats
 from repro.shortestpath.deadline import Deadline
-from repro.shortestpath.flat import make_search, release_search
-from repro.shortestpath.paths import collect_path_vertices
+from repro.shortestpath.settle import settle_targets
 
 
 def bl_quality(network: RoadNetwork, query: DPSQuery,
@@ -34,43 +35,25 @@ def bl_quality(network: RoadNetwork, query: DPSQuery,
     require *a* shortest path per pair to survive in the subgraph).
 
     ``stats`` (optional) collects per-phase timings (``sssp``,
-    ``collect``) and engine counters; ``engine`` selects the SSSP kernel
-    (both give identical results and counts) -- see :mod:`repro.obs` and
-    :mod:`repro.shortestpath.flat`.  ``deadline`` (optional) bounds the
-    query's wall clock across *all* its SSSP rounds (one shared budget);
-    on expiry the round's arena is recycled and
+    ``collect``) and engine counters.  ``engine`` selects the kernel of
+    :func:`~repro.shortestpath.settle.settle_targets`: every engine
+    returns identical vertices, but ``flat`` and ``numpy`` run the
+    goal-directed kernel, so their counters count fewer settles than
+    ``dict``'s.  ``deadline`` (optional) bounds the query's wall clock
+    across *all* its SSSP rounds (one shared budget); on expiry the
+    round's scratch is recycled and
     :class:`~repro.errors.DeadlineExceeded` propagates.
     """
     query.validate_against(network)
     stats = resolve_stats(stats)
-    counters = stats.counters
     started = time.perf_counter()
     sources, targets = query.smaller_side()
-    target_list = sorted(targets)
     collected: set = set()
-    rounds = 0
-    for s in sorted(sources):
-        search = None
-        try:
-            with stats.phase("sssp"):
-                search = make_search(network, s, counters=counters,
-                                     engine=engine, deadline=deadline)
-                settled_all = search.run_until_settled(target_list)
-            if not settled_all:
-                unreached = [t for t in target_list
-                             if t not in search.dist]
-                raise ValueError(
-                    f"network is not connected: {len(unreached)} targets"
-                    f" unreachable from {s} (e.g. {unreached[:3]})")
-            with stats.phase("collect"):
-                collect_path_vertices(search.pred, s, target_list,
-                                      collected)
-        except BaseException:
-            if search is not None:
-                release_search(search)  # failed round holds no views
-            raise
-        release_search(search)  # round done; recycle the arena
-        rounds += 1
+    rounds = settle_targets(network, sources, targets, collected,
+                            counters=stats.counters, deadline=deadline,
+                            engine=engine,
+                            phases=(stats.phase("sssp"),
+                                    stats.phase("collect")))
     elapsed = time.perf_counter() - started
     result = DPSResult("BL-Q", query, frozenset(collected), seconds=elapsed,
                        stats={"sssp_rounds": rounds})

@@ -27,11 +27,9 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.core.dps import DPSQuery, DPSResult
 from repro.graph.network import RoadNetwork
-from repro.obs.counters import SearchCounters
 from repro.obs.stats import QueryStats, resolve_stats
 from repro.shortestpath.deadline import Deadline
-from repro.shortestpath.flat import make_search, release_search
-from repro.shortestpath.paths import collect_path_vertices
+from repro.shortestpath.settle import settle_targets
 from repro.spatial.geometry import Point, on_segment, orientation
 from repro.spatial.hull import convex_hull
 from repro.spatial.rect import Rect
@@ -132,46 +130,6 @@ def _crossing_border(network: RoadNetwork, hull: Sequence[Point],
     return border
 
 
-def _connect_borders(network: RoadNetwork, from_border: Set[int],
-                     to_border: Set[int], allowed: Optional[Set[int]],
-                     into: Set[int],
-                     counters: Optional[SearchCounters] = None,
-                     engine: str = "flat",
-                     deadline: Optional[Deadline] = None) -> int:
-    """Add the vertices of ``sp(b, b')`` for all border pairs to ``into``.
-
-    Iterates SSSP over the smaller side.  Returns the number of SSSP
-    rounds run (the cost driver the paper compares against RoadPart's
-    ``2b`` domain computations).  ``deadline`` (optional) bounds the
-    rounds' shared wall clock; an expired round releases its arena and
-    lets :class:`~repro.errors.DeadlineExceeded` propagate.
-    """
-    if not from_border or not to_border:
-        return 0
-    small, large = ((from_border, to_border)
-                    if len(from_border) <= len(to_border)
-                    else (to_border, from_border))
-    targets = sorted(large)
-    rounds = 0
-    for b in sorted(small):
-        search = make_search(network, b, allowed=allowed,
-                             counters=counters, engine=engine,
-                             deadline=deadline)
-        try:
-            if not search.run_until_settled(targets):
-                unreached = [t for t in targets if t not in search.dist]
-                raise ValueError(
-                    f"input graph disconnects border vertices:"
-                    f" {len(unreached)} unreachable from {b}")
-            collect_path_vertices(search.pred, b, targets, into)
-        except BaseException:
-            release_search(search)  # failed search holds no useful views
-            raise
-        release_search(search)  # round done; recycle the arena
-        rounds += 1
-    return rounds
-
-
 def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
                     base: BaseGraph = None,
                     stats: Optional[QueryStats] = None,
@@ -186,10 +144,12 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
     of RoadPart" (Section VII-B).
 
     ``stats`` (optional) collects per-phase timings (``hull-membership``,
-    ``crossing-border``, ``connect-borders``) and engine counters;
-    ``engine`` selects the SSSP kernel (identical results and counts
-    either way) -- see :mod:`repro.obs` and
-    :mod:`repro.shortestpath.flat`.  ``deadline`` (optional) bounds the
+    ``crossing-border``, ``connect-borders``) and engine counters.
+    ``engine`` selects the kernel of
+    :func:`~repro.shortestpath.settle.settle_targets`: every engine
+    returns identical vertices, but ``flat`` and ``numpy`` run the
+    goal-directed kernel, so their counters count fewer settles than
+    ``dict``'s.  ``deadline`` (optional) bounds the
     border-connection SSSP rounds (the dominant cost; the geometric
     phases are not deadline-checked) -- see
     :mod:`repro.shortestpath.deadline`.
@@ -214,9 +174,9 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
             border = border_seed | _crossing_border(network, hull, allowed)
         collected |= covered
         with stats.phase("connect-borders"):
-            rounds = _connect_borders(network, border, border, allowed,
-                                      collected, counters, engine=engine,
-                                      deadline=deadline)
+            rounds = settle_targets(network, border, border, collected,
+                                    allowed=allowed, counters=counters,
+                                    deadline=deadline, engine=engine)
         border_stat = len(border)
     else:
         with stats.phase("hull-membership"):
@@ -229,10 +189,12 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
             border_t = seed_t | _crossing_border(network, hull_t, allowed)
         collected |= covered_s
         collected |= covered_t
+        # One SSSP round per vertex of the smaller border.
+        small, large = sorted((border_s, border_t), key=len)
         with stats.phase("connect-borders"):
-            rounds = _connect_borders(network, border_s, border_t, allowed,
-                                      collected, counters, engine=engine,
-                                      deadline=deadline)
+            rounds = settle_targets(network, small, large, collected,
+                                    allowed=allowed, counters=counters,
+                                    deadline=deadline, engine=engine)
         border_stat = min(len(border_s), len(border_t))
     collected |= query.combined  # degenerate hulls can miss isolated points
     elapsed = time.perf_counter() - started

@@ -87,6 +87,7 @@ class RoadNetwork:
         self._vertex_rtree: Optional[PointRTree] = None
         self._edge_rtree: Optional[SegmentRTree] = None
         self._csr = None  # lazily built CSRGraph (see csr())
+        self._lower_bound_scale: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -189,6 +190,27 @@ class RoadNetwork:
             from repro.graph.csr import CSRGraph  # deferred: avoids cycle
             self._csr = CSRGraph.from_adjacency(self._adj)
         return self._csr
+
+    def lower_bound_scale(self) -> float:
+        """Return ``κ`` such that ``κ · ‖uv‖ ≤ dist(u, v)`` for every
+        vertex pair, computed on first use and cached like :meth:`csr`.
+
+        ``κ = (1 − 2⁻²⁰) / metric_violation_ratio``: the Euclidean
+        lower bound of Section IV-B.3, scaled down where weights fall
+        below straight-line length, with a margin that absorbs the
+        rounding of ``κ · ‖uv‖``.  A zero-weight edge between distinct
+        points admits no such bound, and ``κ = 0``.
+        """
+        if self._lower_bound_scale is None:
+            # deferred: builder imports this module
+            from repro.graph.builder import metric_violation_ratio
+            try:
+                ratio = metric_violation_ratio(self)
+            except ValueError:  # zero-weight edge between distinct points
+                self._lower_bound_scale = 0.0
+            else:
+                self._lower_bound_scale = (1.0 - 2.0 ** -20) / ratio
+        return self._lower_bound_scale
 
     # ------------------------------------------------------------------
     # Subgraphs

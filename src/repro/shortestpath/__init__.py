@@ -6,8 +6,8 @@ the road network:
 - :mod:`repro.shortestpath.heap` -- an addressable binary heap with
   decrease-key, the priority queue behind every search.
 - :mod:`repro.shortestpath.dijkstra` -- single-source shortest paths with
-  target-set and radius early termination (BL-Q, BL-E, the convex hull
-  method).
+  target-set and radius early termination (BL-E, the reference rounds of
+  BL-Q and the convex hull method).
 - :mod:`repro.shortestpath.astar` -- point-to-point A* with the Euclidean
   lower-bound heuristic [13] (cut computation, the Section VII-C
   experiment).
@@ -18,6 +18,11 @@ the road network:
 - :mod:`repro.shortestpath.flat` -- the array-based CSR kernel behind
   every hot sweep: :class:`FlatDijkstraSearch` plus the fused dual-heap
   loops ``flat_bridge_domains`` / ``flat_bidirectional_ppsp``.
+- :mod:`repro.shortestpath.settle` -- :func:`settle_targets`, the
+  many-to-many loop behind BL-Q and the convex hull method: one round
+  per source until every target settles, then the predecessor walk.
+  Its default kernel is A* aimed at the targets' bounding box, with
+  answers identical to the per-source Dijkstra reference.
 - :mod:`repro.shortestpath.paths` -- predecessor-tree path reconstruction
   and the ``O(|E|)`` vertex-collection routine of Section III-A.
 - :mod:`repro.shortestpath.dense` -- the array-based A* of the paper's
@@ -63,6 +68,7 @@ from repro.shortestpath.oracle import (
     resolve_oracle_kind,
 )
 from repro.shortestpath.paths import collect_path_vertices, reconstruct_path
+from repro.shortestpath.settle import settle_targets
 
 __all__ = [
     "ALTIndex",
@@ -84,5 +90,6 @@ __all__ = [
     "oracle_from_payload",
     "reconstruct_path",
     "resolve_oracle_kind",
+    "settle_targets",
     "sssp",
 ]

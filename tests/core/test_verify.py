@@ -5,6 +5,7 @@ import math
 
 from repro.core.dps import DPSQuery, DPSResult
 from repro.core.verify import pairwise_distances, verify_dps
+from repro.graph.network import RoadNetwork
 
 
 class TestVerify:
@@ -53,6 +54,18 @@ class TestVerify:
         assert bool(verify_dps(grid5, set(grid5.vertices()), ok_query))
         broken = verify_dps(grid5, {0, 24}, DPSQuery.q_query([0, 24]))
         assert not bool(broken)
+
+    def test_pair_without_path_in_g_is_preserved(self):
+        # Components {0, 1, 2} and {3, 4}: dist(0, 4) is inf in G and in
+        # every subgraph, so the pair is preserved, not a crash.
+        net = RoadNetwork([(0, 0), (1, 0), (2, 0), (5, 5), (6, 5)],
+                          [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        report = verify_dps(net, {0, 1, 2, 4},
+                            DPSQuery.st_query([0], [2, 4]))
+        assert report.ok
+        assert report.pairs_checked == 2
+        broken = verify_dps(net, {0, 2, 4}, DPSQuery.st_query([0], [2, 4]))
+        assert [f[:2] for f in broken.failures] == [(0, 2)]
 
     def test_accepts_dpsresult(self, grid5):
         query = DPSQuery.q_query([0, 1])

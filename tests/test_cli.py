@@ -104,6 +104,34 @@ class TestBuildAndQuery:
         assert "--index" in capsys.readouterr().err
 
 
+class TestQueryFlagValidation:
+    """Bad ``query`` flags are usage errors (exit 2, ``error: ...``),
+    never tracebacks or a silently different query."""
+
+    @pytest.mark.parametrize("flag", [
+        ["--epsilon", "0"], ["--epsilon", "1.5"], ["--epsilon", "nan"],
+        ["--vertices", "1,x"], ["--vertices", ""]],
+        ids=["epsilon-0", "epsilon-1.5", "epsilon-nan", "vertices-not-int",
+             "vertices-empty"])
+    def test_rejected_by_the_parser(self, generated_map, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", "--graph", f"{generated_map}.gr",
+                  "--coords", f"{generated_map}.co",
+                  "--algorithm", "blq"] + flag)
+        assert excinfo.value.code == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+
+    def test_out_of_range_vertex_is_a_usage_error(self, generated_map,
+                                                  capsys):
+        code = main(["query", "--graph", f"{generated_map}.gr",
+                     "--coords", f"{generated_map}.co",
+                     "--algorithm", "blq", "--vertices", "1,99999"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --vertices")
+        assert "99999" in err
+
+
 class TestStatsFlags:
     @pytest.fixture()
     def built_index(self, generated_map, tmp_path):

@@ -67,6 +67,15 @@ class TestObservabilityDoc:
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
 
+    def test_documents_settle_kernel_counters(self, observability_doc):
+        """The flat == dict counter contract stops at BL-Q and the hull,
+        whose goal-directed settles must stay documented as such."""
+        for needle in ("settle_targets", "repro.shortestpath.settle",
+                       "goal-directed",
+                       "tests/property/test_settle_equivalence.py"):
+            assert needle in observability_doc, (
+                f"{needle!r} missing from docs/observability.md")
+
     def test_documents_fault_tolerance_counters(self, observability_doc):
         """PR 4 surfaces: the failure/fallback/retry counters, the new
         CLI flags and the gauge split must stay documented."""
@@ -246,6 +255,17 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("flat_bridge_domains", "flat_bidirectional_ppsp",
                        "run_queries"):
+            assert needle in doc, (
+                f"{needle!r} missing from docs/architecture.md")
+
+    def test_architecture_doc_covers_settle_kernel(self):
+        doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
+        for needle in ("Goal-directed many-to-many kernel",
+                       "settle_targets", "repro.shortestpath.settle",
+                       "lower_bound_scale", "metric_violation_ratio",
+                       "Canonical predecessors", "Tie settling",
+                       "Reopening", "Lazy h", "Zero-length arcs",
+                       "verify_dps"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
 
