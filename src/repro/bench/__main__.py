@@ -194,84 +194,40 @@ def _run_bridges(small: bool = False, check: bool = False) -> bool:
         return False
     if check and oracle_ratio is None:
         print("FAIL: no oracle measure ran (the index carried no"
-              " oracle or it did not cover the examined bridges)",
+              " table)",
               file=sys.stderr)
         return False
     if check and oracle_ratio < ORACLE_CHECK_RATIO:
-        print(f"FAIL: oracle sweep is below {ORACLE_CHECK_RATIO}x the"
-              f" fused flat kernel (speedup {oracle_ratio:.2f}x)",
+        print(f"FAIL: endpoint tree table is below {ORACLE_CHECK_RATIO}x"
+              f" the fused flat kernel (speedup {oracle_ratio:.2f}x)",
               file=sys.stderr)
-        return False
-    return True
-
-
-def _run_sweep(small: bool = False, check: bool = False) -> bool:
-    """Oracle label-sweep microbenchmark; returns False when the
-    vectorized scratch misses its speedup floor (the ``--check`` CI
-    guard).  Skips -- never fails -- when no array backend is active."""
-    from repro.vec.backend import backend_name, has_backend
-    if not has_backend():
-        print(f"sweep: skipped -- no array backend is active"
-              f" (backend={backend_name()}; install the 'vec' extra or"
-              f" unset REPRO_VEC_DISABLE)")
-        return True
-    from repro.bench.experiments.sweep import (
-        SWEEP_CHECK_RATIO,
-        SWEEP_EPSILONS,
-        SWEEP_REPEATS,
-        run_sweep,
-        speedup,
-    )
-    epsilons = SWEEP_EPSILONS[:2] if small else None
-    measures = run_sweep(epsilons=epsilons,
-                         repeats=2 if small else SWEEP_REPEATS)
-    ratio = speedup(measures)
-    _emit("sweep", render_table(
-        f"Oracle label-sweep microbenchmark -- hub scratches on"
-        f" {measures[0].dataset} (vec/dict speedup {ratio:.2f}x,"
-        f" backend={backend_name()})",
-        ["scratch", "eps", "bridges", "targets", "median (s)",
-         "sweeps/s"],
-        [[m.scratch, f"{m.epsilon:.0%}", m.bridges, m.targets,
-          round(m.seconds, 5), round(m.sweeps_per_second, 1)]
-         for m in measures]))
-    if check and ratio < SWEEP_CHECK_RATIO:
-        print(f"FAIL: vectorized label sweep is below"
-              f" {SWEEP_CHECK_RATIO}x the dict scratch"
-              f" (speedup {ratio:.2f}x)", file=sys.stderr)
         return False
     return True
 
 
 def _run_build(small: bool = False, check: bool = False) -> bool:
     """Oracle construction microbenchmark; returns False when the
-    batched PLL builder misses its speedup floor (the ``--check`` CI
-    guard).  Skips -- never fails -- when no array backend is active."""
-    from repro.vec.backend import backend_name, has_backend
-    if not has_backend():
-        print(f"build: skipped -- no array backend is active"
-              f" (backend={backend_name()}; install the 'vec' extra or"
-              f" unset REPRO_VEC_DISABLE)")
-        return True
+    endpoint tree table misses its speedup floor over the pruned
+    labelling (the ``--check`` CI guard)."""
     from repro.bench.experiments.build import (
         BUILD_CHECK_RATIO,
         BUILD_REPEATS,
         run_build,
         speedup,
     )
-    measures = run_build(repeats=2 if small else BUILD_REPEATS)
+    measures = run_build(repeats=1 if small else BUILD_REPEATS)
     ratio = speedup(measures)
     _emit("build", render_table(
-        f"Oracle construction microbenchmark -- partial PLL on"
-        f" {measures[0].dataset} (vec/scalar speedup {ratio:.2f}x,"
-        f" backend={backend_name()})",
-        ["builder", "hubs", "entries", "median (s)", "entries/s"],
-        [[m.builder, m.hubs, m.entries, round(m.seconds, 4),
+        f"Oracle construction microbenchmark -- endpoint tree table vs"
+        f" partial PLL on {measures[0].dataset} (pll/table speedup"
+        f" {ratio:.2f}x)",
+        ["builder", "endpoints", "entries", "median (s)", "entries/s"],
+        [[m.builder, m.endpoints, m.entries, round(m.seconds, 4),
           round(m.entries_per_second)] for m in measures]))
     if check and ratio < BUILD_CHECK_RATIO:
-        print(f"FAIL: batched PLL builder is below"
-              f" {BUILD_CHECK_RATIO}x the scalar builder"
-              f" (speedup {ratio:.2f}x)", file=sys.stderr)
+        print(f"FAIL: endpoint tree table build is below"
+              f" {BUILD_CHECK_RATIO}x the scalar PLL over the same"
+              f" endpoints (speedup {ratio:.2f}x)", file=sys.stderr)
         return False
     return True
 
@@ -358,13 +314,12 @@ EXPERIMENTS: Dict[str, Callable[..., None]] = {
     "ablations": _run_ablations,
     "sssp": _run_sssp,
     "bridges": _run_bridges,
-    "sweep": _run_sweep,
     "build": _run_build,
     "throughput": _run_throughput,
 }
 
 #: Experiments that take ``check=`` and gate the exit status.
-CHECKED_EXPERIMENTS = ("sssp", "bridges", "sweep", "build")
+CHECKED_EXPERIMENTS = ("sssp", "bridges", "build")
 
 
 def main(argv: List[str]) -> int:

@@ -14,19 +14,17 @@ by comparing full counter sets; the timed repeats are interleaved
 (dict, flat, dict, flat, ...) so machine-load drift cancels out of the
 speedup ratio.
 
-A third measure runs the same classification through the index's
-distance oracle (:mod:`repro.shortestpath.oracle`): one scratch per
-pass (exactly what a real query allocates), full ``(UD*, VD*)``
-membership per bridge via :meth:`OracleScratch.domains` -- so the
-oracle row is comparable work to a dual-heap pass, not just the
-early-exit validity test.  A warm-up pass cross-checks every oracle
-domain pair against the dict engine's sets before anything is timed.
+A third measure answers the same bridges from the index's endpoint
+tree table (:mod:`repro.shortestpath.oracle`): full ``(UD*, VD*)``
+membership per bridge via :meth:`HubOracle.domains`, read off the two
+``dist`` rows -- exactly what a real query does instead of the dual
+heap.  A warm-up pass cross-checks every table domain pair against the
+dict engine's sets before anything is timed.
 
 ``python -m repro.bench bridges --check`` fails (exit 1) when the fused
 flat dual-heap loop is below :data:`BRIDGES_CHECK_RATIO` x the dict
-engine, or when the oracle sweep is below :data:`ORACLE_CHECK_RATIO` x
-the flat kernel -- the CI perf gate companion to ``bench sssp
---check``.
+engine, or when the table is below :data:`ORACLE_CHECK_RATIO` x the
+flat kernel -- the CI perf gate companion to ``bench sssp --check``.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ BRIDGES_EPSILON = 0.15
 BRIDGES_REPEATS = 5
 #: The ``--check`` gate: flat must be at least this factor faster.
 BRIDGES_CHECK_RATIO = 1.3
-#: The oracle gate: the precomputed-label sweep must beat the fused
+#: The oracle gate: reading the endpoint tree table must beat the fused
 #: flat dual-heap kernel by at least this factor.
 ORACLE_CHECK_RATIO = 2.0
 
@@ -95,18 +93,14 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
     q_vertices = sorted(query.combined)
     network.csr()  # built once and cached, like the R-trees: not timed
     oracle = index.oracle
-    oracle_usable = (oracle is not None
-                     and all(oracle.covers(u, v) for u, v in examined))
-    engines = ("dict", "flat") + (("oracle",) if oracle_usable else ())
+    engines = ("dict", "flat") + (("oracle",) if oracle is not None
+                                  else ())
     weights = {(u, v): network.edge_weight(u, v) for u, v in examined}
 
     def one_pass(engine, counters=None):
         if engine == "oracle":
-            # A fresh scratch per pass, like a fresh query: the bucket
-            # inversion and endpoint sweeps are part of the cost.
-            scratch = oracle.scratch(q_vertices)
             for u, v in examined:
-                scratch.domains(u, v, weights[(u, v)])
+                oracle.domains(u, v, weights[(u, v)], q_vertices)
             return
         for u, v in examined:
             domains = bridge_domains(network, u, v, q_vertices,
@@ -123,17 +117,16 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
     if checks["dict"] != checks["flat"]:
         raise AssertionError(
             f"engines disagree on operation counts: {checks}")
-    if oracle_usable:
+    if oracle is not None:
         # Oracle warm-up is a correctness cross-check instead (the
-        # oracle touches no SearchCounters by design): every (UD*, VD*)
+        # table touches no SearchCounters by design): every (UD*, VD*)
         # pair must match the dict engine's sets exactly.
-        scratch = oracle.scratch(q_vertices)
         for u, v in examined:
             domains = bridge_domains(network, u, v, q_vertices,
                                      engine="dict")
             expected = (set(domains.ud_star), set(domains.vd_star))
             domains.release()
-            got = scratch.domains(u, v, weights[(u, v)])
+            got = oracle.domains(u, v, weights[(u, v)], q_vertices)
             if got != expected:
                 raise AssertionError(
                     f"oracle disagrees with the dict engine on bridge"
@@ -159,8 +152,8 @@ def speedup(measures: List[BridgeMeasure]) -> float:
 
 
 def oracle_speedup(measures: List[BridgeMeasure]) -> Optional[float]:
-    """flat seconds / oracle seconds (>1 means the precomputed labels
-    beat the fused dual-heap kernel), or None when no oracle ran."""
+    """flat seconds / oracle seconds (>1 means the endpoint tree table
+    beats the fused dual-heap kernel), or None when no oracle ran."""
     by_engine = {m.engine: m for m in measures}
     if "oracle" not in by_engine:
         return None

@@ -1,36 +1,31 @@
-"""Oracle *construction* microbenchmark: scalar vs batched PLL builder.
+"""Oracle *construction* microbenchmark: endpoint tree table vs PLL.
 
-The query-side sweep bench (:mod:`repro.bench.experiments.sweep`)
-gates the vectorized label *reads*; this experiment gates the build
-side -- the partial-PLL construction over the bridge endpoints that
-dominates ``--oracle auto`` index builds (fig10 records it at ~10s per
-row on EAST-S against a sub-2s partition build).  It times
-:meth:`~repro.shortestpath.oracle.HubOracle.build` twice over the same
-network and bridge set:
+An ``--oracle auto`` index build spends its oracle phase on the
+endpoint tree table (:mod:`repro.shortestpath.oracle`): one full flat
+Dijkstra per bridge endpoint.  It replaced a partial pruned landmark
+labelling over the same endpoints, which dominated the build.  This
+experiment times both over the same network and the same endpoints:
 
-- ``scalar``: the reference heap-based
-  :class:`~repro.shortestpath.hub_labels.HubLabelIndex` builder, one
-  pruned Dijkstra per hub;
-- ``vec``: :class:`~repro.shortestpath.vec.VecHubLabeler` via
-  ``engine="numpy"`` -- each hub's pruned sweep a bucketed frontier
-  pass with bulk prune evaluation against the committed label arrays.
+- ``table``: :meth:`~repro.shortestpath.oracle.HubOracle.build`, what
+  ``build_index`` runs;
+- ``pll``: the scalar
+  :class:`~repro.shortestpath.hub_labels.HubLabelIndex` with the
+  endpoints as its hubs, by descending degree -- one pruned Dijkstra
+  per hub.
 
-A warm-up pass builds both once and doubles as the correctness
-cross-check: the two oracles' ``to_payload()`` documents must be
-*equal* (same hubs, same offsets, same label entries bit for bit --
-the byte-identity contract of the vectorized builder) before anything
-is timed.  Timed repeats are interleaved (scalar, vec, scalar, vec,
-...) so machine-load drift cancels out of the ratio.
+A warm-up builds both once and doubles as a correctness cross-check:
+on a fixed sample of ``(vertex, endpoint)`` pairs the labelling's
+distance must equal the table's ``dist`` cell (both are exact for
+every pair with an endpoint).  Timed repeats are interleaved (table,
+pll, table, pll, ...) so machine-load drift cancels out of the ratio.
 
-``python -m repro.bench build --check`` fails (exit 1) when the
-batched builder is below :data:`BUILD_CHECK_RATIO` x the scalar one.
-Without an array backend (numpy not installed or ``REPRO_VEC_DISABLE``
-set) the experiment *skips* rather than fails: the vec path is an
-optional extra, not a requirement.
+``python -m repro.bench build --check`` fails (exit 1) when the table
+build is below :data:`BUILD_CHECK_RATIO` x faster than the labelling.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import List
@@ -38,14 +33,17 @@ from typing import List
 from repro.bench.experiments.common import dataset_network
 from repro.bench.metrics import median
 from repro.core.roadpart.bridges import find_bridges
-from repro.vec.backend import has_backend
+from repro.shortestpath.hub_labels import HubLabelIndex
+from repro.shortestpath.oracle import HubOracle
 
 #: Table II-scale stand-in whose oracle construction is measured.
 BUILD_DATASET = "EAST-S"
 BUILD_REPEATS = 3
-#: The ``--check`` gate: the batched PLL builder must be at least this
-#: factor faster than the scalar builder.
+#: The ``--check`` gate: the table build must be at least this factor
+#: faster than the pruned labelling over the same endpoints.
 BUILD_CHECK_RATIO = 2.0
+#: ``(vertex, endpoint)`` pairs the warm-up cross-checks.
+CROSS_CHECK_PAIRS = 400
 
 
 @dataclass
@@ -53,9 +51,9 @@ class BuildMeasure:
     """One builder's timings over the repeats."""
 
     dataset: str
-    builder: str           #: "scalar" or "vec"
-    hubs: int              #: distinct bridge endpoints processed
-    entries: int           #: label entries the build committed
+    builder: str           #: "table" or "pll"
+    endpoints: int         #: distinct bridge endpoints processed
+    entries: int           #: table cells or label entries built
     seconds: float         #: median over the repeats
     samples: List[float] = field(default_factory=list)
 
@@ -66,60 +64,52 @@ class BuildMeasure:
 
 def run_build(dataset: str = BUILD_DATASET,
               repeats: int = BUILD_REPEATS) -> List[BuildMeasure]:
-    """Time the hub-oracle construction with both builders, interleaved.
-
-    Raises RuntimeError when no array backend is active (callers that
-    want a soft skip should test
-    :func:`repro.vec.backend.has_backend` first) or when the dataset
-    has no bridges to build an oracle over.
-    """
-    if not has_backend():
-        raise RuntimeError(
-            "bench build needs the numpy backend (install the 'vec'"
-            " extra or unset REPRO_VEC_DISABLE)")
-    from repro.shortestpath.oracle import HubOracle
-
+    """Time the table and the labelling over the same endpoints,
+    interleaved; raises RuntimeError when the dataset has no bridges."""
     network = dataset_network(dataset)
     bridges = sorted(find_bridges(network))
     if not bridges:
         raise RuntimeError(
             f"bench build needs bridges; {dataset} has none")
-    hubs = {e for bridge in bridges for e in bridge}
-    # Built once and cached, inherited by every build below: the CSR
-    # (and its array views) are shared build infrastructure, not part
-    # of either builder's cost.
-    network.csr().vec_views()
+    endpoints = sorted({e for bridge in bridges for e in bridge})
+    by_degree = sorted(endpoints, key=lambda v: (-network.degree(v), v))
+    # Built once and cached: the CSR is shared build infrastructure,
+    # not part of either builder's cost.
+    network.csr()
 
-    def one_build(kind: str) -> HubOracle:
-        engine = "numpy" if kind == "vec" else "flat"
-        return HubOracle.build(network, bridges, engine=engine)
+    def one_build(kind: str):
+        if kind == "table":
+            return HubOracle.build(network, bridges)
+        return HubLabelIndex(network, hubs=by_degree)
 
-    # Warm-up doubles as the byte-identity cross-check: the batched
-    # builder must reproduce the scalar labels exactly, or the speedup
-    # is meaningless.
-    ref = one_build("scalar")
-    vec = one_build("vec")
-    if vec.to_payload() != ref.to_payload():
-        raise AssertionError(
-            "batched PLL builder disagrees with the scalar builder"
-            " (payloads differ)")
-    entries = ref.entry_count()
+    table = one_build("table")
+    labels = one_build("pll")
+    n = network.num_vertices
+    step = max(1, (n * len(endpoints)) // CROSS_CHECK_PAIRS)
+    for k in range(0, n * len(endpoints), step):
+        endpoint, x = endpoints[k // n], k % n
+        want = table.dist_row(endpoint)[x]
+        got = labels.distance(x, endpoint)
+        if not math.isclose(got, want, rel_tol=1e-9):
+            raise AssertionError(
+                f"labelling and table disagree on ({x}, {endpoint}):"
+                f" {got} vs {want}")
+    entries = {"table": table.entry_count(),
+               "pll": labels.total_label_entries()}
 
-    samples = {"scalar": [], "vec": []}
+    samples = {"table": [], "pll": []}
     # Interleaved repeats: load drift hits both builders equally.
     for _ in range(repeats):
-        for kind in ("scalar", "vec"):
+        for kind in ("table", "pll"):
             start = time.perf_counter()
             one_build(kind)
             samples[kind].append(time.perf_counter() - start)
-    return [BuildMeasure(dataset, kind, len(hubs), entries,
+    return [BuildMeasure(dataset, kind, len(endpoints), entries[kind],
                          median(samples[kind]), samples[kind])
-            for kind in ("scalar", "vec")]
+            for kind in ("table", "pll")]
 
 
 def speedup(measures: List[BuildMeasure]) -> float:
-    """scalar seconds / vec seconds (>1 means the batched builder
-    wins)."""
-    scalar = sum(m.seconds for m in measures if m.builder == "scalar")
-    vec = sum(m.seconds for m in measures if m.builder == "vec")
-    return scalar / vec
+    """pll seconds / table seconds (>1 means the table builds faster)."""
+    by_builder = {m.builder: m for m in measures}
+    return by_builder["pll"].seconds / by_builder["table"].seconds

@@ -46,16 +46,13 @@ def run_fig10(dataset: str = FIG10_DATASET,
     *partitioning*, and the bridge self-join is ℓ-independent.  The
     build runs with ``oracle="auto"`` -- the production default -- so
     the full cost the shipped index pays is on record, but the oracle
-    phase is reported as its own column: it is ℓ-independent too (the
-    hubs are the bridge endpoints), and folding it into the partition
+    phase is reported as its own column: it is ℓ-independent too (one
+    tree per bridge endpoint), and folding it into the partition
     time would bury the ℓ trend the figure exists to show.
 
-    Builds run with ``engine="numpy"``: the shipped default for anyone
-    who installed the ``vec`` extra, and the engine the build-side
-    speedup gate (``bench build --check``) measures.  Without a backend
-    it quietly degrades to the scalar builders -- same index bytes,
-    scalar timings.  Each point is built ``repeats`` times; the
-    headline numbers are medians.
+    Builds run with the CLI defaults (flat engine, one process), what
+    ``repro build-index`` ships.  Each point is built ``repeats``
+    times; the headline numbers are medians.
     """
     counts = border_counts or FIG10_BORDER_COUNTS
     network = dataset_network(dataset)
@@ -68,8 +65,7 @@ def run_fig10(dataset: str = FIG10_DATASET,
         for _ in range(max(1, repeats)):
             index, seconds = timed(
                 lambda c=count: build_index(network, c, bridges=bridges,
-                                            oracle="auto",
-                                            engine="numpy"))
+                                            oracle="auto"))
             oracle_samples.append(index.stats.oracle_seconds)
             partition_samples.append(seconds - index.stats.oracle_seconds)
         points.append(Fig10Point(count, median(partition_samples),

@@ -172,9 +172,8 @@ def _cmd_build_index(args) -> int:
           f" contour={index.stats.contour_strategy_used},"
           f" oracle={index.stats.oracle_kind}", file=chat)
     if index.oracle is not None:
-        print(f"oracle: {index.oracle.describe()}"
-              f" ({index.stats.oracle_seconds:.2f}s,"
-              f" {index.stats.oracle_engine} builder)", file=chat)
+        print(f"oracle: {index.oracle.describe()}, built in"
+              f" {index.stats.oracle_seconds:.2f}s", file=chat)
     if args.stats_json:
         print(json.dumps(trace.to_dict(), indent=2))
     elif args.stats:
@@ -374,10 +373,7 @@ def _cmd_index_convert(args) -> int:
         # "none" strips the oracle; "auto" (re)builds it from the loaded
         # bridges without a full index rebuild.
         from repro.shortestpath.oracle import build_oracle
-        index.oracle = build_oracle(network, args.oracle,
-                                    sorted(index.bridges),
-                                    region_of=index.regions.region_of,
-                                    engine=args.engine)
+        index.oracle = build_oracle(network, args.oracle, index.bridges)
     fmt = args.format
     if fmt == "auto":
         fmt = "json" if args.out.endswith(".json") else "bin"
@@ -390,6 +386,13 @@ def _cmd_index_convert(args) -> int:
           f" |R|={index.regions.region_count},"
           f" bridges={len(index.bridges)}, oracle={oracle_kind})")
     return 0
+
+
+def _table_line(endpoints: int, dist_bytes: int, pred_bytes: int) -> None:
+    """The ``index info`` oracle line: the endpoint count and the row
+    bytes, so the |endpoints| x |V| size trade stays visible."""
+    print(f"oracle:      hub (endpoint tree table: {endpoints} endpoints;"
+          f" dist rows {dist_bytes} bytes, pred rows {pred_bytes} bytes)")
 
 
 def _cmd_index_info(args) -> int:
@@ -411,13 +414,12 @@ def _cmd_index_info(args) -> int:
         print(f"borders (l): {header.border_count}")
         print(f"regions:     {header.region_count}")
         print(f"bridges:     {header.bridge_count}")
-        meta = binfmt.read_oracle_meta(path, header)
-        if meta is None:
+        count = binfmt.read_oracle_meta(path, header)
+        if count is None:
             print("oracle:      none")
         else:
-            hubs, entries = meta
-            print(f"oracle:      hub ({hubs} hubs, {entries} label"
-                  f" entries; covers (x, bridge endpoint) pairs)")
+            _table_line(count, header.sections[b"ordist"][1],
+                        header.sections[b"orpred"][1])
         for tag, (offset, length) in header.sections.items():
             print(f"section {tag.decode('ascii'):<9}"
                   f" offset={offset} bytes={length}")
@@ -430,7 +432,11 @@ def _cmd_index_info(args) -> int:
     print(f"regions:     {len(payload.get('region_vectors', []))}")
     print(f"bridges:     {len(payload.get('bridges', []))}")
     oracle = payload.get("oracle")
-    print(f"oracle:      {oracle.get('kind') if oracle else 'none'}")
+    if isinstance(oracle, dict) and isinstance(oracle.get("dist"), list):
+        _table_line(len(oracle.get("hubs", [])), 8 * len(oracle["dist"]),
+                    4 * len(oracle.get("pred", [])))
+    else:
+        print(f"oracle:      {oracle.get('kind') if oracle else 'none'}")
     _capability_line()
     return 0
 
@@ -469,21 +475,22 @@ def build_parser() -> argparse.ArgumentParser:
                                              "hull"], default="walk")
     build.add_argument("--out", required=True)
     build.add_argument("--jobs", type=int, default=1,
-                       help="labelling worker processes (fork-based;"
-                            " the index is byte-identical to --jobs 1)")
+                       help="worker processes for the labelling rounds"
+                            " and the oracle table (fork-based; the"
+                            " index is byte-identical to --jobs 1)")
     build.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
                        help="build kernels: A* for the cuts plus, with"
-                            " numpy, the vectorized flood pass and"
-                            " batched PLL oracle builder (byte-identical"
-                            " index with every engine; numpy needs the"
-                            " 'vec' extra and falls back to flat with a"
-                            " notice)")
+                            " numpy, the vectorized flood pass"
+                            " (byte-identical index with every engine;"
+                            " the oracle table always runs the flat"
+                            " kernel; numpy needs the 'vec' extra and"
+                            " falls back to flat with a notice)")
     build.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
-                       help="bridge-domain distance oracle to precompute"
-                            " (auto: hub labels when the network has"
-                            " bridges)")
+                       help="bridge-domain oracle to precompute (auto:"
+                            " the endpoint tree table when the network"
+                            " has bridges)")
     build.add_argument("--stats", action="store_true",
                        help="print the nested build-phase trace")
     build.add_argument("--stats-json", action="store_true",
@@ -520,8 +527,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " falls back to flat with a notice)")
     query.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
-                       help="bridge-domain oracle policy (auto: use the"
-                            " index's oracle when it carries one;"
+                       help="bridge-domain oracle policy (auto: answer"
+                            " bridges from the index's table when it"
+                            " carries one; none: dual-heap search;"
                             " identical DPS either way)")
     query.add_argument("--batch", type=int, default=1,
                        help="answer N window queries (seeds --seed ..."
@@ -606,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="oracle handling: keep the source's,"
                               " strip it (none), or (re)build it from"
                               " the index's bridges (auto)")
-    convert.add_argument("--engine", choices=list(ENGINES),
-                         default="flat",
-                         help="builder for --oracle auto (byte-identical"
-                              " output with every engine; numpy runs"
-                              " the batched PLL builder)")
     convert.set_defaults(func=_cmd_index_convert)
     info = index_sub.add_parser(
         "info", help="describe an index file without loading payloads")

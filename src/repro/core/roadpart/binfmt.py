@@ -3,7 +3,7 @@
 The legacy on-disk index is JSON (``roadpart-index-v1``): simple, but a
 load parses and materialises every ``O(|V|)`` structure as Python
 objects, and every daemon worker or fork pool pays that again.  This
-module defines ``roadpart-index-bin-v2``, a sectioned little-endian
+module defines ``roadpart-index-bin-v3``, a sectioned little-endian
 binary layout whose large arrays are read through :mod:`mmap`:
 
 - the file's pages are shared by every process that maps it (the OS
@@ -19,13 +19,13 @@ Layout (all integers little-endian)::
 
     offset  size  field
     0       4     magic  b"RPIX"
-    4       4     version        u32  (always 2)
+    4       4     version        u32  (always 3)
     8       4     flags          u32  (reserved, must be 0)
     12      4     num_vertices   u32
     16      4     border_count   u32  (= label dimensions, ℓ)
     20      4     region_count   u32
     24      4     bridge_count   u32
-    28      4     section_count  u32  (4, or 9 with an oracle)
+    28      4     section_count  u32  (4, or 8 with an oracle)
     32      ...   section table: section_count × (tag 8s, offset u64,
                   length u64) -- offsets from file start
     ...           section payloads, packed in table order, each
@@ -40,34 +40,40 @@ Sections (tags are 8 bytes, NUL-padded), in file order:
     ``bridges``   bridge_count × 2 u32 endpoints, pairs sorted
                   ascending (the same order ``to_dict`` emits)
 
-An index carrying the hub-label distance oracle (see
-:mod:`repro.shortestpath.oracle`) appends five more sections; an
+An index carrying the endpoint tree table (see
+:mod:`repro.shortestpath.oracle`) appends four more sections; an
 oracle-less index simply has none of them:
 
-    ``oracle``    4 u32 meta words: kind (1 = hub labels, the only
-                  kind), hub count, label entries, reserved (0)
-    ``orhubs``    hub vertex ids, processing order (u32)
-    ``orloff``    num_vertices+1 label offsets (u32, CSR)
-    ``orlhub``    label hub ids, vertex-major (u32)
-    ``orldst``    label distances (f64, same order)
+    ``oracle``    2 u32 meta words: kind (1 = endpoint tree table, the
+                  only kind) and endpoint count E
+    ``orends``    E endpoint vertex ids (u32), ascending
+    ``ordist``    E × num_vertices f64 distances, endpoint-major (one
+                  row per endpoint; +inf where unreachable)
+    ``orpred``    E × num_vertices i32 predecessors, same order (-1 at
+                  the endpoint and where unreachable)
 
-The f64 payload is an mmap view too (cast ``"d"``), so a daemon loads
-million-entry label sets without materialising a single Python float.
+The row sections are mmap views too (cast ``"d"`` and ``"i"``), so a
+daemon loads a table of millions of cells without materialising a
+single Python number, and no load ever scans them.
 
 Every structural defect raises :class:`~repro.errors.IndexFormatError`
 naming the path and the problem, mirroring the JSON loader's contract:
-another version (version-1 files from older builds included), an
-unknown section tag or oracle kind code, sections out of layout order,
-counts that disagree with section lengths, and vertex ids (border
-vertices, bridge endpoints, hubs) or region ids out of range.  The
-label offsets must run from 0 to the entry count without decreasing;
-the label entries themselves are not scanned, so a load stays cheap.
+another version (version-1 and version-2 files from older builds
+included, with a rebuild note), an unknown section tag or oracle kind
+code, sections out of layout order, counts that disagree with section
+lengths, and vertex ids (border vertices, bridge endpoints, table
+endpoints) or region ids out of range.  The table endpoints must be
+sorted, unique and exactly the bridge endpoints
+(:func:`repro.shortestpath.oracle.oracle_from_payload`); the row cells
+are checked where a query reads them, so a load stays ``O(|V| +
+|endpoints|)``.
 Binding to the wrong network is the caller's check (``num_vertices``
 is in the header).
 """
 
 from __future__ import annotations
 
+import array
 import mmap
 import os
 import struct
@@ -78,24 +84,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import IndexFormatError
 
 MAGIC = b"RPIX"
-VERSION = 2
-FORMAT_NAME = "roadpart-index-bin-v2"
+VERSION = 3
+FORMAT_NAME = "roadpart-index-bin-v3"
 
 _HEADER = struct.Struct("<4sIIIIIII")
 _SECTION = struct.Struct("<8sQQ")
-_U32_MAX = 0xFFFFFFFF
-
 #: Base section tags in file order.
 SECTION_TAGS = (b"borders", b"regionof", b"vectors", b"bridges")
 
-#: Oracle meta section: kind, hub count, label entries, reserved.
+#: Oracle meta section: kind code and endpoint count.
 ORACLE_META_TAG = b"oracle"
-#: Hub-label oracle payload sections, file order.
-HUB_SECTION_TAGS = (b"orhubs", b"orloff", b"orlhub", b"orldst")
+#: Endpoint tree table sections, file order: endpoint ids, then the
+#: ``dist`` and ``pred`` rows.
+TABLE_SECTION_TAGS = (b"orends", b"ordist", b"orpred")
 #: Every section an oracle-carrying file adds after the base ones.
-ORACLE_SECTION_TAGS = (ORACLE_META_TAG,) + HUB_SECTION_TAGS
-#: The hub-label oracle's code in the meta section's kind word.
-HUB_KIND_CODE = 1
+ORACLE_SECTION_TAGS = (ORACLE_META_TAG,) + TABLE_SECTION_TAGS
+#: The endpoint tree table's code in the meta section's kind word.
+TABLE_KIND_CODE = 1
 
 #: The two section sequences a file may carry.
 _LAYOUTS = (SECTION_TAGS, SECTION_TAGS + ORACLE_SECTION_TAGS)
@@ -106,20 +111,28 @@ def _pad8(n: int) -> int:
     return (n + 7) & ~7
 
 
-def _u32_bytes(values) -> bytes:
-    out = bytearray()
-    for v in values:
-        if not 0 <= v <= _U32_MAX:
-            raise ValueError(f"value {v} does not fit in u32")
-        out += struct.pack("<I", v)
-    return bytes(out)
+#: Array type code and element name per section payload format.
+_ELEMENTS = {"I": "u32", "i": "i32", "d": "f64"}
 
 
-def _f64_bytes(values) -> bytes:
-    out = bytearray()
-    for v in values:
-        out += struct.pack("<d", v)
-    return bytes(out)
+def _le_bytes(values, typecode: str = "I") -> bytes:
+    """Little-endian bytes of ``values`` -- numbers, or a native-order
+    ``memoryview`` such as a table row buffer -- via one ``array``
+    conversion instead of one ``struct.pack`` per value."""
+    if isinstance(values, memoryview):
+        raw = values.tobytes()
+        if sys.byteorder == "little":
+            return raw
+        arr = array.array(typecode, raw)
+    else:
+        try:
+            arr = array.array(typecode, values)
+        except OverflowError as exc:
+            raise ValueError(f"a value does not fit in"
+                             f" {_ELEMENTS[typecode]}: {exc}") from exc
+    if sys.byteorder != "little":
+        arr.byteswap()
+    return arr.tobytes()
 
 
 def _tag_names(tags) -> str:
@@ -136,8 +149,9 @@ def write_index_binary(path, num_vertices: int,
 
     ``bridges`` must already be the canonical sorted pair list (the
     writer sorts defensively so binary and JSON agree byte-for-byte on
-    bridge order).  ``oracle`` is a hub-label payload dict (the
-    ``to_payload`` form); without one the oracle sections are omitted.
+    bridge order).  ``oracle`` is an endpoint tree table payload dict
+    (the ``to_payload`` form); without one the oracle sections are
+    omitted.
     """
     dims = len(vectors[0]) if vectors else len(border_vertex_ids)
     flat_vectors: List[int] = []
@@ -149,41 +163,39 @@ def write_index_binary(path, num_vertices: int,
             flat_vectors.append(hi)
     bridge_pairs = sorted(tuple(b) for b in bridges)
     payloads = {
-        b"borders": _u32_bytes(border_vertex_ids),
-        b"regionof": _u32_bytes(region_of),
-        b"vectors": _u32_bytes(flat_vectors),
-        b"bridges": _u32_bytes(v for pair in bridge_pairs for v in pair),
+        b"borders": _le_bytes(border_vertex_ids),
+        b"regionof": _le_bytes(region_of),
+        b"vectors": _le_bytes(flat_vectors),
+        b"bridges": _le_bytes(v for pair in bridge_pairs for v in pair),
     }
     tags = SECTION_TAGS
     if oracle is not None:
-        meta = (HUB_KIND_CODE, len(oracle["hubs"]),
-                len(oracle["label_hubs"]), 0)
         payloads.update({
-            ORACLE_META_TAG: _u32_bytes(meta),
-            b"orhubs": _u32_bytes(oracle["hubs"]),
-            b"orloff": _u32_bytes(oracle["offsets"]),
-            b"orlhub": _u32_bytes(oracle["label_hubs"]),
-            b"orldst": _f64_bytes(oracle["label_dists"]),
+            ORACLE_META_TAG: _le_bytes((TABLE_KIND_CODE,
+                                        len(oracle["hubs"]))),
+            b"orends": _le_bytes(oracle["hubs"]),
+            b"ordist": _le_bytes(oracle["dist"], "d"),
+            b"orpred": _le_bytes(oracle["pred"], "i"),
         })
         tags = SECTION_TAGS + ORACLE_SECTION_TAGS
     table_offset = _HEADER.size
     data_offset = _pad8(table_offset + _SECTION.size * len(tags))
     table = bytearray()
-    body = bytearray()
+    chunks = []
+    offset = data_offset
     for tag in tags:
         payload = payloads[tag]
-        offset = data_offset + len(body)
         table += _SECTION.pack(tag.ljust(8, b"\0"), offset, len(payload))
-        body += payload
-        body += b"\0" * (_pad8(len(payload)) - len(payload))
+        chunks += (payload, b"\0" * (_pad8(len(payload)) - len(payload)))
+        offset += _pad8(len(payload))
     header = _HEADER.pack(MAGIC, VERSION, 0, num_vertices,
                           len(border_vertex_ids), len(vectors),
                           len(bridge_pairs), len(tags))
-    blob = header + bytes(table)
-    blob += b"\0" * (data_offset - len(blob))
-    blob += bytes(body)
+    head = header + bytes(table)
     with open(path, "wb") as stream:
-        stream.write(blob)
+        stream.write(head + b"\0" * (data_offset - len(head)))
+        for chunk in chunks:
+            stream.write(chunk)
 
 
 @dataclass
@@ -258,7 +270,7 @@ def read_header(path,
         raise IndexFormatError(
             f"{path}: unsupported binary index version {version}"
             f" (this build reads only version {VERSION}, {FORMAT_NAME};"
-            f" rebuild the index)")
+            f" rebuild the index with repro build-index)")
     if flags != 0:
         raise IndexFormatError(
             f"{path}: reserved flags field is {flags:#x}, expected 0")
@@ -313,21 +325,21 @@ def read_header(path,
 
 def _view(path, data: memoryview, header: BinaryIndexHeader, tag: bytes,
           expected: int, fmt: str = "I") -> Sequence:
-    """Typed view of one section (``"I"`` u32 or ``"d"`` f64), checked
-    against the element count the header/meta words imply."""
+    """Typed view of one section (``"I"`` u32, ``"i"`` i32 or ``"d"``
+    f64), checked against the element count the header/meta words
+    imply."""
     offset, length = header.sections[tag]
     width = struct.calcsize(fmt)
     if length != expected * width:
         raise IndexFormatError(
             f"{path}: section {tag.decode('ascii')!r} holds"
-            f" {length // width} {'u32' if fmt == 'I' else 'f64'}s,"
-            f" header implies {expected}")
+            f" {length // width} {_ELEMENTS[fmt]}s, header implies"
+            f" {expected}")
     view = data[offset:offset + length]
     if sys.byteorder == "little":
         return view.cast(fmt)
     # Big-endian host: one byte-swapped copy (correctness over zero-copy
     # on the rare platform where the layout is foreign).
-    import array
     arr = array.array(fmt, view.tobytes())
     arr.byteswap()
     return arr
@@ -342,59 +354,48 @@ def _check_ids(path, what: str, ids: Sequence[int], limit: int,
             f"{path}: {what} {top} out of range ({bound} {limit})")
 
 
-def _oracle_counts(path, meta: Sequence[int]) -> Tuple[int, int]:
-    """Validate the four oracle meta words; returns ``(hub count, label
-    entries)``."""
-    code, hub_count, entries, reserved = meta
-    if code != HUB_KIND_CODE:
+def _endpoint_count(path, meta: Sequence[int]) -> int:
+    """Validate the two oracle meta words; returns the endpoint count."""
+    code, count = meta
+    if code != TABLE_KIND_CODE:
         raise IndexFormatError(
             f"{path}: unsupported oracle kind code {code} (this build"
-            f" reads only hub labels, code {HUB_KIND_CODE}; rebuild the"
-            f" index)")
-    if reserved != 0:
-        raise IndexFormatError(
-            f"{path}: oracle reserved word is {reserved:#x}, expected 0")
-    return hub_count, entries
+            f" reads only the endpoint tree table, code"
+            f" {TABLE_KIND_CODE}; rebuild the index)")
+    return count
 
 
-def read_oracle_meta(path, header: BinaryIndexHeader,
-                     ) -> Optional[Tuple[int, int]]:
-    """Return ``(hub count, label entries)`` from the oracle meta
-    section without touching the payload arrays (``repro index info``),
-    or ``None`` when the file carries no oracle."""
+def read_oracle_meta(path, header: BinaryIndexHeader) -> Optional[int]:
+    """Return the table's endpoint count from the oracle meta section
+    without touching the row sections (``repro index info``), or
+    ``None`` when the file carries no oracle."""
     got = header.sections.get(ORACLE_META_TAG)
     if got is None:
         return None
     offset, length = got
-    if length != 16:
+    if length != 8:
         raise IndexFormatError(
-            f"{path}: oracle meta section is {length} bytes, expected 16")
+            f"{path}: oracle meta section is {length} bytes, expected 8")
     with open(path, "rb") as stream:
         stream.seek(offset)
-        raw = stream.read(16)
-    return _oracle_counts(path, struct.unpack("<IIII", raw))
+        raw = stream.read(8)
+    return _endpoint_count(path, struct.unpack("<II", raw))
 
 
 def _read_oracle(path, data: memoryview,
                  header: BinaryIndexHeader) -> Dict[str, object]:
     """Decode the oracle sections into the payload-dict form
     :func:`repro.shortestpath.oracle.oracle_from_payload` accepts, with
-    the big arrays as zero-copy views over the mapping."""
+    the row sections as zero-copy views over the mapping (``O(E)``
+    work: only the endpoint ids are read)."""
     n = header.num_vertices
-    hub_count, entries = _oracle_counts(
-        path, _view(path, data, header, ORACLE_META_TAG, 4))
-    hubs = _view(path, data, header, b"orhubs", hub_count)
-    _check_ids(path, "oracle hub", hubs, n)
-    offsets = _view(path, data, header, b"orloff", n + 1)
-    if (offsets[0] != 0 or offsets[n] != entries
-            or any(a > b for a, b in zip(offsets, offsets[1:]))):
-        raise IndexFormatError(
-            f"{path}: oracle label offsets must run from 0 to {entries}"
-            f" without decreasing")
-    return {"kind": "hub", "hubs": hubs, "offsets": offsets,
-            "label_hubs": _view(path, data, header, b"orlhub", entries),
-            "label_dists": _view(path, data, header, b"orldst", entries,
-                                 "d")}
+    count = _endpoint_count(
+        path, _view(path, data, header, ORACLE_META_TAG, 2))
+    ends = list(_view(path, data, header, b"orends", count))
+    _check_ids(path, "oracle endpoint", ends, n)
+    return {"kind": "hub", "hubs": ends,
+            "dist": _view(path, data, header, b"ordist", count * n, "d"),
+            "pred": _view(path, data, header, b"orpred", count * n, "i")}
 
 
 def read_index_binary(path) -> BinaryIndexPayload:

@@ -16,7 +16,7 @@ paper's deployment story).  Two on-disk formats coexist:
 
 - the legacy JSON layout (``roadpart-index-v1``, :meth:`save` /
   :meth:`load`) -- human-inspectable, parsed in full on load;
-- the compact binary layout (``roadpart-index-bin-v2``,
+- the compact binary layout (``roadpart-index-bin-v3``,
   :meth:`save_binary` / :meth:`load_binary`, spec in
   :mod:`repro.core.roadpart.binfmt`) -- mmap-loaded so the ``O(|V|)``
   ``region_of`` array is a zero-copy view over shared pages; the
@@ -94,14 +94,11 @@ class IndexBuildStats:
     #: disconnects the border pair; non-zero weakens the zone guarantees
     #: (see repro.core.roadpart.labeling.CutCache).
     fallback_cuts: int = 0
-    #: distance-oracle construction phase (0 when oracle="none").
+    #: endpoint tree table construction phase (0 when oracle="none").
     oracle_seconds: float = 0.0
     oracle_kind: str = "none"
+    #: table cells, endpoints x |V| (0 without a table).
     oracle_entries: int = 0
-    #: which hub-label builder ran: "scalar", "vectorized", or "" when
-    #: no oracle was built (the builders' outputs are byte-identical;
-    #: this records only which kernel did the work).
-    oracle_engine: str = ""
 
 
 @dataclass
@@ -120,7 +117,7 @@ class RoadPartIndex:
     bridges: FrozenSet[EdgeKey]
     contour: Optional[Contour] = None
     stats: IndexBuildStats = field(default_factory=IndexBuildStats)
-    #: Precomputed bridge-domain distance oracle (see
+    #: The endpoint tree table answering every bridge (see
     #: :mod:`repro.shortestpath.oracle`); ``None`` when built with
     #: ``oracle="none"`` or over a network without bridges.
     oracle: Optional[HubOracle] = None
@@ -157,19 +154,22 @@ class RoadPartIndex:
             "bridges": sorted(list(k) for k in self.bridges),
         }
         if self.oracle is not None:
-            # ``to_payload`` rebuilds plain lists from either storage
-            # (dicts or mmap views); float distances survive JSON via
-            # repr round-tripping.  Absent for oracle-less indexes, so
-            # their JSON stays byte-identical to pre-oracle builds.
+            # The rows as plain lists, from either storage (arrays or
+            # mmap views); float distances survive JSON via repr
+            # round-tripping (``Infinity`` where unreachable).  Absent
+            # for oracle-less indexes, so their JSON stays
+            # byte-identical to pre-oracle builds.
             payload = self.oracle.to_payload()
-            out["oracle"] = {k: (v if isinstance(v, (str, list))
-                                 else list(v))
+            out["oracle"] = {k: (v.tolist() if isinstance(v, memoryview)
+                                 else v)
                              for k, v in payload.items()}
         return out
 
     def save(self, path: Union[str, os.PathLike]) -> None:
+        # One-shot dumps runs the C encoder (json.dump streams through
+        # the pure-Python one): same text, 2-3x faster on table rows.
         with open(path, "w", encoding="ascii") as stream:
-            json.dump(self.to_dict(), stream)
+            stream.write(json.dumps(self.to_dict()))
 
     #: Every key :meth:`load` needs; validated up front so a truncated
     #: or hand-edited file fails with the missing names, not a KeyError.
@@ -211,13 +211,22 @@ class RoadPartIndex:
                 f"{path}: malformed index payload ({exc})") from exc
         if "oracle" in payload:
             try:
-                index.oracle = oracle_from_payload(payload["oracle"])
-            except (KeyError, TypeError, ValueError) as exc:
+                index._attach(oracle_from_payload(
+                    payload["oracle"], network.num_vertices, bridges,
+                    source=str(path),
+                    sections=("oracle.dist", "oracle.pred")))
+            except IndexFormatError:
+                raise
+            except (AttributeError, KeyError, TypeError,
+                    ValueError) as exc:
                 raise IndexFormatError(
                     f"{path}: malformed oracle payload ({exc})") from exc
-            index.stats.oracle_kind = index.oracle.kind
-            index.stats.oracle_entries = index.oracle.entry_count()
         return index
+
+    def _attach(self, oracle: HubOracle) -> None:
+        self.oracle = oracle
+        self.stats.oracle_kind = oracle.kind
+        self.stats.oracle_entries = oracle.entry_count()
 
     # -- binary (mmap) format ------------------------------------------
 
@@ -225,8 +234,9 @@ class RoadPartIndex:
         """Write the compact binary layout (see
         :mod:`repro.core.roadpart.binfmt` for the byte-level spec).
 
-        An attached oracle appends the oracle sections; an oracle-less
-        index is the same layout without them.
+        An attached table appends the oracle sections (its rows written
+        straight from their buffers); an oracle-less index is the same
+        layout without them.
         """
         from repro.core.roadpart import binfmt
         binfmt.write_index_binary(
@@ -260,11 +270,12 @@ class RoadPartIndex:
         bridges = frozenset((u, v) for u, v in payload.bridges)
         index = cls(network, payload.border_vertex_ids, regions, bridges)
         if payload.oracle is not None:
-            # The oracle arrays are views over the same mapping -- label
-            # lookups read the page cache directly, no materialisation.
-            index.oracle = oracle_from_payload(payload.oracle)
-            index.stats.oracle_kind = index.oracle.kind
-            index.stats.oracle_entries = index.oracle.entry_count()
+            # The rows are views over the same mapping -- queries read
+            # the page cache directly, and only the O(endpoints) facts
+            # are checked here.
+            index._attach(oracle_from_payload(
+                payload.oracle, network.num_vertices, bridges,
+                source=str(path), sections=("ordist", "orpred")))
         # The memoryviews above alias the mapping; keep it alive for
         # exactly as long as the index is.
         index._mmap_keepalive = payload.mapping
@@ -301,32 +312,27 @@ def build_index(network: RoadNetwork, border_count: int,
     across that many fork workers (see
     :mod:`repro.core.roadpart.parallel`); the resulting index is
     byte-identical to a serial build.  Platforms without ``fork`` fall
-    back to the serial loop silently.  ``engine`` is honoured end to
-    end: it selects the A* kernel for the cuts (``'flat'``/``'dict'``;
-    identical cuts either way, see :mod:`repro.shortestpath.flat`), the
-    in-zone flood pass (``'numpy'`` runs the array-backed
-    :class:`~repro.core.roadpart.labeling.FloodEngine`) and the
-    hub-oracle builder (``'numpy'`` runs the batched
-    :class:`~repro.shortestpath.vec.VecHubLabeler`).  Every engine --
-    and any ``jobs``/``engine`` combination -- produces a
-    **byte-identical index**; the vectorized passes are pure speed
-    knobs that degrade to scalar without a backend or under
+    back to the serial loop silently.  ``engine`` selects the A* kernel
+    for the cuts (``'flat'``/``'dict'``; identical cuts either way, see
+    :mod:`repro.shortestpath.flat`) and the in-zone flood pass
+    (``'numpy'`` runs the array-backed
+    :class:`~repro.core.roadpart.labeling.FloodEngine`).  Every engine
+    -- and any ``jobs``/``engine`` combination -- produces a
+    **byte-identical index**; the vectorized pass is a pure speed knob
+    that degrades to scalar without a backend or under
     ``REPRO_VEC_DISABLE``.
 
     ``oracle`` (``"none"``/``"auto"``, see
-    :mod:`repro.shortestpath.oracle`) adds a hub-label oracle
-    construction phase after labelling when ``auto`` finds bridges;
-    the oracle runs in the parent process in both the serial and
-    fork-parallel paths, so parallel builds stay byte-identical to
-    serial ones.
+    :mod:`repro.shortestpath.oracle`) adds the endpoint tree table
+    after labelling when ``auto`` finds bridges: one full Dijkstra per
+    bridge endpoint, always with the flat kernel, spread over ``jobs``
+    fork workers with the same byte-identity guarantee.
 
     ``trace`` (optional, see :mod:`repro.obs.trace`) records a nested
     span tree of the build: ``bridges`` / ``contour`` / ``labeling`` with
     one ``round-<i>`` child per labelling round, itself broken into
-    ``cuts`` / ``flood`` / ``pockets``; an oracle build adds an
-    ``oracle`` span whose ``pll-scalar`` or ``pll-vectorized`` child
-    names the builder that ran, with one ``region-<id>`` grandchild per
-    hub region group.
+    ``cuts`` / ``flood`` / ``pockets``; a table build adds an ``oracle``
+    span with one ``trees`` child (the per-endpoint Dijkstras).
     """
     trace = resolve_trace(trace)
     stats = IndexBuildStats()
@@ -380,18 +386,13 @@ def build_index(network: RoadNetwork, border_count: int,
 
     built_oracle = None
     if resolve_oracle_kind(oracle, bridges) != "none":
-        from repro.shortestpath.flat import resolve_engine
         step = time.perf_counter()
         with trace.span("oracle"):
-            built_oracle = build_oracle(network, oracle, sorted(bridges),
-                                        region_of=regions.region_of,
-                                        trace=trace, engine=engine)
+            built_oracle = build_oracle(network, oracle, bridges,
+                                        trace=trace, jobs=jobs)
         stats.oracle_seconds = time.perf_counter() - step
         stats.oracle_kind = built_oracle.kind
         stats.oracle_entries = built_oracle.entry_count()
-        stats.oracle_engine = ("vectorized"
-                               if resolve_engine(engine) == "numpy"
-                               else "scalar")
 
     stats.build_seconds = time.perf_counter() - started
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]

@@ -10,10 +10,10 @@ Given a query, the processor:
 3. classifies each bridge against ``W``, prunes interior bridges
    (Theorem 6) and any bridge with an endpoint beyond BL-E's ``2r`` ball
    (Corollary 3 / Theorem 1); the survivors are *examined*: their domains
-   ``UD*`` and ``VD*`` are computed with the dual-heap search, and each
-   *valid* bridge (both domains non-empty, Theorem 5) patches the
-   shortest paths between its endpoints and the query vertices into the
-   DPS.
+   ``UD*`` and ``VD*`` are read off the index's endpoint tree table (or,
+   without one, computed with the dual-heap search), and each *valid*
+   bridge (both domains non-empty, Theorem 5) patches the shortest paths
+   between its endpoints and the query vertices into the DPS.
 
 Two deliberate deviations from the paper, both forced by the
 skeleton-cut fix (see :class:`repro.core.roadpart.labeling.CutCache`).
@@ -95,16 +95,16 @@ class RoadPartQueryProcessor:
         dual-heap domain computation; both engines give identical
         results and counters -- see :mod:`repro.shortestpath.flat`.
     oracle:
-        Bridge-domain distance-oracle policy.  ``'auto'`` (default)
-        consults the oracle attached to the index when there is one;
-        ``'none'`` never consults it (the pure dual-heap path); any
-        other value raises :class:`ValueError`.  The oracle only
-        ever answers the Theorem 5 *validity test*; a valid bridge
-        still runs the dual-heap search, because patching needs the
-        pred trees -- which is what keeps the DPS output byte-identical
-        with and without an oracle (an invalid bridge contributes
-        nothing to the DPS either way).  Oracle sweeps touch no search
-        counters; they are accounted separately as ``oracle_hits`` /
+        Bridge-domain oracle policy.  ``'auto'`` (default) answers
+        every examined bridge from the endpoint tree table attached to
+        the index when there is one: domains from its ``dist`` rows,
+        the path patch of a valid bridge from its ``pred`` rows, no
+        search at all.  ``'none'`` never consults it and runs the
+        dual-heap search per bridge (the reference); any other value
+        raises :class:`ValueError`.  The table holds the very trees the
+        dual heap grows (:mod:`repro.shortestpath.oracle`), so the DPS
+        is byte-identical either way.  Table reads touch no search
+        counters; they are accounted as ``oracle_hits`` /
         ``oracle_fallbacks`` in the result stats (see
         ``docs/observability.md``).
     """
@@ -166,7 +166,7 @@ class RoadPartQueryProcessor:
                     kept_regions += 1
 
         # --- bridge handling (Section V) --------------------------------
-        examined, valid, oracle_hits = self._handle_bridges(
+        examined, valid = self._handle_bridges(
             query, window, collected, stats, deadline=deadline)
 
         elapsed = time.perf_counter() - started
@@ -174,10 +174,11 @@ class RoadPartQueryProcessor:
                         "regions_kept": kept_regions,
                         "query_regions": len(query_regions)}
         if self._oracle is not None:
-            # Emitted only when an oracle is attached, so oracle-less
-            # runs keep exactly today's stats payload.
-            result_stats["oracle_hits"] = oracle_hits
-            result_stats["oracle_fallbacks"] = examined - oracle_hits
+            # Emitted only when a table is attached, so oracle-less
+            # runs keep exactly today's stats payload.  The table
+            # answers every examined bridge.
+            result_stats["oracle_hits"] = examined
+            result_stats["oracle_fallbacks"] = 0
         result = DPSResult("RoadPart", query, frozenset(collected),
                            seconds=elapsed, stats=result_stats)
         stats.finish(result, network)
@@ -271,36 +272,27 @@ class RoadPartQueryProcessor:
                         collected: Set[int],
                         stats: QueryStats,
                         deadline: Optional[Deadline] = None,
-                        ) -> Tuple[int, int, int]:
-        """Prune, examine and patch bridges; returns ``(b, b_v,
-        oracle_hits)``."""
+                        ) -> Tuple[int, int]:
+        """Prune, examine and patch bridges; returns ``(b, b_v)``."""
         network = self._index.network
         to_examine = self._select_bridges(query, window, stats,
                                           deadline=deadline)
         q_vertices = sorted(query.combined)
-        examined = 0
         valid = 0
-        oracle_hits = 0
-        scratch = None
-        if self._oracle is not None and to_examine:
-            # One scratch per query: the target-side state (label
-            # buckets) is shared by every bridge.
-            scratch = self._oracle.scratch(q_vertices)
+        table = self._oracle
         for u, v in to_examine:
-            examined += 1
-            if scratch is not None and self._oracle.covers(u, v):
+            if table is not None:
                 with stats.phase("oracle"):
-                    is_valid = scratch.bridge_valid(
-                        u, v, network.edge_weight(u, v))
-                if not is_valid:
-                    # Theorem 5 test answered from labels alone: an
-                    # invalid bridge contributes nothing to the DPS, so
-                    # the whole dual-heap sweep is skipped.  Same
-                    # _in_domain tolerance as the engines, so the
-                    # classification agrees with what the sweep would
-                    # have concluded.
-                    oracle_hits += 1
-                    continue
+                    ud_star, vd_star = table.domains(
+                        u, v, network.edge_weight(u, v), q_vertices)
+                if not ud_star or not vd_star:
+                    continue  # Theorem 5: no query path uses it
+                valid += 1
+                with stats.phase("path-patch"):
+                    members = sorted(ud_star | vd_star)
+                    table.collect_paths(u, members, collected)
+                    table.collect_paths(v, members, collected)
+                continue
             with stats.phase("bridge-domains"):
                 domains = bridge_domains(network, u, v, q_vertices,
                                          counters=stats.counters,
@@ -319,7 +311,7 @@ class RoadPartQueryProcessor:
                                       collected)
             # Pred views consumed; recycle both arenas into the pool.
             domains.release()
-        return examined, valid, oracle_hits
+        return len(to_examine), valid
 
 
 def roadpart_dps(index: RoadPartIndex, query: DPSQuery,

@@ -37,14 +37,14 @@ Three index families can be *built on a DPS* (the Section I deployment):
 Distance oracle
 ---------------
 
-The hub-label family doubles as a **distance oracle** for the RoadPart
+The RoadPart index carries its own **distance oracle** for the
 bridge-domain workload: :class:`HubOracle` in
-:mod:`repro.shortestpath.oracle` (a partial PLL over the bridge
-endpoints) is what ``build_index`` precomputes and the query processor
-consults to answer bridge validity tests without a dual-heap sweep,
-falling back to the fused flat kernel whenever an actual path is
-needed.  :func:`build_oracle` / :func:`resolve_oracle_kind` implement
-the ``--oracle`` policy (``auto``/``none``).
+:mod:`repro.shortestpath.oracle`, the endpoint tree table -- one full
+flat Dijkstra per bridge endpoint, kept as ``dist``/``pred`` rows --
+which ``build_index`` precomputes and the query processor reads to
+answer every examined bridge (domains and path patch) without a
+dual-heap sweep.  :func:`build_oracle` / :func:`resolve_oracle_kind`
+implement the ``--oracle`` policy (``auto``/``none``).
 """
 
 from repro.shortestpath.alt import ALTIndex

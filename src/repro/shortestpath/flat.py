@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from time import monotonic
 from typing import Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -586,6 +587,24 @@ class FlatDijkstraSearch:
         return ShortestPathTree(self.source, self.dist, self.pred,
                                 exhausted=self.is_exhausted(),
                                 settled_order=self.settled_order)
+
+    def dense_rows(self) -> Tuple[array, array]:
+        """Vertex-indexed copies of an exhausted search's tree: float64
+        distances (``+inf`` where unreachable) and int32 predecessors
+        (``-1`` at the source and where unreachable) -- the rows of the
+        endpoint tree table (:mod:`repro.shortestpath.oracle`)."""
+        if self._frontier or self._arena is None:
+            raise ValueError("dense_rows needs an exhausted, live search")
+        dist = array("d", self._dist)
+        pred = array("i", self._pred)
+        if len(self.settled_order) < self.csr.num_vertices:
+            # Unreached cells still hold earlier searches' preds.
+            inf = math.inf
+            for v, d in enumerate(dist):
+                if d == inf:
+                    pred[v] = -1
+        pred[self.source] = -1
+        return dist, pred
 
     def release(self) -> None:
         """Recycle the scratch arena.

@@ -46,10 +46,11 @@ class HubLabelIndex:
         shortest path between them -- in particular for every pair
         ``(x, h)`` with ``h ∈ hubs``, since ``h`` itself lies on each of
         its own shortest paths.  This is what makes a small hub set a
-        sound distance oracle for a fixed endpoint workload (the bridge
-        endpoints of :mod:`repro.shortestpath.oracle`) at a fraction of
-        a full PLL build.  Further hubs can be appended with
-        :meth:`add_hub`.
+        sound distance oracle for a fixed endpoint workload -- the
+        bridge endpoints, the baseline ``python -m repro.bench build``
+        times the endpoint tree table of
+        :mod:`repro.shortestpath.oracle` against.  Further hubs can be
+        appended with :meth:`add_hub`.
     """
 
     def __init__(self, network: RoadNetwork,

@@ -1,54 +1,70 @@
-"""Distance oracle for the bridge-domain workload.
+"""Endpoint tree table: the bridge-domain oracle of the RoadPart index.
 
-RoadPart's dominant query phase is ``bridge-domains``: for every
-examined bridge ``(u, v)`` a dual-heap Dijkstra settles the network
-until each query vertex ``x`` is reached from both endpoints, just to
-test the domain memberships ``dist(x,u) = dist(x,v) + |vu|`` (and the
-symmetric one).  That is a pure point-to-point distance workload over
-pairs ``(x, bridge endpoint)`` -- exactly what a precomputed distance
-oracle answers without touching the graph.  :class:`HubOracle` builds
-2-hop hub labels (:mod:`repro.shortestpath.hub_labels`) offline for the
-RoadPart index, and the query processor consults them online.
+RoadPart's Section V-B step needs, for every examined bridge ``(u, v)``,
+the domains ``UD* = {x : dist(x,u) = dist(x,v) + |vu|}`` and ``VD*``
+(symmetric) over the query vertices, and for a *valid* bridge (both
+non-empty) the shortest paths between its endpoints and the domain
+members.  Without an oracle a dual-heap Dijkstra computes both, once
+per bridge and query.  :class:`HubOracle` computes them once per index
+instead: for every distinct bridge endpoint (a *hub*) it runs one full
+flat Dijkstra and keeps the whole shortest-path tree as two rows --
 
-The labels are a pruned landmark labelling restricted to the **bridge
-endpoints** as hubs.  PLL's correctness invariant -- the label distance
-of a pair is exact whenever some processed hub lies on a shortest path
-between them -- makes this partial build exact for every pair ``(x, e)``
-with ``e`` a bridge endpoint (``e`` is a hub and lies on its own
-shortest paths), i.e. for the *entire* bridge-domain workload, at
-``O(|endpoints|)`` pruned sweeps instead of a full ``O(|V|)``-hub PLL.
-Hubs are processed grouped by index region (region id order, by
-descending degree inside a region), which keeps the construction a
-per-region phase with per-region trace spans; any hub order is
-correct, so the grouping is free.
+- ``dist``: float64 distance from the hub to every vertex (``+inf``
+  where unreachable);
+- ``pred``: int32 predecessor of every vertex in the hub's tree (``-1``
+  at the hub itself and where unreachable).
+
+A query then reads ``UD*``/``VD*`` off the two ``dist`` rows under the
+dual-heap's own :func:`~repro.shortestpath.bidirectional._in_domain`
+if/elif, and patches a valid bridge with
+:func:`~repro.shortestpath.paths.collect_path_vertices` over the two
+``pred`` rows.  No search runs at all.
+
+**Why the rows equal the dual-heap trees.**  Each side of the dual heap
+is a plain Dijkstra from its endpoint: the same heap entries pushed in
+the same order as :meth:`FlatDijkstraSearch.run_to_exhaustion` would
+push them, only interleaved with the other side and stopped early.  A
+vertex's distance and predecessor are final once it settles, and every
+vertex on the pred chain of a settled vertex settled before it, so the
+truncated run and the full run agree on every target the dual heap
+settles and on every chain it walks.  The DPS is therefore
+byte-identical with and without the table (``--oracle none`` keeps the
+dual heap as the reference the property tests compare against).
+
+**The size trade.**  The table is ``|hubs| x |V|`` cells of 12 bytes,
+about 19.5 MiB on EAST-S (141 hubs, 12,099 vertices).  A labelling
+would win on a network with many bridges; ``repro index info`` prints
+the row bytes so the trade stays visible.
+
+Corrupt cells are caught where a query reads them: a ``dist`` value
+that is NaN or negative, or a ``pred`` id outside ``[0, |V|)`` on a
+chain walk, raises :class:`~repro.errors.IndexFormatError` naming the
+file, the section and the hub.  Loading checks only ``O(|hubs|)``
+facts (:func:`oracle_from_payload`), so an mmap-loaded table is never
+scanned.
 
 ``resolve_oracle_kind`` implements the build-time policy behind
-``oracle="auto"``: hub labels when the network has bridges (cheap
-build, exact for the workload), no oracle otherwise.
-
-Query-time entry point: :meth:`HubOracle.scratch` returns a per-query
-helper that caches the target-label inversion across all bridges of
-one query, then :meth:`OracleScratch.bridge_valid` answers the Theorem
-5 validity test for one bridge.  Membership uses the same
-:func:`~repro.shortestpath.bidirectional._in_domain` tolerance as the
-dual-heap engines, so oracle decisions coincide with theirs.
-
-The oracle answers *distances only*; anything needing actual shortest
-paths (the pred-tree patching of valid bridges) falls back to the
-fused flat kernel -- which is what keeps DPS outputs byte-identical
-with and without an oracle.
+``oracle="auto"``: a table when the network has bridges, no oracle
+otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+import math
+import multiprocessing
+from array import array
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.errors import IndexFormatError
+from repro.graph.csr import CSRGraph
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
 from repro.shortestpath.bidirectional import _in_domain
-from repro.shortestpath.hub_labels import HubLabelIndex
+from repro.shortestpath.flat import FlatDijkstraSearch
+from repro.shortestpath.paths import collect_path_vertices
 
-#: Build/query policies: ``auto`` (hub labels when there are bridges,
+#: Build/query policies: ``auto`` (a table when there are bridges,
 #: resolved by :func:`resolve_oracle_kind`) and ``none`` (no oracle).
 ORACLE_POLICIES = ("auto", "none")
 
@@ -56,10 +72,9 @@ ORACLE_POLICIES = ("auto", "none")
 def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
     """Resolve an oracle policy to ``"hub"`` or ``"none"``.
 
-    ``auto`` builds hub labels over the bridge endpoints when the
-    network has bridges (a handful of pruned sweeps, exact for the
-    whole bridge-domain workload) and nothing when it has none (an
-    oracle could never be consulted).
+    ``auto`` builds the endpoint tree table when the network has
+    bridges and nothing when it has none (an oracle could never be
+    consulted).
 
     Any iterable is accepted: sized containers are probed with
     ``len()`` and never consumed; only a non-sized iterable (a
@@ -77,263 +92,224 @@ def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
     return kind
 
 
-class OracleScratch:
-    """Per-query oracle state, shared across all bridges of one query.
+# ----------------------------------------------------------------------
+# Construction
+# ----------------------------------------------------------------------
 
-    Subclasses cache whatever makes per-bridge answers cheap -- the
-    hub-bucket inversion of the target labels, identical for every
-    bridge of the query -- and implement :meth:`domain_maps`.
+#: Worker input, inherited via fork copy-on-write (see
+#: :meth:`HubOracle.build`); cleared when the build is done.
+_CTX: Dict[str, object] = {}
+
+
+def _append_rows(csr: CSRGraph, hubs: Sequence[int], dist: array,
+                 pred: array) -> None:
+    """One full flat Dijkstra per hub, rows appended in hub order."""
+    for hub in hubs:
+        search = FlatDijkstraSearch(csr, hub)
+        try:
+            search.run_to_exhaustion()
+            row_dist, row_pred = search.dense_rows()
+        finally:
+            search.release()
+        dist += row_dist
+        pred += row_pred
+
+
+def _rows_worker(bounds: Tuple[int, int]) -> Tuple[bytes, bytes]:
+    """Rows of ``hubs[lo:hi]`` in a fork worker, as raw bytes."""
+    lo, hi = bounds
+    dist, pred = array("d"), array("i")
+    _append_rows(_CTX["csr"], _CTX["hubs"][lo:hi], dist, pred)
+    return dist.tobytes(), pred.tobytes()
+
+
+def _build_rows(csr: CSRGraph, hubs: Sequence[int],
+                jobs: int) -> Tuple[array, array]:
+    """Both row arrays, serially or across ``jobs`` fork workers.
+
+    Workers take contiguous hub ranges and the parent appends their
+    rows in range order, so the arrays are byte-identical to a serial
+    build whatever ``jobs`` is.
     """
-
-    def domain_maps(self, u: int, v: int,
-                    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        """Return ``({x: dist(x,u)}, {x: dist(x,v)})`` over the query
-        targets; unreachable targets are absent (mirrors the dual-heap
-        engines, which never settle them)."""
-        raise NotImplementedError
-
-    def bridge_valid(self, u: int, v: int, weight: float) -> bool:
-        """Theorem 5 validity of bridge ``(u, v)``: are both ``UD*``
-        and ``VD*`` non-empty?  Early-exits on the first member of
-        each."""
-        du_map, dv_map = self.domain_maps(u, v)
-        has_ud = has_vd = False
-        for x, du in du_map.items():
-            dv = dv_map.get(x)
-            if dv is None:
-                continue
-            if not has_ud and _in_domain(du, dv, weight):
-                has_ud = True
-            if not has_vd and _in_domain(dv, du, weight):
-                has_vd = True
-            if has_ud and has_vd:
-                return True
-        return False
-
-    def domains(self, u: int, v: int, weight: float,
-                ) -> Tuple[Set[int], Set[int]]:
-        """Full ``(UD*, VD*)`` membership sets -- the oracle-side
-        equivalent of :func:`~repro.shortestpath.bidirectional.
-        bridge_domains` restricted to distances (no pred trees)."""
-        du_map, dv_map = self.domain_maps(u, v)
-        ud: Set[int] = set()
-        vd: Set[int] = set()
-        for x, du in du_map.items():
-            dv = dv_map.get(x)
-            if dv is None:
-                continue
-            if _in_domain(du, dv, weight):
-                ud.add(x)
-            if _in_domain(dv, du, weight):
-                vd.add(x)
-        return ud, vd
+    global _CTX
+    dist, pred = array("d"), array("i")
+    if jobs <= 1 or len(hubs) < 2 or (
+            "fork" not in multiprocessing.get_all_start_methods()):
+        _append_rows(csr, hubs, dist, pred)
+        return dist, pred
+    # A few ranges per worker even out hubs with smaller components.
+    step = max(1, -(-len(hubs) // (4 * jobs)))
+    ranges = [(lo, min(lo + step, len(hubs)))
+              for lo in range(0, len(hubs), step)]
+    _CTX = {"csr": csr, "hubs": list(hubs)}
+    try:
+        with ProcessPoolExecutor(
+                max_workers=jobs,
+                mp_context=multiprocessing.get_context("fork")) as pool:
+            for row_dist, row_pred in pool.map(_rows_worker, ranges):
+                dist.frombytes(row_dist)
+                pred.frombytes(row_pred)
+    finally:
+        _CTX = {}
+    return dist, pred
 
 
-class _HubScratch(OracleScratch):
-    """Bucket-inverted hub-label lookups for one query.
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
 
-    Intersecting ``L(x)`` with ``L(e)`` per pair costs
-    ``O(min(|L(x)|, |L(e)|))`` dict probes -- cheap, but paid
-    ``|bridges| * |targets|`` times.  Inverting the *target* labels
-    once per query (hub → ``[(x, dist(hub, x))]``) turns each endpoint
-    into one min-plus pass over its own small label, amortising the
-    target side across every bridge of the query.
-    """
 
-    def __init__(self, oracle: "HubOracle", targets: Sequence[int]) -> None:
-        self._oracle = oracle
-        self._targets = list(targets)
-        self._bucket: Optional[Dict[int, List[Tuple[int, float]]]] = None
-        self._endpoint_memo: Dict[int, Dict[int, float]] = {}
+class _PredRow:
+    """One ``pred`` row as :func:`collect_path_vertices` walks it: every
+    id is checked where it is read, so a corrupt cell raises instead of
+    wrapping around (``-1``) or running off the row."""
 
-    def _ensure_bucket(self) -> Dict[int, List[Tuple[int, float]]]:
-        if self._bucket is None:
-            bucket: Dict[int, List[Tuple[int, float]]] = {}
-            label_items = self._oracle.label_items
-            for x in self._targets:
-                for h, d in label_items(x):
-                    bucket.setdefault(h, []).append((x, d))
-            self._bucket = bucket
-        return self._bucket
+    __slots__ = ("_table", "_hub", "_row", "_n")
 
-    def _endpoint_distances(self, e: int) -> Dict[int, float]:
-        got = self._endpoint_memo.get(e)
-        if got is not None:
-            return got
-        bucket = self._ensure_bucket()
-        dist: Dict[int, float] = {}
-        get = dist.get
-        for h, a in self._oracle.label_items(e):
-            for x, dx in bucket.get(h, ()):
-                c = a + dx
-                known = get(x)
-                if known is None or c < known:
-                    dist[x] = c
-        self._endpoint_memo[e] = dist
-        return dist
+    def __init__(self, table: "HubOracle", hub: int) -> None:
+        self._table = table
+        self._hub = hub
+        self._row = table.pred_row(hub)
+        self._n = len(self._row)
 
-    def domain_maps(self, u: int, v: int,
-                    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        return self._endpoint_distances(u), self._endpoint_distances(v)
+    def __getitem__(self, x: int) -> int:
+        p = self._row[x]
+        if 0 <= p < self._n:
+            return p
+        raise self._table._corrupt(
+            1, self._hub, f"vertex {x} has predecessor {p} on a shortest"
+                          f" path (expected an id in [0, {self._n}))")
 
 
 class HubOracle:
-    """2-hop labels over the bridge endpoints (partial PLL).
+    """The endpoint tree table: full ``dist``/``pred`` rows per hub.
 
-    Exact for every pair with a hub endpoint -- the coverage is the hub
-    set itself, which is why :meth:`covers` tests endpoint membership.
-    Labels live either as the builder's per-vertex dicts or as flat
-    offset/hub/distance arrays (zero-copy views over an mmap-loaded
-    binary index); :meth:`label_items` hides the difference.
+    ``hubs`` are the distinct bridge endpoints, ascending; ``dist`` and
+    ``pred`` hold one row of ``num_vertices`` cells per hub, hub-major
+    -- ``array`` objects after a build, zero-copy views over the file
+    after a binary load, which no query materialises (rows are
+    ``memoryview`` slices).  ``source`` and ``sections`` name the file
+    and the two row sections in corrupt-cell errors.
     """
 
     kind = "hub"
 
-    def __init__(self, hub_order: Sequence[int],
-                 label_dicts: Optional[List[Dict[int, float]]] = None,
-                 offsets: Optional[Sequence[int]] = None,
-                 label_hubs: Optional[Sequence[int]] = None,
-                 label_dists: Optional[Sequence[float]] = None) -> None:
-        self._hub_order: Tuple[int, ...] = tuple(hub_order)
-        self._hub_set: FrozenSet[int] = frozenset(self._hub_order)
-        self._label_dicts = label_dicts
-        self._offsets = offsets
-        self._label_hubs = label_hubs
-        self._label_dists = label_dists
-        if label_dicts is None and offsets is None:
-            raise ValueError("HubOracle needs label dicts or flat arrays")
-
-    # -- construction --------------------------------------------------
+    def __init__(self, hubs: Sequence[int], dist, pred, num_vertices: int,
+                 source: str = "<memory>",
+                 sections: Tuple[str, str] = ("dist", "pred")) -> None:
+        self._hubs: Tuple[int, ...] = tuple(hubs)
+        self._row_of: Dict[int, int] = {h: i for i, h
+                                         in enumerate(self._hubs)}
+        self._n = num_vertices
+        self._dist = memoryview(dist)
+        self._pred = memoryview(pred)
+        self._source = source
+        self._sections = sections
 
     @classmethod
-    def build(cls, network: RoadNetwork, bridges: Iterable[Tuple[int, int]],
-              region_of: Optional[Sequence[int]] = None,
+    def build(cls, network: RoadNetwork,
+              bridges: Iterable[Tuple[int, int]],
               trace: Optional[TraceRecorder] = None,
-              engine: str = "flat") -> "HubOracle":
-        """Run the per-region construction phase.
+              jobs: int = 1) -> "HubOracle":
+        """Run one full flat Dijkstra per distinct bridge endpoint.
 
-        Hubs are the distinct bridge endpoints, grouped by region (when
-        ``region_of`` is given) and ordered by descending degree inside
-        each group -- deterministic, so serial and fork-parallel index
-        builds produce byte-identical oracles.  Each region group gets
-        its own ``region-<id>`` trace span under a ``pll-scalar`` or
-        ``pll-vectorized`` span naming the builder that ran, under the
-        caller's ``oracle`` span.
-
-        ``engine="numpy"`` routes construction through the batched
-        :class:`~repro.shortestpath.vec.VecHubLabeler`; the labels --
-        and therefore the serialised index, JSON or binary -- are
-        byte-identical to the scalar builder's, so the engine is a pure
-        speed knob (and quietly degrades to scalar without a backend,
-        exactly like the query-side engines).
+        Always the flat kernel, whatever engine the rest of a build
+        uses; ``jobs > 1`` spreads the hubs over fork workers with a
+        byte-identical result.  The work is recorded as one ``trees``
+        span under the caller's active span.
         """
-        from repro.shortestpath.flat import resolve_engine
         trace = resolve_trace(trace)
-        endpoints = sorted({e for bridge in bridges for e in bridge})
-        groups: List[Tuple[Optional[int], List[int]]] = []
-        if region_of is None:
-            groups.append((None, endpoints))
-        else:
-            by_region: Dict[int, List[int]] = {}
-            for e in endpoints:
-                by_region.setdefault(region_of[e], []).append(e)
-            groups = [(rid, by_region[rid]) for rid in sorted(by_region)]
-        ordered = [(rid, sorted(members,
-                                key=lambda v: (-network.degree(v), v)))
-                   for rid, members in groups]
-        if resolve_engine(engine) == "numpy":
-            # Lazy import: vec.py imports this module at top level.
-            from repro.shortestpath.vec import VecHubLabeler
-            planned = [e for _, members in ordered for e in members]
-            labeler = VecHubLabeler(network, planned)
-            with trace.span("pll-vectorized"):
-                for rid, members in ordered:
-                    label = ("region-all" if rid is None
-                             else f"region-{rid}")
-                    with trace.span(label):
-                        for e in members:
-                            labeler.add_hub(e)
-            offsets, label_hubs, label_dists = labeler.label_arrays()
-            return cls(tuple(planned), offsets=offsets,
-                       label_hubs=label_hubs, label_dists=label_dists)
-        index = HubLabelIndex(network, hubs=())
-        with trace.span("pll-scalar"):
-            for rid, members in ordered:
-                label = "region-all" if rid is None else f"region-{rid}"
-                with trace.span(label):
-                    for e in members:
-                        index.add_hub(e)
-        n = network.num_vertices
-        return cls(index.hubs,
-                   label_dicts=[index.label_of(v) for v in range(n)])
+        hubs = sorted({e for bridge in bridges for e in bridge})
+        csr = network.csr()
+        with trace.span("trees"):
+            dist, pred = _build_rows(csr, hubs, jobs)
+        return cls(hubs, dist, pred, csr.num_vertices)
 
-    # -- storage -------------------------------------------------------
-
-    def label_items(self, x: int) -> Iterable[Tuple[int, float]]:
-        """The label of vertex ``x`` as ``(hub, dist)`` pairs, in hub
-        processing order (the canonical serialisation order)."""
-        if self._label_dicts is not None:
-            return self._label_dicts[x].items()
-        lo = self._offsets[x]
-        hi = self._offsets[x + 1]
-        return zip(self._label_hubs[lo:hi], self._label_dists[lo:hi])
-
-    def num_vertices(self) -> int:
-        if self._label_dicts is not None:
-            return len(self._label_dicts)
-        return len(self._offsets) - 1
+    # -- rows ------------------------------------------------------------
 
     @property
-    def hub_order(self) -> Tuple[int, ...]:
-        return self._hub_order
+    def hubs(self) -> Tuple[int, ...]:
+        return self._hubs
 
-    # -- queries -------------------------------------------------------
+    def _row(self, rows: memoryview, hub: int) -> memoryview:
+        i = self._row_of[hub]
+        return rows[i * self._n:(i + 1) * self._n]
 
-    def covers(self, u: int, v: int) -> bool:
-        """True when both endpoints are hubs, i.e. the labels answer
-        ``(x, u)`` / ``(x, v)`` pairs exactly for arbitrary ``x``."""
-        return u in self._hub_set and v in self._hub_set
+    def dist_row(self, hub: int) -> memoryview:
+        """Distances from ``hub``, vertex-indexed (unchecked)."""
+        return self._row(self._dist, hub)
 
-    def scratch(self, targets: Sequence[int]) -> OracleScratch:
-        """Per-query helper over a fixed target set."""
-        # The vectorized scratch produces bit-identical distance maps
-        # (same min over the same candidate multiset), so picking it
-        # whenever the backend is up never changes an answer.
-        from repro.vec.backend import has_backend
-        if has_backend():
-            from repro.shortestpath.vec import VecHubScratch
-            return VecHubScratch(self, targets)
-        return _HubScratch(self, targets)
+    def pred_row(self, hub: int) -> memoryview:
+        """Predecessors in ``hub``'s tree, vertex-indexed (unchecked)."""
+        return self._row(self._pred, hub)
+
+    def _corrupt(self, which: int, hub: int,
+                 problem: str) -> IndexFormatError:
+        return IndexFormatError(
+            f"{self._source}: section {self._sections[which]!r}, row of"
+            f" endpoint {hub}: {problem}; rebuild the index")
+
+    # -- queries ---------------------------------------------------------
+
+    def domains(self, u: int, v: int, weight: float,
+                targets: Iterable[int]) -> Tuple[Set[int], Set[int]]:
+        """``(UD*, VD*)`` of bridge ``(u, v)`` over ``targets``.
+
+        The decision is :func:`flat_bridge_domains`'s own: targets
+        unreachable from the bridge are skipped, the rest go to ``UD*``
+        when ``_in_domain(du, dv)`` and else to ``VD*`` when
+        ``_in_domain(dv, du)``.
+        """
+        du_row = self._row(self._dist, u)
+        dv_row = self._row(self._dist, v)
+        inf = math.inf
+        ud_star: Set[int] = set()
+        vd_star: Set[int] = set()
+        for x in targets:
+            du = du_row[x]
+            dv = dv_row[x]
+            if not (du >= 0.0 and dv >= 0.0):
+                hub, bad = (v, dv) if du >= 0.0 else (u, du)
+                raise self._corrupt(
+                    0, hub, f"distance to vertex {x} is {bad!r}"
+                            f" (expected >= 0 or inf)")
+            if du == inf or dv == inf:
+                continue
+            if _in_domain(du, dv, weight):
+                ud_star.add(x)
+            elif _in_domain(dv, du, weight):
+                vd_star.add(x)
+        return ud_star, vd_star
+
+    def collect_paths(self, hub: int, members: Iterable[int],
+                      into: Set[int]) -> None:
+        """Add ``sp(hub, x)`` for every member to ``into`` by walking
+        the hub's ``pred`` row (members must be reachable)."""
+        collect_path_vertices(_PredRow(self, hub), hub, members, into)
+
+    # -- size and serialisation -----------------------------------------
 
     def entry_count(self) -> int:
-        """Stored label entries -- the size driver."""
-        if self._label_dicts is not None:
-            return sum(len(label) for label in self._label_dicts)
-        return len(self._label_hubs)
+        """Table cells, ``|hubs| x |V|`` -- the size driver."""
+        return len(self._hubs) * self._n
 
-    def oracle_bytes(self) -> int:
-        # 4-byte hub id + 8-byte distance per entry, 4-byte offsets.
-        return 12 * self.entry_count() + 4 * (self.num_vertices() + 1)
+    def row_bytes(self) -> Tuple[int, int]:
+        """Bytes of the ``dist`` and the ``pred`` rows."""
+        return self._dist.nbytes, self._pred.nbytes
 
     def describe(self) -> str:
         """One human line for build logs."""
-        return (f"hub labels over {len(self._hub_order)} bridge-endpoint"
-                f" hubs, {self.entry_count()} entries"
-                f" (covers (x, endpoint) pairs)")
+        dist_bytes, pred_bytes = self.row_bytes()
+        return (f"endpoint tree table, {len(self._hubs)} endpoints x"
+                f" {self._n} vertices (dist rows"
+                f" {dist_bytes / 2 ** 20:.1f} MiB, pred rows"
+                f" {pred_bytes / 2 ** 20:.1f} MiB)")
 
     def to_payload(self) -> Dict[str, object]:
-        """Flat-array form for the binary/JSON serialisers."""
-        offsets: List[int] = [0]
-        hubs: List[int] = []
-        dists: List[float] = []
-        for x in range(self.num_vertices()):
-            for h, d in self.label_items(x):
-                hubs.append(h)
-                dists.append(d)
-            offsets.append(len(hubs))
-        return {"kind": "hub", "hubs": list(self._hub_order),
-                "offsets": offsets, "label_hubs": hubs,
-                "label_dists": dists}
+        """The serialisers' form: hub ids plus the two flat row
+        buffers (the stored ones, not copies)."""
+        return {"kind": "hub", "hubs": list(self._hubs),
+                "dist": self._dist, "pred": self._pred}
 
 
 # ----------------------------------------------------------------------
@@ -343,31 +319,69 @@ class HubOracle:
 
 def build_oracle(network: RoadNetwork, kind: str,
                  bridges: Iterable[Tuple[int, int]],
-                 region_of: Optional[Sequence[int]] = None,
                  trace: Optional[TraceRecorder] = None,
-                 engine: str = "flat") -> Optional[HubOracle]:
+                 jobs: int = 1) -> Optional[HubOracle]:
     """Build the oracle a policy resolves to (``None`` for none).
 
     ``bridges`` may be any iterable, a generator included: it is
     materialised exactly once here, so the ``auto`` emptiness probe and
-    the hub-endpoint collection see the same elements (a generator used
-    to be drained by the probe, leaving the hub build with no
-    endpoints).  ``engine`` selects the hub-label builder.
+    the endpoint collection see the same elements.
     """
     bridges = list(bridges)
     if resolve_oracle_kind(kind, bridges) == "none":
         return None
-    return HubOracle.build(network, bridges, region_of=region_of,
-                           trace=trace, engine=engine)
+    return HubOracle.build(network, bridges, trace=trace, jobs=jobs)
 
 
-def oracle_from_payload(payload: Dict[str, object]) -> HubOracle:
-    """Rehydrate an oracle from its flat-array payload (JSON lists or
-    zero-copy binary views -- both index loaders funnel through here)."""
+def oracle_from_payload(payload: Dict[str, object], num_vertices: int,
+                        bridges: Iterable[Tuple[int, int]],
+                        source: str = "<memory>",
+                        sections: Tuple[str, str] = ("dist", "pred"),
+                        ) -> HubOracle:
+    """Rehydrate a table from its payload (JSON lists or zero-copy
+    binary views -- both index loaders funnel through here).
+
+    Checks only ``O(|hubs|)`` facts: the hub ids are sorted, unique,
+    below ``num_vertices`` and exactly the endpoints of ``bridges``,
+    and each row buffer holds ``|hubs| x num_vertices`` cells.  An
+    unknown ``kind`` raises :class:`ValueError`; the rest raise
+    :class:`~repro.errors.IndexFormatError` naming ``source``.
+    """
     kind = payload.get("kind")
     if kind != "hub":
         raise ValueError(f"unknown oracle payload kind {kind!r}")
-    return HubOracle(payload["hubs"],
-                     offsets=payload["offsets"],
-                     label_hubs=payload["label_hubs"],
-                     label_dists=payload["label_dists"])
+    if "label_hubs" in payload:
+        raise IndexFormatError(
+            f"{source}: the oracle holds hub labels from an older build"
+            f" instead of an endpoint tree table; rebuild the index")
+    hubs = list(payload["hubs"])
+    bad = [h for h in hubs if not 0 <= h < num_vertices]
+    if bad:
+        raise IndexFormatError(
+            f"{source}: oracle endpoint {bad[0]} out of range"
+            f" (num_vertices {num_vertices})")
+    if any(a >= b for a, b in zip(hubs, hubs[1:])):
+        raise IndexFormatError(
+            f"{source}: oracle endpoint ids are not sorted and unique")
+    expected = sorted({e for bridge in bridges for e in bridge})
+    if hubs != expected:
+        raise IndexFormatError(
+            f"{source}: oracle endpoints ({len(hubs)}) are not the"
+            f" bridge endpoints ({len(expected)})")
+    rows: List[object] = []
+    for name, typecode, cells in zip(sections, "di",
+                                     (payload["dist"], payload["pred"])):
+        if isinstance(cells, list):  # a JSON payload
+            try:
+                cells = array(typecode, cells)
+            except (TypeError, OverflowError) as exc:
+                raise IndexFormatError(
+                    f"{source}: section {name!r} holds a bad cell"
+                    f" ({exc})") from exc
+        if len(cells) != len(hubs) * num_vertices:
+            raise IndexFormatError(
+                f"{source}: section {name!r} holds {len(cells)} cells,"
+                f" expected {len(hubs)} endpoints x {num_vertices}")
+        rows.append(cells)
+    return HubOracle(hubs, rows[0], rows[1], num_vertices, source=source,
+                     sections=sections)

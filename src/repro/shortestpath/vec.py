@@ -1,8 +1,7 @@
-"""Vectorized array kernels: bucketed SSSP and batched hub-label sweeps.
+"""Vectorized array kernels: bucketed SSSP.
 
-This module is the third engine (``engine="numpy"``) plus the
-vectorized :class:`~repro.shortestpath.oracle.OracleScratch`.  Both
-kernels obtain their array module from :func:`repro.vec.backend.xp` --
+This module is the third engine (``engine="numpy"``).  Its kernels
+obtain their array module from :func:`repro.vec.backend.xp` --
 numpy today, with the call-through seam shaped so a CuPy module could
 drop in -- and the module itself imports cleanly without numpy (the
 classes raise only when *used* without a backend; the engine registry
@@ -53,29 +52,18 @@ are comparable in spirit, but re-relaxations inside a bucket fixpoint
 and the absence of a heap make the totals incomparable with the
 dict/flat engines' (see docs/observability.md).  The dict engine
 remains the oracle of record.
-
-**Vectorized hub-label sweep** (:class:`VecHubScratch`).  The
-per-query target labels are flattened once into
-``(seg_offsets, entry_rank, entry_dist)`` arrays grouped by target --
-for a binary (v2) index these gather zero-copy out of the mmapped flat
-label arrays -- and each endpoint's distance map becomes one dense
-min-plus reduction: scatter the endpoint label into a dense
-per-hub vector, add, segment-min per target.  The per-target minimum
-ranges over the same ``a + dx`` candidate multiset as
-``_HubScratch``'s dict loop, so the maps are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.graph.csr import CSRGraph
 from repro.graph.network import RoadNetwork
 from repro.obs.counters import NULL_COUNTERS, SearchCounters
 from repro.shortestpath.deadline import Deadline
 from repro.shortestpath.dijkstra import ShortestPathTree
-from repro.shortestpath.oracle import OracleScratch
 from repro.shortestpath.paths import reconstruct_path
 from repro.vec.backend import xp
 
@@ -602,337 +590,3 @@ def vec_bidirectional_ppsp(network: RoadNetwork, source: int, target: int,
                                                      source, target)
     finally:
         search.release()
-
-
-# ----------------------------------------------------------------------
-# Batched PLL construction (build-side kernel)
-# ----------------------------------------------------------------------
-
-
-class VecHubLabeler:
-    """Batched partial-PLL builder: each hub's pruned Dijkstra as one
-    bucketed frontier sweep.
-
-    The scalar builder (:meth:`~repro.shortestpath.hub_labels.
-    HubLabelIndex.add_hub`) prunes a vertex ``u`` at settle time when
-    some earlier hub ``h`` certifies ``d(hub,h) + d(h,u) <= d(hub,u)``.
-    Every label that test consults was committed by a *previous* sweep,
-    so for one sweep the prune threshold is a static per-vertex array
-
-        ``cover[u] = min over h in L(hub) of (L(hub)[h] + L(u)[h])``
-
-    evaluated in bulk before the sweep: for each rank in the hub's own
-    label, gather that rank's committed ``(vertices, distances)``
-    arrays, add the hub-side distance, and scatter-min into the dense
-    ``cover`` vector (a rank labels each vertex at most once, so the
-    scatter needs no grouping).  The sweep itself is the wave loop of
-    :class:`VecDijkstraSearch` -- whole min-distance frontier per step,
-    grouped ``np.minimum.reduceat`` scatter-min relaxation over the
-    concatenated CSR -- with one extra rule: a vertex relaxes only
-    while ``cover[u] > dist[u]`` (the exact complement of the scalar
-    ``<=`` prune).  A vertex held back at a stale tentative label
-    re-enters the fixpoint whenever its label improves, so the sweep
-    settles exactly the scalar search's visited set with bit-identical
-    float64 distances (same IEEE adds; a minimum is order-independent),
-    and the labelled set is ``settled & (cover > dist)`` -- the same
-    prune decisions, hub by hub.
-
-    :meth:`label_arrays` then serialises the committed labels in the
-    canonical per-vertex order (hubs in processing order -- exactly the
-    insertion order of the scalar builder's dicts), so a
-    :class:`~repro.shortestpath.oracle.HubOracle` built from these
-    arrays is **byte-identical** to one built scalar, in both the JSON
-    and binary index forms (pinned by the property tests and the
-    index-roundtrip CI job).
-
-    ``hubs`` fixes the full processing order up front -- the builder
-    must know which labelled vertices are future hubs to maintain their
-    labels for the cover computation; :meth:`add_hub` is then called
-    once per hub, in that order (the per-region grouping of
-    :meth:`HubOracle.build` only inserts trace spans between calls).
-    """
-
-    def __init__(self, network: Union[RoadNetwork, CSRGraph],
-                 hubs: Sequence[int]) -> None:
-        np = _require_backend()
-        csr = network.csr() if isinstance(network, RoadNetwork) else network
-        self._np = np
-        indptr, targets, weights, delta = csr.vec_views()
-        self._indptr = indptr
-        self._targets = targets
-        self._weights = weights
-        self._delta = delta
-        n = csr.num_vertices
-        self._n = n
-        planned = [int(h) for h in hubs]
-        if len(set(planned)) != len(planned):
-            raise ValueError("hubs must be distinct")
-        for h in planned:
-            if not 0 <= h < n:
-                raise ValueError(f"hub {h} out of range 0..{n - 1}")
-        self._planned = planned
-        hub_mask = np.zeros(n, dtype=bool)
-        if planned:
-            hub_mask[np.asarray(planned, dtype=np.int64)] = True
-        self._hub_mask = hub_mask
-        #: committed labels, rank-major: the vertices (ascending id)
-        #: and distances labelled by each processed hub.
-        self._rank_verts: List[object] = []
-        self._rank_dists: List[object] = []
-        #: labels of the *planned hubs* only, as (rank, dist) pairs --
-        #: all the cover computation ever reads.
-        self._hub_label: Dict[int, List[Tuple[int, float]]] = {
-            h: [] for h in planned}
-        # Sweep scratch, reused across hubs.
-        self._cover = np.full(n, math.inf)
-        self._dist = np.full(n, math.inf)
-        self._settled = np.zeros(n, dtype=bool)
-
-    @property
-    def planned(self) -> Tuple[int, ...]:
-        """The full hub processing order fixed at construction."""
-        return tuple(self._planned)
-
-    def add_hub(self, hub: int) -> int:
-        """Run one bucketed pruned sweep and commit its labels; returns
-        the number of vertices labelled.  Must follow the planned
-        order."""
-        np = self._np
-        rank = len(self._rank_verts)
-        if rank >= len(self._planned) or self._planned[rank] != hub:
-            raise ValueError(
-                f"hub {hub} out of order: sweep {rank} expects"
-                f" {self._planned[rank] if rank < len(self._planned) else None}")
-        # --- bulk prune threshold over the committed label arrays -----
-        cover = self._cover
-        cover.fill(math.inf)
-        for r, d_hub in self._hub_label[hub]:
-            rv = self._rank_verts[r]
-            cover[rv] = np.minimum(cover[rv], self._rank_dists[r] + d_hub)
-        # --- bucketed pruned sweep ------------------------------------
-        dist = self._dist
-        dist.fill(math.inf)
-        dist[hub] = 0.0
-        settled = self._settled
-        settled.fill(False)
-        indptr = self._indptr
-        while True:
-            masked = np.where(settled, math.inf, dist)
-            lo = float(masked.min()) if self._n else math.inf
-            if lo == math.inf:
-                break
-            bound = lo + self._delta
-            frontier = np.flatnonzero(masked <= bound)
-            while frontier.size:
-                # The prune rule: only uncovered vertices expand.
-                frontier = frontier[cover[frontier] > dist[frontier]]
-                if not frontier.size:
-                    break
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    break
-                arc = _expand_ranges(np, starts, counts, total)
-                nb = self._targets[arc]
-                cand = np.repeat(dist[frontier], counts) + self._weights[arc]
-                keep = ~settled[nb]
-                nb = nb[keep]
-                cand = cand[keep]
-                if nb.size == 0:
-                    break
-                order = np.argsort(nb, kind="stable")
-                nb_s = nb[order]
-                first = np.empty(nb_s.size, dtype=bool)
-                first[0] = True
-                first[1:] = nb_s[1:] != nb_s[:-1]
-                first = np.flatnonzero(first)
-                uniq = nb_s[first]
-                best = np.minimum.reduceat(cand[order], first)
-                improve = best < dist[uniq]
-                upd = uniq[improve]
-                dist[upd] = best[improve]
-                frontier = upd[dist[upd] <= bound]
-            settled |= dist <= bound
-        # --- commit this sweep's labels -------------------------------
-        labelled = np.flatnonzero(settled & (cover > dist))
-        self._rank_verts.append(labelled)
-        self._rank_dists.append(dist[labelled].copy())
-        for v in labelled[self._hub_mask[labelled]].tolist():
-            self._hub_label[v].append((rank, float(dist[v])))
-        return int(labelled.size)
-
-    def total_label_entries(self) -> int:
-        return sum(int(rv.size) for rv in self._rank_verts)
-
-    def label_arrays(self) -> Tuple[List[int], List[int], List[float]]:
-        """The committed labels as canonical flat arrays
-        ``(offsets, label_hubs, label_dists)`` -- plain Python lists,
-        per-vertex segments ordered by hub processing rank, exactly the
-        scalar builder's dict insertion order."""
-        np = self._np
-        if len(self._rank_verts) != len(self._planned):
-            raise ValueError(
-                f"only {len(self._rank_verts)} of {len(self._planned)}"
-                " planned hubs were added")
-        if not self._rank_verts or self.total_label_entries() == 0:
-            return [0] * (self._n + 1), [], []
-        all_v = np.concatenate(self._rank_verts)
-        all_r = np.concatenate(
-            [np.full(rv.size, r, dtype=np.int64)
-             for r, rv in enumerate(self._rank_verts)])
-        all_d = np.concatenate(self._rank_dists)
-        # Stable sort by vertex turns the rank-major concatenation into
-        # vertex-major segments with ranks ascending inside each.
-        order = np.argsort(all_v, kind="stable")
-        counts = np.bincount(all_v, minlength=self._n)
-        offsets = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        hub_ids = np.asarray(self._planned, dtype=np.int64)
-        return (offsets.tolist(), hub_ids[all_r[order]].tolist(),
-                all_d[order].tolist())
-
-
-def vec_pruned_labeling(network: Union[RoadNetwork, CSRGraph],
-                        hubs: Sequence[int],
-                        ) -> Tuple[List[int], List[int], List[float]]:
-    """Run the batched PLL build over ``hubs`` (in order) and return
-    the canonical flat label arrays ``(offsets, label_hubs,
-    label_dists)`` -- entry-for-entry identical to the scalar
-    :class:`~repro.shortestpath.hub_labels.HubLabelIndex` built with
-    ``hubs=hubs`` (see :class:`VecHubLabeler`)."""
-    labeler = VecHubLabeler(network, hubs)
-    for hub in labeler.planned:
-        labeler.add_hub(hub)
-    return labeler.label_arrays()
-
-
-# ----------------------------------------------------------------------
-# Vectorized hub-label scratch
-# ----------------------------------------------------------------------
-
-
-class VecHubScratch(OracleScratch):
-    """Batched min-plus label sweeps for one query.
-
-    The target labels are flattened once into arrays grouped by target
-    (``seg_offsets``/``seg_counts`` into ``entry_rank``/``entry_dist``,
-    hub ids compacted to ranks); each endpoint then costs one dense
-    scatter of its own label plus one vectorized add and segment-min,
-    instead of ``_HubScratch``'s per-entry dict probes.  For a binary
-    (v2) index the flat label arrays gather zero-copy out of the mmap.
-
-    The per-target minimum ranges over exactly ``_HubScratch``'s
-    candidate multiset, so the distance maps -- and every
-    ``bridge_valid``/``domains`` decision, evaluated with the same
-    :func:`math.isclose` formula -- are bit-identical (pinned by the
-    oracle property tests).
-    """
-
-    def __init__(self, oracle, targets: Sequence[int]) -> None:
-        self._oracle = oracle
-        self._targets = list(targets)
-        self._arrays = None
-        self._endpoint_memo: Dict[int, object] = {}
-
-    def _ensure_arrays(self):
-        if self._arrays is None:
-            np = _require_backend()
-            oracle = self._oracle
-            hub_order = oracle.hub_order
-            n = oracle.num_vertices()
-            rank = np.full(n, -1, dtype=np.int64)
-            if hub_order:
-                rank[np.asarray(hub_order, dtype=np.int64)] = \
-                    np.arange(len(hub_order), dtype=np.int64)
-            if not self._targets:
-                counts = np.zeros(0, dtype=np.int64)
-                entry_hub = np.zeros(0, dtype=np.int64)
-                entry_dist = np.zeros(0, dtype=np.float64)
-            elif oracle._label_dicts is None:
-                # Flat label arrays (JSON lists or zero-copy views over
-                # the mmapped v2 binary): pure array gather.
-                offs = np.asarray(oracle._offsets).astype(np.int64,
-                                                          copy=False)
-                hubs_all = np.asarray(oracle._label_hubs)
-                dists_all = np.asarray(oracle._label_dists)
-                t_arr = np.asarray(self._targets, dtype=np.int64)
-                starts = offs[t_arr]
-                counts = offs[t_arr + 1] - starts
-                total = int(counts.sum())
-                k = _expand_ranges(np, starts, counts, total)
-                entry_hub = hubs_all[k].astype(np.int64, copy=False)
-                entry_dist = dists_all[k].astype(np.float64, copy=False)
-            else:
-                # Builder-side dicts: one flattening pass per query
-                # (same O(total entries) _HubScratch pays per bucket).
-                hubs_l: List[int] = []
-                dists_l: List[float] = []
-                counts_l: List[int] = []
-                for x in self._targets:
-                    before = len(hubs_l)
-                    for h, d in oracle.label_items(x):
-                        hubs_l.append(h)
-                        dists_l.append(d)
-                    counts_l.append(len(hubs_l) - before)
-                counts = np.asarray(counts_l, dtype=np.int64)
-                entry_hub = np.asarray(hubs_l, dtype=np.int64)
-                entry_dist = np.asarray(dists_l, dtype=np.float64)
-            offsets = np.cumsum(counts) - counts
-            entry_rank = rank[entry_hub] if entry_hub.size else entry_hub
-            self._arrays = (np, rank, len(hub_order), entry_rank,
-                            entry_dist, offsets, counts)
-        return self._arrays
-
-    def _endpoint_vec(self, e: int):
-        got = self._endpoint_memo.get(e)
-        if got is None:
-            np, rank, H, entry_rank, entry_dist, offsets, counts = \
-                self._ensure_arrays()
-            if counts.size == 0 or H == 0:
-                got = np.full(len(self._targets), math.inf)
-            else:
-                dense = np.full(H, math.inf)
-                for h, a in self._oracle.label_items(e):
-                    dense[rank[h]] = a
-                cand = entry_dist + dense[entry_rank]
-                got = _segment_min(np, cand, offsets, counts, math.inf)
-            self._endpoint_memo[e] = got
-        return got
-
-    def domain_maps(self, u: int, v: int,
-                    ) -> Tuple[Dict[int, float], Dict[int, float]]:
-        du = self._endpoint_vec(u)
-        dv = self._endpoint_vec(v)
-        du_map = {x: float(d) for x, d in zip(self._targets, du)
-                  if d != math.inf}
-        dv_map = {x: float(d) for x, d in zip(self._targets, dv)
-                  if d != math.inf}
-        return du_map, dv_map
-
-    def bridge_valid(self, u: int, v: int, weight: float) -> bool:
-        np = self._arrays[0] if self._arrays else _require_backend()
-        du = self._endpoint_vec(u)
-        dv = self._endpoint_vec(v)
-        with np.errstate(invalid="ignore"):
-            both = np.isfinite(du) & np.isfinite(dv)
-            if not both.any():
-                return False
-            has_ud = bool((both & _in_domain_arr(np, du, dv + weight)).any())
-            if not has_ud:
-                return False
-            return bool((both & _in_domain_arr(np, dv, du + weight)).any())
-
-    def domains(self, u: int, v: int, weight: float,
-                ) -> Tuple[Set[int], Set[int]]:
-        np = self._arrays[0] if self._arrays else _require_backend()
-        du = self._endpoint_vec(u)
-        dv = self._endpoint_vec(v)
-        with np.errstate(invalid="ignore"):
-            both = np.isfinite(du) & np.isfinite(dv)
-            ud_mask = both & _in_domain_arr(np, du, dv + weight)
-            vd_mask = both & _in_domain_arr(np, dv, du + weight)
-        targets = self._targets
-        ud = {targets[i] for i in map(int, np.flatnonzero(ud_mask))}
-        vd = {targets[i] for i in map(int, np.flatnonzero(vd_mask))}
-        return ud, vd

@@ -11,9 +11,8 @@ numpy is a **soft dependency** (``pip install repro[vec]``): nothing in
 the package imports it at module-import time, and every consumer
 degrades gracefully when :func:`has_backend` is false -- the engine
 registry resolves ``engine="numpy"`` to ``"flat"`` (with the one-line
-:func:`notice_fallback` on stderr, once per process) and
-``HubOracle.scratch`` keeps handing out the pure-Python dict scratch.
-The pure-stdlib install therefore works end to end, byte-identically.
+:func:`notice_fallback` on stderr, once per process).  The pure-stdlib
+install therefore works end to end, byte-identically.
 
 Set ``REPRO_VEC_DISABLE=1`` to force the stdlib paths with numpy
 installed (used by the fallback tests and handy for A/B timing).

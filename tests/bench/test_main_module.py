@@ -12,13 +12,11 @@ class TestArguments:
     def test_experiment_registry_complete(self):
         assert set(EXPERIMENTS) == {"table1", "fig10", "table2", "fig11",
                                     "sec7c", "ablations", "sssp",
-                                    "bridges", "sweep", "build",
-                                    "throughput"}
+                                    "bridges", "build", "throughput"}
 
     def test_checked_experiments_exist(self):
         from repro.bench.__main__ import CHECKED_EXPERIMENTS
-        assert set(CHECKED_EXPERIMENTS) == {"sssp", "bridges",
-                                            "sweep", "build"}
+        assert set(CHECKED_EXPERIMENTS) == {"sssp", "bridges", "build"}
         assert set(CHECKED_EXPERIMENTS) <= set(EXPERIMENTS)
 
     def test_registry_callables(self):

@@ -9,6 +9,7 @@ produces, and any structural defect in the file must surface as an
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.core.dps import DPSQuery
 from repro.core.roadpart import binfmt
 from repro.core.roadpart.index import RoadPartIndex
-from repro.core.roadpart.query import roadpart_dps
+from repro.core.roadpart.query import RoadPartQueryProcessor, roadpart_dps
 from repro.datasets.queries import window_query
 from repro.errors import IndexFormatError
 from repro.shortestpath.oracle import build_oracle
@@ -203,10 +204,8 @@ class TestValidation:
 
 @pytest.fixture(scope="module")
 def oracle_bin(medium_index, medium_network, tmp_path_factory):
-    """The medium index with a hub-label oracle attached, saved."""
-    oracle = build_oracle(medium_network, "auto",
-                          sorted(medium_index.bridges),
-                          region_of=medium_index.regions.region_of)
+    """The medium index with the endpoint tree table attached, saved."""
+    oracle = build_oracle(medium_network, "auto", medium_index.bridges)
     path = tmp_path_factory.mktemp("oraclebin") / "index.bin"
     dataclasses.replace(medium_index, oracle=oracle).save_binary(path)
     return path
@@ -250,21 +249,31 @@ class TestIdChecks:
     def test_oracle_hub_out_of_range(self, oracle_bin, tmp_path,
                                      medium_network):
         n = medium_network.num_vertices
-        bad = _patch_section(oracle_bin, tmp_path, b"orhubs", 0, n)
+        bad = _patch_section(oracle_bin, tmp_path, b"orends", 0, n)
         with pytest.raises(IndexFormatError,
-                           match=f"oracle hub {n} out of range"):
+                           match=f"oracle endpoint {n} out of range"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    @pytest.mark.parametrize("item, delta", [(0, 1), (5, 10 ** 6),
-                                             (-1, 1), (-1, -1)])
-    def test_label_offsets_checked(self, oracle_bin, tmp_path,
-                                   medium_network, item, delta):
-        """First offset 0, no decrease, last offset = entry count."""
-        at = _word_at(oracle_bin, b"orloff", item)
+    @pytest.mark.parametrize("item, delta, message", [
+        (0, 1, "not the bridge endpoints|not sorted"),
+        (-1, 1, "not the bridge endpoints"),
+        (1, -1, "not sorted and unique|not the bridge endpoints")])
+    def test_endpoint_set_checked(self, oracle_bin, tmp_path,
+                                  medium_network, item, delta, message):
+        """Endpoint ids are sorted, unique and exactly the bridge
+        endpoints: a table row keyed by the wrong vertex would answer
+        for the wrong bridge."""
+        at = _word_at(oracle_bin, b"orends", item)
         (value,) = struct.unpack_from("<I", oracle_bin.read_bytes(), at)
         bad = _corrupt(oracle_bin, tmp_path, at,
                        struct.pack("<I", value + delta))
-        with pytest.raises(IndexFormatError, match="label offsets"):
+        with pytest.raises(IndexFormatError, match=message):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_endpoint_count_checked(self, oracle_bin, tmp_path,
+                                    medium_network):
+        bad = _patch_section(oracle_bin, tmp_path, b"oracle", 1, 3)
+        with pytest.raises(IndexFormatError, match="'orends' holds"):
             RoadPartIndex.load_binary(bad, medium_network)
 
     def test_intact_oracle_file_loads(self, oracle_bin, medium_network,
@@ -272,6 +281,87 @@ class TestIdChecks:
         loaded = RoadPartIndex.load_binary(oracle_bin, medium_network)
         assert loaded.oracle is not None
         assert "oracle_hits" in roadpart_dps(loaded, medium_query).stats
+
+
+def _table_cell_at(path, tag, hub, vertex, network):
+    """File offset of the ``vertex`` cell of ``hub``'s row in row
+    section ``tag`` (``ordist`` f64 or ``orpred`` i32)."""
+    header = binfmt.read_header(path)
+    offset, _ = header.sections[tag]
+    ends_offset, ends_length = header.sections[b"orends"]
+    ends = struct.unpack_from(f"<{ends_length // 4}I", path.read_bytes(),
+                              ends_offset)
+    width = 8 if tag == b"ordist" else 4
+    row = ends.index(hub)
+    return offset + width * (row * network.num_vertices + vertex)
+
+
+class TestTableCells:
+    """Row cells are never scanned at load (that would cost
+    ``O(|endpoints| x |V|)``); a corrupt cell is caught where a query
+    reads it and raises IndexFormatError naming the file, the section
+    and the endpoint -- never an IndexError, a wrap-around or a wrong
+    answer."""
+
+    @pytest.fixture(scope="class")
+    def read_cells(self, oracle_bin, medium_network):
+        """A query with a valid bridge, a ``dist`` cell it reads (its
+        first vertex in the first examined bridge's row) and a ``pred``
+        cell it reads (a domain member's predecessor in the valid
+        bridge's row)."""
+        index = RoadPartIndex.load_binary(oracle_bin, medium_network)
+        processor = RoadPartQueryProcessor(index)
+        for seed in range(40):
+            query = DPSQuery.q_query(
+                window_query(medium_network, 0.25, seed=seed))
+            examined = processor.examined_bridges(query)
+            targets = sorted(query.combined)
+            for u, v in examined:
+                ud, vd = index.oracle.domains(
+                    u, v, medium_network.edge_weight(u, v), targets)
+                if ud and vd:
+                    member = min(x for x in ud | vd if x != u)
+                    return (query, (examined[0][0], targets[0]),
+                            (u, member))
+        pytest.fail("no window examines a valid bridge")
+
+    def _query_raises(self, bad, network, query, match):
+        index = RoadPartIndex.load_binary(bad, network)  # no cell scan
+        with pytest.raises(IndexFormatError, match=match) as excinfo:
+            roadpart_dps(index, query)
+        assert str(bad) in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_bad_distance(self, oracle_bin, tmp_path, medium_network,
+                          read_cells, value):
+        query, (hub, x), _ = read_cells
+        at = _table_cell_at(oracle_bin, b"ordist", hub, x, medium_network)
+        bad = _corrupt(oracle_bin, tmp_path, at, struct.pack("<d", value))
+        self._query_raises(bad, medium_network, query,
+                           f"section 'ordist', row of endpoint {hub}:"
+                           f" distance to vertex {x}")
+
+    @pytest.mark.parametrize("value", ["n", -1, -5])
+    def test_bad_predecessor(self, oracle_bin, tmp_path, medium_network,
+                             read_cells, value):
+        query, _, (hub, x) = read_cells
+        if value == "n":
+            value = medium_network.num_vertices
+        at = _table_cell_at(oracle_bin, b"orpred", hub, x, medium_network)
+        bad = _corrupt(oracle_bin, tmp_path, at, struct.pack("<i", value))
+        self._query_raises(bad, medium_network, query,
+                           f"section 'orpred', row of endpoint {hub}:"
+                           f" vertex {x} has predecessor {value}")
+
+    @pytest.mark.parametrize("tag", [b"orends", b"ordist", b"orpred"])
+    def test_truncated_table_section(self, oracle_bin, tmp_path,
+                                     medium_network, tag):
+        """A file cut inside a table section fails at load."""
+        offset, length = binfmt.read_header(oracle_bin).sections[tag]
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes(oracle_bin.read_bytes()[:offset + length // 2])
+        with pytest.raises(IndexFormatError, match="past end of file"):
+            RoadPartIndex.load_binary(bad, medium_network)
 
 
 def _header_and_table_words(path):

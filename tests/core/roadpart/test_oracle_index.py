@@ -4,12 +4,13 @@ binary layout), reload, and answer queries.
 The load-bearing contracts:
 
 * DPS outputs are byte-identical with and without an oracle -- the
-  oracle only short-circuits *invalid* bridges, which contribute
-  nothing to the answer.
+  endpoint tree table holds the very trees the dual heap grows, and it
+  answers every examined bridge.
 * There is one binary layout: ``oracle="none"`` builds write the same
-  version-2 header with the oracle sections left out.
-* Files from older layouts -- version 1, or a version-2 file carrying a
-  contraction-hierarchy oracle -- are rejected; the fix is a rebuild.
+  version-3 header with the oracle sections left out.
+* Files from older layouts -- version 1, version 2 (hub labels), or a
+  file carrying a contraction-hierarchy oracle -- are rejected; the fix
+  is a rebuild.
 * Structural defects (unknown section tags, malformed oracle payloads)
   surface as :class:`~repro.errors.IndexFormatError` naming the path.
 """
@@ -33,15 +34,15 @@ needs_fork = pytest.mark.skipif(not fork_available(),
 
 @pytest.fixture(scope="module")
 def hub_index(medium_network):
-    """The medium index built with the hub oracle (what ``--oracle
-    auto`` resolves to on a bridged network)."""
+    """The medium index built with the endpoint tree table (what
+    ``--oracle auto`` resolves to on a bridged network)."""
     index = build_index(medium_network, border_count=8, oracle="auto")
     assert index.oracle is not None and index.oracle.kind == "hub"
     return index
 
 
 @pytest.fixture(scope="module")
-def saved_v2(hub_index, tmp_path_factory):
+def saved_v3(hub_index, tmp_path_factory):
     root = tmp_path_factory.mktemp("oracleidx")
     json_path = root / "index.json"
     bin_path = root / "index.bin"
@@ -64,12 +65,11 @@ class TestQueryByteIdentity:
         assert "oracle_hits" not in plain.stats
         assert "oracle_fallbacks" not in plain.stats
         assisted = roadpart_dps(hub_index, medium_query)
-        assert (assisted.stats["oracle_hits"]
-                + assisted.stats["oracle_fallbacks"]
-                == assisted.stats["b"])
-        # The short-circuited bridges are exactly the invalid ones.
-        assert (assisted.stats["oracle_fallbacks"]
-                >= assisted.stats["bv"])
+        # The table answers every examined bridge, valid or not.
+        assert assisted.stats["b"] > 0
+        assert assisted.stats["oracle_hits"] == assisted.stats["b"]
+        assert assisted.stats["oracle_fallbacks"] == 0
+        assert assisted.stats["bv"] == plain.stats["bv"]
 
     def test_oracle_none_policy_disables_even_when_attached(
             self, hub_index, medium_query):
@@ -84,39 +84,49 @@ class TestQueryByteIdentity:
 
 
 class TestSerialisation:
-    def test_oracle_none_build_writes_version_2(self, medium_index,
+    def test_oracle_none_build_writes_version_3(self, medium_index,
                                                 tmp_path):
         path = tmp_path / "plain.bin"
         medium_index.save_binary(path)
         header = binfmt.read_header(path)
-        assert header.version == binfmt.VERSION == 2
+        assert header.version == binfmt.VERSION == 3
+        assert binfmt.FORMAT_NAME == "roadpart-index-bin-v3"
         assert tuple(header.sections) == binfmt.SECTION_TAGS
 
-    def test_oracle_build_writes_version_2(self, saved_v2):
-        _, bin_path = saved_v2
+    def test_oracle_build_writes_version_3(self, saved_v3, hub_index,
+                                           medium_network):
+        _, bin_path = saved_v3
         header = binfmt.read_header(bin_path)
         assert header.version == binfmt.VERSION
-        assert binfmt.ORACLE_META_TAG in header.sections
-        for tag in binfmt.HUB_SECTION_TAGS:
-            assert tag in header.sections
+        assert tuple(header.sections) == (binfmt.SECTION_TAGS
+                                          + binfmt.ORACLE_SECTION_TAGS)
+        assert binfmt.ORACLE_SECTION_TAGS == (
+            b"oracle", b"orends", b"ordist", b"orpred")
+        cells = len(hub_index.oracle.hubs) * medium_network.num_vertices
+        assert header.sections[b"ordist"][1] == 8 * cells
+        assert header.sections[b"orpred"][1] == 4 * cells
+        assert (binfmt.read_oracle_meta(bin_path, header)
+                == len(hub_index.oracle.hubs))
 
-    def test_binary_round_trip_preserves_answers(self, saved_v2,
+    def test_binary_round_trip_preserves_answers(self, saved_v3,
                                                  medium_network,
                                                  hub_index,
                                                  medium_query):
-        _, bin_path = saved_v2
+        _, bin_path = saved_v3
         loaded = RoadPartIndex.load_binary(bin_path, medium_network)
         assert loaded.oracle is not None
         assert loaded.oracle.kind == "hub"
         assert loaded.stats.oracle_entries == hub_index.oracle.entry_count()
+        # The rows stay views over the mapping: nothing is materialised.
+        assert isinstance(loaded.oracle.to_payload()["dist"], memoryview)
         fresh = roadpart_dps(hub_index, medium_query)
         reloaded = roadpart_dps(loaded, medium_query)
         assert reloaded.vertices == fresh.vertices
         assert reloaded.stats == fresh.stats
 
-    def test_json_round_trip_preserves_oracle(self, saved_v2,
+    def test_json_round_trip_preserves_oracle(self, saved_v3,
                                               medium_network, hub_index):
-        json_path, _ = saved_v2
+        json_path, _ = saved_v3
         loaded = RoadPartIndex.load(json_path, medium_network)
         assert loaded.oracle is not None
         assert (loaded.oracle.to_payload()
@@ -127,7 +137,7 @@ class TestSerialisation:
 
     def test_version_1_file_rejected(self, medium_index, medium_network,
                                      tmp_path):
-        """An older build's oracle-less file: the version-2 layout with
+        """An older build's oracle-less file: the version-3 layout with
         a version-1 header word."""
         path = tmp_path / "v1.bin"
         medium_index.save_binary(path)
@@ -140,10 +150,23 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="version 1"):
             binfmt.read_header(path)
 
-    def test_oracle_kind_code_2_rejected(self, saved_v2, medium_network,
+    def test_version_2_hub_label_file_rejected(self, saved_v3,
+                                               medium_network, tmp_path):
+        """A version-2 file (the retired hub-label oracle) asks for a
+        rebuild instead of being misread."""
+        _, bin_path = saved_v3
+        blob = bytearray(bin_path.read_bytes())
+        blob[4:8] = struct.pack("<I", 2)
+        path = tmp_path / "v2.bin"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IndexFormatError,
+                           match="version 2.*rebuild the index"):
+            RoadPartIndex.load_binary(path, medium_network)
+
+    def test_oracle_kind_code_2_rejected(self, saved_v3, medium_network,
                                          tmp_path):
         """Kind code 2 was the contraction-hierarchy oracle."""
-        _, bin_path = saved_v2
+        _, bin_path = saved_v3
         header = binfmt.read_header(bin_path)
         meta_offset, _ = header.sections[binfmt.ORACLE_META_TAG]
         blob = bytearray(bin_path.read_bytes())
@@ -155,15 +178,15 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="kind code 2"):
             binfmt.read_oracle_meta(path, binfmt.read_header(path))
 
-    def test_contraction_hierarchy_sections_rejected(self, saved_v2,
+    def test_contraction_hierarchy_sections_rejected(self, saved_v3,
                                                      medium_network,
                                                      tmp_path):
         """A file laid out the way older builds wrote a CH oracle names
         the section this build does not know."""
-        _, bin_path = saved_v2
+        _, bin_path = saved_v3
         blob = bin_path.read_bytes()
-        for old, new in zip(binfmt.HUB_SECTION_TAGS,
-                            (b"orchrk", b"orchof", b"orchtg", b"orchwt")):
+        for old, new in zip(binfmt.TABLE_SECTION_TAGS,
+                            (b"orchrk", b"orchof", b"orchtg")):
             blob = blob.replace(old.ljust(8, b"\0"), new.ljust(8, b"\0"))
         path = tmp_path / "ch.bin"
         path.write_bytes(blob)
@@ -171,9 +194,9 @@ class TestSerialisation:
             RoadPartIndex.load_binary(path, medium_network)
         assert "rebuild" in str(excinfo.value)
 
-    def test_json_ch_oracle_payload_rejected(self, saved_v2,
+    def test_json_ch_oracle_payload_rejected(self, saved_v3,
                                              medium_network, tmp_path):
-        json_path, _ = saved_v2
+        json_path, _ = saved_v3
         doc = json.loads(json_path.read_text())
         doc["oracle"] = {"kind": "ch", "rank": [], "offsets": [0],
                          "up_targets": [], "up_weights": []}
@@ -182,24 +205,24 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="'ch'"):
             RoadPartIndex.load(bad, medium_network)
 
-    def test_unknown_section_tag_names_path_and_section(self, saved_v2,
+    def test_unknown_section_tag_names_path_and_section(self, saved_v3,
                                                         tmp_path):
-        _, bin_path = saved_v2
+        _, bin_path = saved_v3
         blob = bin_path.read_bytes()
-        assert blob.count(b"orhubs") == 1  # only the section table
+        assert blob.count(b"orends") == 1  # only the section table
         mangled = tmp_path / "mangled.bin"
-        mangled.write_bytes(blob.replace(b"orhubs", b"zzhubs"))
+        mangled.write_bytes(blob.replace(b"orends", b"zzends"))
         with pytest.raises(IndexFormatError) as excinfo:
             binfmt.read_index_binary(mangled)
-        assert "zzhubs" in str(excinfo.value)
+        assert "zzends" in str(excinfo.value)
         assert "mangled.bin" in str(excinfo.value)
 
-    def test_malformed_json_oracle_payload_raises(self, saved_v2,
+    def test_malformed_json_oracle_payload_raises(self, saved_v3,
                                                   medium_network,
                                                   tmp_path):
-        json_path, _ = saved_v2
+        json_path, _ = saved_v3
         doc = json.loads(json_path.read_text())
-        del doc["oracle"]["offsets"]
+        del doc["oracle"]["pred"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(IndexFormatError, match="oracle"):
@@ -219,10 +242,22 @@ class TestBuildDeterminism:
         assert (parallel_path.read_bytes()
                 == serial_path.read_bytes())
 
+    @needs_fork
+    def test_parallel_json_matches_serial(self, medium_network, hub_index,
+                                          tmp_path):
+        """The fork-parallel table rows reach the JSON payload too."""
+        parallel = build_index(medium_network, border_count=8, jobs=3,
+                               oracle="auto")
+        parallel.save(tmp_path / "parallel.json")
+        hub_index.save(tmp_path / "serial.json")
+        assert ((tmp_path / "parallel.json").read_bytes()
+                == (tmp_path / "serial.json").read_bytes())
+
     def test_build_stats_record_oracle_phase(self, hub_index,
-                                             medium_index):
+                                             medium_index, medium_network):
         assert hub_index.stats.oracle_kind == "hub"
-        assert hub_index.stats.oracle_entries > 0
+        assert hub_index.stats.oracle_entries == (
+            len(hub_index.oracle.hubs) * medium_network.num_vertices)
         assert hub_index.stats.oracle_seconds > 0
         assert medium_index.stats.oracle_kind == "none"
         assert medium_index.stats.oracle_entries == 0

@@ -143,25 +143,6 @@ def _bridged_fixture(seed):
     return network, bridges
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_hub_scratch_matches_dict_scratch(seed):
-    """VecHubScratch vs _HubScratch over a real hub oracle: identical
-    endpoint maps, validity answers and (UD*, VD*) sets."""
-    from repro.datasets.queries import window_query
-    from repro.shortestpath.oracle import _HubScratch, build_oracle
-    from repro.shortestpath.vec import VecHubScratch
-    network, bridges = _bridged_fixture(seed)
-    oracle = build_oracle(network, "auto", sorted(bridges))
-    targets = window_query(network, 0.35, seed=seed)
-    ref = _HubScratch(oracle, targets)
-    vec = VecHubScratch(oracle, targets)
-    for u, v in sorted(bridges):
-        w = network.edge_weight(u, v)
-        assert ref.domain_maps(u, v) == vec.domain_maps(u, v)
-        assert ref.bridge_valid(u, v, w) == vec.bridge_valid(u, v, w)
-        assert ref.domains(u, v, w) == vec.domains(u, v, w)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_dps_entry_points_byte_identical(seed):
     """engine="numpy" end to end: every DPS algorithm returns exactly

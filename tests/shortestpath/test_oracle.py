@@ -1,17 +1,21 @@
-"""Unit tests for the bridge-domain distance-oracle facade.
+"""Unit tests for the bridge-domain oracle: the endpoint tree table.
 
-The contract under test: the hub-label oracle answers the workload
-pairs ``(x, bridge endpoint)`` *exactly*, its payload round-trips
-through the flat-array form the serialisers use, and the policy
-resolution behind ``oracle="auto"`` matches its documentation.
+The contract under test: the table's rows are the exact shortest-path
+trees of the bridge endpoints, its domains and path patches equal the
+dual-heap search's, its payload round-trips through the flat-row form
+the serialisers use, corrupt cells raise ``IndexFormatError`` where a
+query reads them, and the policy resolution behind ``oracle="auto"``
+matches its documentation.
 """
 
 import math
+from array import array
 
 import pytest
 
 from repro.core.roadpart.bridges import find_bridges
 from repro.datasets.synthetic import add_bridges, grid_network
+from repro.errors import IndexFormatError
 from repro.shortestpath import (
     HubOracle,
     ORACLE_POLICIES,
@@ -19,7 +23,9 @@ from repro.shortestpath import (
     oracle_from_payload,
     resolve_oracle_kind,
 )
+from repro.shortestpath.bidirectional import bridge_domains
 from repro.shortestpath.dijkstra import sssp
+from repro.shortestpath.paths import collect_path_vertices
 
 
 @pytest.fixture(scope="module")
@@ -94,13 +100,13 @@ class TestPolicyResolution:
 
     def test_build_oracle_accepts_generator_bridges(self, bridged):
         """Regression: build_oracle drained a generator in the resolve
-        probe and then built a hub oracle over *no* endpoints.  A
+        probe and then built an oracle over *no* endpoints.  A
         generator must now yield the same oracle as the list."""
         network, bridges = bridged
         from_list = build_oracle(network, "auto", bridges)
         from_gen = build_oracle(network, "auto", (b for b in bridges))
         assert from_gen is not None
-        assert from_gen.hub_order == from_list.hub_order
+        assert from_gen.hubs == from_list.hubs
         assert from_gen.to_payload() == from_list.to_payload()
 
 
@@ -113,68 +119,165 @@ class TestHubOracle:
     def test_covers_exactly_the_endpoints(self, bridged, oracle):
         network, bridges = bridged
         endpoints = {e for bridge in bridges for e in bridge}
-        u, v = bridges[0]
-        assert oracle.covers(u, v)
+        assert oracle.hubs == tuple(sorted(endpoints))
+        for e in endpoints:
+            assert len(oracle.dist_row(e)) == network.num_vertices
         outsider = next(x for x in range(network.num_vertices)
                         if x not in endpoints)
-        assert not oracle.covers(u, outsider)
+        with pytest.raises(KeyError):
+            oracle.dist_row(outsider)
 
     def test_distances_exact_for_workload_pairs(self, bridged, oracle,
                                                 targets):
-        """The partial PLL must be exact for every (x, endpoint) pair --
-        the soundness claim the query processor relies on."""
-        network, bridges = bridged
-        scratch = oracle.scratch(targets)
-        for u, v in bridges:
-            du_map, dv_map = scratch.domain_maps(u, v)
-            for endpoint, got in ((u, du_map), (v, dv_map)):
-                expect = _true_distances(network, endpoint, targets)
-                assert set(got) == set(expect)
-                for x, d in expect.items():
-                    assert math.isclose(got[x], d, rel_tol=1e-12,
-                                        abs_tol=1e-12)
+        """Each ``dist`` row is the endpoint's exact SSSP, ``pred`` its
+        tree (``-1`` at the root) -- the soundness claim the query
+        processor relies on."""
+        network, _ = bridged
+        for endpoint in oracle.hubs:
+            tree = sssp(network, endpoint)
+            dist = oracle.dist_row(endpoint)
+            pred = oracle.pred_row(endpoint)
+            assert pred[endpoint] == -1
+            for x in targets:
+                assert dist[x] == tree.dist.get(x, math.inf)
+                if x != endpoint and x in tree.dist:
+                    assert pred[x] == tree.pred[x]
 
     def test_bridge_valid_matches_domains(self, bridged, oracle, targets):
+        """Table domains equal the dual-heap search's, so validity
+        (both non-empty) and the path patch agree too."""
         network, bridges = bridged
-        scratch = oracle.scratch(targets)
         for u, v in bridges:
-            weight = network.edge_weight(u, v)
-            ud, vd = scratch.domains(u, v, weight)
-            assert scratch.bridge_valid(u, v, weight) == bool(ud and vd)
+            ud, vd = oracle.domains(u, v, network.edge_weight(u, v),
+                                    targets)
+            ref = bridge_domains(network, u, v, targets, engine="dict")
+            assert (ud, vd) == (ref.ud_star, ref.vd_star)
+            assert bool(ud and vd) == bool(ref.ud_star and ref.vd_star)
+            members = sorted(ud | vd)
+            for endpoint, search in ((u, ref.search_u), (v, ref.search_v)):
+                got, want = set(), set()
+                oracle.collect_paths(endpoint, members, got)
+                collect_path_vertices(search.pred, endpoint, members, want)
+                assert got == want
 
     def test_payload_round_trip(self, bridged, oracle, targets):
         network, bridges = bridged
-        back = oracle_from_payload(oracle.to_payload())
+        payload = oracle.to_payload()
+        back = oracle_from_payload(
+            {k: (v.tolist() if isinstance(v, memoryview) else v)
+             for k, v in payload.items()},
+            network.num_vertices, bridges)
         assert isinstance(back, HubOracle)
-        assert back.hub_order == oracle.hub_order
+        assert back.hubs == oracle.hubs
         assert back.entry_count() == oracle.entry_count()
+        assert back.to_payload() == payload
         u, v = bridges[0]
-        assert (back.scratch(targets).domain_maps(u, v)
-                == oracle.scratch(targets).domain_maps(u, v))
+        weight = network.edge_weight(u, v)
+        assert (back.domains(u, v, weight, targets)
+                == oracle.domains(u, v, weight, targets))
 
-    def test_describe_mentions_kind_and_size(self, oracle):
+    def test_describe_mentions_kind_and_size(self, bridged, oracle):
+        network, _ = bridged
         text = oracle.describe()
-        assert "hub" in text
-        assert str(len(oracle.hub_order)) in text
+        assert "endpoint tree table" in text
+        assert str(len(oracle.hubs)) in text
+        assert oracle.entry_count() == (len(oracle.hubs)
+                                        * network.num_vertices)
+        assert oracle.row_bytes() == (8 * oracle.entry_count(),
+                                      4 * oracle.entry_count())
 
     def test_numpy_engine_degrades_to_scalar_builder(self, bridged,
                                                      oracle, monkeypatch):
-        """engine='numpy' without a backend (REPRO_VEC_DISABLE) must run
-        the scalar builder and produce the identical oracle (the
-        standard engine-registry fallback)."""
+        """An engine='numpy' index build without a backend
+        (REPRO_VEC_DISABLE) attaches the identical table: the table
+        always comes from the scalar flat kernel."""
+        from repro.core.roadpart.index import build_index
         from repro.vec.backend import ENV_DISABLE, reset_backend_probe
         network, bridges = bridged
         monkeypatch.setenv(ENV_DISABLE, "1")
         reset_backend_probe()
         try:
-            degraded = HubOracle.build(network, bridges, engine="numpy")
+            degraded = build_index(network, 4, bridges=frozenset(bridges),
+                                   engine="numpy", oracle="auto").oracle
         finally:
             reset_backend_probe()
         assert degraded.to_payload() == oracle.to_payload()
+
+    def test_parallel_build_identical(self, bridged, oracle):
+        network, bridges = bridged
+        parallel = HubOracle.build(network, bridges, jobs=3)
+        assert parallel.to_payload() == oracle.to_payload()
+
+
+def _patched(oracle, network, bridges, section, hub, vertex, value):
+    """A copy of ``oracle`` with one cell of one row overwritten."""
+    payload = oracle.to_payload()
+    cells = array("d" if section == "dist" else "i", payload[section])
+    cells[oracle.hubs.index(hub) * network.num_vertices + vertex] = value
+    payload[section] = cells
+    return oracle_from_payload(payload, network.num_vertices, bridges,
+                               source="idx.bin",
+                               sections=("ordist", "orpred"))
+
+
+class TestCorruptCells:
+    """A bad cell raises IndexFormatError naming the file, the section
+    and the endpoint where a query reads it -- never an IndexError, a
+    negative-index wrap or a silently wrong domain."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, bridged):
+        network, bridges = bridged
+        return HubOracle.build(network, bridges)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
+    def test_bad_distance(self, bridged, oracle, value):
+        network, bridges = bridged
+        u, v = bridges[0]
+        x = next(x for x in range(network.num_vertices)
+                 if x not in (u, v))
+        bad = _patched(oracle, network, bridges, "dist", v, x, value)
+        with pytest.raises(IndexFormatError,
+                           match=rf"idx\.bin: section 'ordist', row of"
+                                 rf" endpoint {v}: distance to vertex {x}"):
+            bad.domains(u, v, network.edge_weight(u, v), [u, x])
+
+    @pytest.mark.parametrize("value", [-1, -7, 10 ** 6])
+    def test_bad_predecessor(self, bridged, oracle, value):
+        network, bridges = bridged
+        u, v = bridges[0]
+        x = max(range(network.num_vertices),
+                key=lambda y: (oracle.dist_row(u)[y], y))
+        bad = _patched(oracle, network, bridges, "pred", u, x, value)
+        with pytest.raises(IndexFormatError,
+                           match=rf"section 'orpred', row of endpoint"
+                                 rf" {u}: vertex {x} has predecessor"
+                                 rf" {value}"):
+            bad.collect_paths(u, [x], set())
+
+    def test_payload_checks(self, bridged, oracle):
+        network, bridges = bridged
+        n = network.num_vertices
+        payload = oracle.to_payload()
+        hubs = list(payload["hubs"])
+        for bad_hubs, message in (
+                (hubs[:-1], "not the bridge endpoints"),
+                (hubs[::-1], "not sorted"),
+                ([n] + hubs[1:], f"endpoint {n} out of range"),
+                ([-1] + hubs[1:], "endpoint -1 out of range")):
+            with pytest.raises(IndexFormatError, match=message):
+                oracle_from_payload(dict(payload, hubs=bad_hubs), n,
+                                    bridges)
+        with pytest.raises(IndexFormatError, match="'pred' holds"):
+            oracle_from_payload(dict(payload, pred=payload["pred"][1:]),
+                                n, bridges)
+        with pytest.raises(IndexFormatError, match="bad cell"):
+            oracle_from_payload(dict(payload, pred=[2 ** 40] * (
+                len(hubs) * n)), n, bridges)
 
 
 class TestPayloadValidation:
     def test_unknown_kind_raises(self):
         for kind in ("plateau", "ch"):
             with pytest.raises(ValueError, match="unknown oracle payload"):
-                oracle_from_payload({"kind": kind})
+                oracle_from_payload({"kind": kind}, 1, [])

@@ -8,8 +8,7 @@ Three concerns, all independent of whether numpy is actually installed:
   install can actually run, ``numpy`` degrading to ``flat``;
 - the **stdlib-only contract**: with numpy made unimportable (a
   meta-path hook, the honest simulation of a bare install), every seam
-  -- ``make_search``, the DPS entry points, ``HubOracle.scratch`` --
-  must degrade to the flat/dict paths with byte-identical answers and
+  -- ``make_search`` and the DPS entry points -- must degrade to the flat/dict paths with byte-identical answers and
   exactly one stderr notice, and never an import-time failure.
 
 The serve-layer engine validation (batch driver + daemon) rides along
@@ -175,27 +174,6 @@ def test_stdlib_only_install_degrades_byte_identically(no_numpy, capsys):
     assert got == want
     err = capsys.readouterr().err
     assert err.count("falling back to the flat engine") == 1
-
-
-def test_stdlib_only_oracle_uses_dict_scratch(no_numpy):
-    from repro.core.roadpart.bridges import find_bridges
-    from repro.shortestpath.oracle import _HubScratch, build_oracle
-    network, query = _small_workload()
-    oracle = build_oracle(network, "auto", sorted(find_bridges(network)))
-    scratch = oracle.scratch(sorted(query.combined))
-    assert isinstance(scratch, _HubScratch)
-
-
-@pytest.mark.skipif(not _backend_active(),
-                    reason="needs an active numpy backend")
-def test_oracle_hands_out_vec_scratch_with_backend(clean_probe):
-    from repro.core.roadpart.bridges import find_bridges
-    from repro.shortestpath.oracle import build_oracle
-    from repro.shortestpath.vec import VecHubScratch
-    network, query = _small_workload()
-    oracle = build_oracle(network, "auto", sorted(find_bridges(network)))
-    scratch = oracle.scratch(sorted(query.combined))
-    assert isinstance(scratch, VecHubScratch)
 
 
 # -- serve-layer engine validation ------------------------------------

@@ -200,6 +200,9 @@ class TestStatsFlags:
         text = capsys.readouterr().out
         assert "labeling" in text
         assert "  round-0" in text
+        # The oracle line names the table and its size, not a builder.
+        assert "oracle: endpoint tree table, " in text
+        assert "  trees" in text
 
 
 class TestModuleEntryPoint:
@@ -412,15 +415,18 @@ class TestIndexTools:
         assert main(["index", "info", "--in", str(binary)]) == 0
         out = capsys.readouterr().out
         # build-index defaults to --oracle auto and the generated map has
-        # bridges, so the converted binary carries oracle sections (v2).
-        assert "roadpart-index-bin-v2" in out
+        # bridges, so the converted binary carries the table (v3).
+        assert "roadpart-index-bin-v3" in out
         assert "borders (l): 6" in out
         assert "section regionof" in out
-        assert "oracle:" in out
+        assert "section ordist" in out
+        assert "oracle:      hub (endpoint tree table:" in out
+        assert "dist rows" in out and "pred rows" in out
         assert main(["index", "info", "--in", str(built_index)]) == 0
         out = capsys.readouterr().out
         assert "roadpart-index-v1" in out
         assert "borders (l): 6" in out
+        assert "oracle:      hub (endpoint tree table:" in out
 
     @pytest.mark.parametrize("argv", [
         ["build-index", "--out", "x.idx"], ["query"], ["serve"],

@@ -24,7 +24,7 @@ PHASE_LABELS = {
 
 # Span labels the index build records.
 TRACE_LABELS = ["bridges", "contour", "labeling", "cuts", "flood",
-                "pockets", "oracle", "pll-scalar", "pll-vectorized"]
+                "pockets", "oracle", "trees"]
 
 
 @pytest.fixture(scope="module")
@@ -101,11 +101,15 @@ class TestObservabilityDoc:
         assert "radius" not in COUNT_EXTRAS  # the gauge the split fixes
 
     def test_documents_oracle_surfaces(self, observability_doc):
-        """PR 7 surfaces: the distance-oracle phase, its honest
-        counters, the CLI flag and the bench gate must stay
-        documented."""
+        """The oracle phase, its honest counters, the CLI flag and the
+        bench gate must stay documented, as must the table's query-time
+        contract: every examined bridge is an oracle hit and the
+        dual-heap phase runs only without a table."""
         for needle in ("oracle_hits", "oracle_fallbacks", "--oracle",
-                       "ORACLE_CHECK_RATIO", "region-0"):
+                       "ORACLE_CHECK_RATIO", "endpoint tree table",
+                       "every examined bridge",
+                       "`bridge-domains` appears only under `--oracle"
+                       " none`"):
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
 
@@ -128,26 +132,29 @@ class TestObservabilityDoc:
     def test_documents_vectorized_engine_surfaces(self,
                                                   observability_doc):
         """PR 8 surfaces: the numpy engine, its bucket-level counter
-        caveat, the fallback notice, the sweep gate and the build-info
-        metric must stay documented."""
+        caveat, the fallback notice and the build-info metric must stay
+        documented; the label-sweep gate went with the partial PLL."""
         for needle in ("numpy", "bucket-level", "REPRO_VEC_DISABLE",
-                       "bench sweep", "SWEEP_CHECK_RATIO",
                        "repro_build_info", "vec_backend",
                        "available_engines", "--engine {flat,dict,numpy}",
                        "--version"):
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
+        for gone in ("bench sweep", "SWEEP_CHECK_RATIO"):
+            assert gone not in observability_doc
 
     def test_documents_vectorized_build_surfaces(self,
                                                  observability_doc):
-        """PR 9 surfaces: the batched oracle builder's span names, the
-        engine attribution field and the build microbenchmark gate must
-        stay documented."""
-        for needle in ("pll-scalar", "pll-vectorized", "oracle_engine",
+        """Build surfaces: the table's build span and size field and the
+        build microbenchmark gate must stay documented; the partial-PLL
+        builder's span names and engine field are gone."""
+        for needle in ("trees", "oracle_entries", "endpoints × |V|",
                        "bench build", "BUILD_CHECK_RATIO",
                        "FIG10_REPEATS"):
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
+        for gone in ("pll-scalar", "pll-vectorized", "oracle_engine"):
+            assert gone not in observability_doc
 
     def test_documents_every_exposed_metric_family(self):
         """Every family the daemon can emit must appear in the doc's
@@ -281,7 +288,7 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("DPSDaemon", "binfmt", "ResultCache",
                        "canonical_key", "mmap", "save_binary",
-                       "load_auto", "roadpart-index-bin-v2"):
+                       "load_auto", "roadpart-index-bin-v3"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "roadpart-index-bin-v1" not in doc
@@ -289,16 +296,20 @@ class TestReadmeLinks:
     def test_architecture_doc_covers_distance_oracles(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("HubOracle", "build_oracle",
-                       "oracle_from_payload", "roadpart-index-bin-v2",
+                       "oracle_from_payload", "roadpart-index-bin-v3",
                        "repro.shortestpath.oracle",
-                       "ORACLE_CHECK_RATIO"):
+                       "ORACLE_CHECK_RATIO", "endpoint tree table",
+                       "collect_path_vertices", "_in_domain",
+                       "Why the `pred` rows equal the dual-heap trees",
+                       "The size trade"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "CHOracle" not in doc
 
     def test_architecture_doc_covers_vectorized_engine(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
-        for needle in ("VecDijkstraSearch", "VecHubScratch",
+        assert "VecHubScratch" not in doc
+        for needle in ("VecDijkstraSearch",
                        "repro.vec.backend", "repro.shortestpath.vec",
                        "minimum.reduceat", "result equivalence",
                        "REPRO_VEC_DISABLE", "resolve_engine",
@@ -308,8 +319,9 @@ class TestReadmeLinks:
 
     def test_architecture_doc_covers_vectorized_build(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
-        for needle in ("VecHubLabeler", "vec_pruned_labeling",
-                       "FloodEngine", "bucketed", "byte-identical",
+        for gone in ("VecHubLabeler", "vec_pruned_labeling"):
+            assert gone not in doc
+        for needle in ("FloodEngine", "bucketed", "byte-identical",
                        "CuPy", "BUILD_CHECK_RATIO", "bench build"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
