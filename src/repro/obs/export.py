@@ -64,17 +64,24 @@ def render_metrics(samples: Sequence[Sample],
                    types: Optional[Dict[str, str]] = None) -> str:
     """Render samples as Prometheus exposition text.
 
-    ``types`` maps metric names to ``counter``/``gauge``/``summary``;
-    a ``# TYPE`` line is emitted before a metric's first sample.  The
-    output ends with a newline (scrapers require it).
+    ``types`` maps metric family names to
+    ``counter``/``gauge``/``summary``/``histogram``; a ``# TYPE`` line
+    is emitted before a family's first sample, where a sample named
+    ``<family>_bucket``, ``_sum`` or ``_count`` belongs to its
+    family.  The output ends with a newline (scrapers require it).
     """
     types = types or {}
     lines: List[str] = []
     announced = set()
     for name, labels, value in samples:
-        if name not in announced and name in types:
-            lines.append(f"# TYPE {name} {types[name]}")
-            announced.add(name)
+        family = name
+        if family not in types:
+            stem, _, suffix = name.rpartition("_")
+            if suffix in ("bucket", "sum", "count"):
+                family = stem
+        if family not in announced and family in types:
+            lines.append(f"# TYPE {family} {types[family]}")
+            announced.add(family)
         lines.append(f"{name}{_format_labels(labels)}"
                      f" {_format_value(value)}")
     return "\n".join(lines) + "\n"

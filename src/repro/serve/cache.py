@@ -44,10 +44,16 @@ def canonical_key(algorithm: str, query: DPSQuery, *,
     but the answer's *stats* payload is not (``oracle_hits`` /
     ``oracle_fallbacks`` appear only on oracle-answered requests), so
     oracle policy is part of cache identity too.
+
+    A Q query (one set object on both sides) is sorted once and the
+    tuple reused for T; the key equals the one two sorts would build.
     """
+    sources = tuple(sorted(query.sources))
+    targets = (sources if query.targets is query.sources
+               else tuple(sorted(query.targets)))
     return (algorithm,
-            tuple(sorted(query.sources)),
-            tuple(sorted(query.targets)),
+            sources,
+            targets,
             engine,
             deadline_ms,
             tuple(fallback),

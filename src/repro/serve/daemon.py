@@ -26,17 +26,26 @@ Endpoints (full request/response contracts in docs/serving.md):
     JSON body ``{"algorithm": ..., "Q": [...]}`` (or ``"S"``/``"T"``),
     optional ``"deadline_ms"`` / ``"fallback"``.  200 with the answer
     body on success (``X-Repro-Cache: hit|miss`` tells you which path
-    answered), 400 for malformed requests, 504 for an exhausted
-    deadline cascade, 500 for any other query failure.
+    answered; ``X-Repro-Engine`` / ``X-Repro-Oracle`` name the resolved
+    engine and oracle), 400 for malformed requests or a malformed
+    ``Content-Length``, 413 for a body over :data:`MAX_BODY_BYTES`,
+    504 for an exhausted deadline cascade, 500 for any other query
+    failure.
 ``GET /healthz``
     Liveness + a small status document.
 ``GET /metrics``
     Prometheus-text counters: request/failure/fallback totals, cache
     hit/miss/eviction counters, latency quantiles over a recent
-    window, and the merged :mod:`repro.obs` engine counters of every
-    *computed* answer (cache hits deliberately contribute nothing but
+    window, per-layer latency histograms, and the merged
+    :mod:`repro.obs` engine counters of every *computed* answer (cache
+    hits deliberately contribute nothing but
     ``repro_cache_hits_total`` -- see
     :class:`~repro.serve.StatsAccumulator`).
+
+Transport: every response leaves in one send (status line, headers and
+body in one buffer) on a TCP_NODELAY socket, so a keep-alive client
+never waits on its delayed-ACK timer, and a connection that stays
+silent for :data:`HANDLER_TIMEOUT_S` frees its handler thread.
 
 Concurrency: the HTTP layer is ``ThreadingHTTPServer`` (one thread per
 connection, stdlib); query *compute* is serialised by a lock because
@@ -51,6 +60,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -81,6 +91,28 @@ LATENCY_WINDOW = 2048
 #: The quantiles /metrics exposes.
 LATENCY_QUANTILES = (50.0, 95.0, 99.0)
 
+#: The layers ``repro_request_layer_seconds`` splits a /query request
+#: into, in pipeline order.  A cache hit passes only the first two.
+REQUEST_LAYERS = ("parse", "cache", "lock_wait", "compute", "serialize")
+
+#: Upper bounds (seconds) of the layer histogram buckets, 10 µs to 10 s
+#: in 1-2.5-5 steps: a hit's parse and cache layers sit in the tens of
+#: µs, a cold RoadPart or BL-E compute in the ms.
+LAYER_BUCKETS = (1e-05, 2.5e-05, 5e-05, 0.0001, 0.00025, 0.0005, 0.001,
+                 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
+                 2.5, 5.0, 10.0)
+
+#: Largest /query body accepted, in bytes (a Q set of about a million
+#: vertex ids).  A larger ``Content-Length`` is answered 413 before any
+#: of the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds a handler thread waits on a silent connection -- a body that
+#: never arrives, or an idle keep-alive client -- before it closes the
+#: connection.  Far above the gaps a live client leaves between
+#: requests.
+HANDLER_TIMEOUT_S = 30.0
+
 #: ``# TYPE`` declarations for the exposition.
 _METRIC_TYPES = {
     "repro_uptime_seconds": "gauge",
@@ -93,6 +125,7 @@ _METRIC_TYPES = {
     "repro_cache_evictions_total": "counter",
     "repro_cache_size": "gauge",
     "repro_request_latency_seconds": "summary",
+    "repro_request_layer_seconds": "histogram",
     "repro_computed_seconds_total": "counter",
     "repro_phase_seconds_total": "counter",
     "repro_build_info": "gauge",
@@ -177,6 +210,12 @@ class DPSDaemon:
         #: stats payload differs with/without an oracle, so policy is
         #: answer identity -- see repro.serve.cache.canonical_key).
         self.oracle = oracle
+        #: What RoadPart answers actually consult, sent as
+        #: ``X-Repro-Oracle``: the index's table kind under ``auto``,
+        #: else ``none``.
+        self.oracle_kind = ("none" if oracle == "none" or index is None
+                            or index.oracle is None
+                            else index.oracle.kind)
         self.deadline_ms = deadline_ms
         self.default_fallback: Optional[Tuple[str, ...]] = (
             tuple(fallback) if fallback is not None else None)
@@ -197,6 +236,11 @@ class DPSDaemon:
         self._latency_window: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         self._latency_count = 0
         self._latency_sum = 0.0
+        # Per layer: non-cumulative bucket counts (the last is +Inf) and
+        # the summed seconds.
+        self._layer_buckets = [[0] * (len(LAYER_BUCKETS) + 1)
+                               for _ in REQUEST_LAYERS]
+        self._layer_sums = [0.0] * len(REQUEST_LAYERS)
         self._accumulator = StatsAccumulator()
         self._started_at = time.monotonic()
         # Warm start: CSR arrays + arena pool exist before the first
@@ -326,10 +370,11 @@ class DPSDaemon:
     def _parse_query_sets(self, payload: Dict) -> DPSQuery:
         def id_list(key: str) -> List[int]:
             raw = payload.get(key)
+            # One C-level pass over the element types: json.loads yields
+            # exact ints, and bool is a type of its own, so this admits
+            # the same lists as isinstance(v, int) and not bool.
             if (not isinstance(raw, list) or not raw
-                    or not all(isinstance(v, int)
-                               and not isinstance(v, bool)
-                               for v in raw)):
+                    or set(map(type, raw)) != {int}):
                 raise RequestValidationError(
                     f"{key!r} must be a non-empty list of vertex ids")
             return raw
@@ -353,27 +398,30 @@ class DPSDaemon:
         """Answer one /query body: ``(status, response_bytes, headers)``.
 
         This is the whole request pipeline minus the socket, so tests
-        and the HTTP handler share it verbatim.
+        and the HTTP handler share it verbatim.  Every response carries
+        ``X-Repro-Engine`` and ``X-Repro-Oracle``; accepted requests add
+        ``X-Repro-Cache``.
         """
         started = time.perf_counter()
         try:
             request = self.parse_request(body)
         except RequestValidationError as exc:
-            with self._metrics_lock:
-                self.rejected_total += 1
-            error = {"error": {"type": "RequestValidationError",
-                               "message": str(exc)}}
-            return 400, _json_bytes(error), {}
+            return self.reject(400, str(exc))
+        parsed = time.perf_counter()
         key = canonical_key(request.algorithm, request.query,
                             engine=request.engine,
                             deadline_ms=request.deadline_ms,
                             fallback=request.fallback,
                             oracle=self.oracle)
         cached = self.cache.get(key)
+        looked_up = time.perf_counter()
         if cached is not None:
-            self._note_request(time.perf_counter() - started)
-            return 200, cached, {"X-Repro-Cache": "hit"}
+            self._note_request((parsed - started, looked_up - parsed))
+            return 200, cached, {"X-Repro-Cache": "hit",
+                                 "X-Repro-Engine": request.engine,
+                                 "X-Repro-Oracle": self.oracle_kind}
         with self._compute_lock:
+            locked = time.perf_counter()
             seq = self._seq
             self._seq += 1
             result, qstats, used = _answer_one(
@@ -383,25 +431,46 @@ class DPSDaemon:
                 fallback=request.fallback,
                 faults=self.faults, qindex=seq,
                 oracle=self.oracle)
-        latency = time.perf_counter() - started
-        if isinstance(result, QueryFailure):
-            self._note_request(latency, failure=True)
+            computed = time.perf_counter()
+        failed = isinstance(result, QueryFailure)
+        if failed:
             status = 504 if result.error_type == "DeadlineExceeded" else 500
-            error = {"error": {"type": result.error_type,
-                               "message": result.message,
-                               "algorithm": result.algorithm,
-                               "elapsed": result.elapsed}}
-            return status, _json_bytes(error), {"X-Repro-Cache": "miss"}
-        body_bytes = _canonical_body(result, used)
-        self.cache.put(key, body_bytes)
-        self._note_request(latency, qstats=qstats,
-                           fell_back=used is not None)
-        return 200, body_bytes, {"X-Repro-Cache": "miss"}
+            response = _error_body(result.error_type, result.message,
+                                   algorithm=result.algorithm,
+                                   elapsed=result.elapsed)
+        else:
+            status, response = 200, _canonical_body(result, used)
+        serialized = time.perf_counter()
+        if not failed:
+            self.cache.put(key, response)
+        done = time.perf_counter()
+        self._note_request(
+            (parsed - started, looked_up - parsed + done - serialized,
+             locked - looked_up, computed - locked, serialized - computed),
+            qstats=None if failed else qstats, failure=failed,
+            fell_back=used is not None)
+        return status, response, {"X-Repro-Cache": "miss",
+                                  "X-Repro-Engine": request.engine,
+                                  "X-Repro-Oracle": self.oracle_kind}
 
-    def _note_request(self, latency: float, *,
+    def reject(self, status: int, message: str,
+               ) -> Tuple[int, bytes, Dict[str, str]]:
+        """Count one rejected /query request (``repro_rejected_total``)
+        and build its ``RequestValidationError`` response."""
+        with self._metrics_lock:
+            self.rejected_total += 1
+        return (status, _error_body("RequestValidationError", message),
+                {"X-Repro-Engine": self.engine,
+                 "X-Repro-Oracle": self.oracle_kind})
+
+    def _note_request(self, layers: Sequence[float], *,
                       qstats: Optional[QueryStats] = None,
                       failure: bool = False,
                       fell_back: bool = False) -> None:
+        """Record one accepted request; ``layers`` holds the seconds of
+        the leading :data:`REQUEST_LAYERS` it passed through, which add
+        up to its latency."""
+        latency = sum(layers)
         with self._metrics_lock:
             self.requests_total += 1
             self.failures_total += int(failure)
@@ -409,6 +478,10 @@ class DPSDaemon:
             self._latency_window.append(latency)
             self._latency_count += 1
             self._latency_sum += latency
+            for i, seconds in enumerate(layers):
+                self._layer_buckets[i][bisect_left(LAYER_BUCKETS,
+                                                   seconds)] += 1
+                self._layer_sums[i] += seconds
             if qstats is not None:
                 # Computed answers only: a cache hit ran no phases and
                 # no searches, so it must not re-sum stored counters
@@ -440,6 +513,8 @@ class DPSDaemon:
             window = list(self._latency_window)
             latency_count = self._latency_count
             latency_sum = self._latency_sum
+            layer_buckets = [list(b) for b in self._layer_buckets]
+            layer_sums = list(self._layer_sums)
             merged = self._accumulator.snapshot()
             samples: List = [
                 # Build/config identity as a constant gauge (the
@@ -474,6 +549,18 @@ class DPSDaemon:
                         latency_count))
         samples.append(("repro_request_latency_seconds_sum", None,
                         latency_sum))
+        bounds = [f"{b:g}" for b in LAYER_BUCKETS] + ["+Inf"]
+        for layer, buckets, seconds in zip(REQUEST_LAYERS, layer_buckets,
+                                           layer_sums):
+            running = 0
+            for le, count in zip(bounds, buckets):
+                running += count
+                samples.append(("repro_request_layer_seconds_bucket",
+                                {"layer": layer, "le": le}, running))
+            samples.append(("repro_request_layer_seconds_sum",
+                            {"layer": layer}, seconds))
+            samples.append(("repro_request_layer_seconds_count",
+                            {"layer": layer}, running))
         samples.append(("repro_computed_seconds_total", None,
                         merged.seconds))
         types = dict(_METRIC_TYPES)
@@ -492,11 +579,44 @@ def _json_bytes(payload: Dict) -> bytes:
                       separators=(",", ":")).encode("ascii")
 
 
+def _error_body(error_type: str, message: str, **extra) -> bytes:
+    return _json_bytes({"error": {"type": error_type, "message": message,
+                                  **extra}})
+
+
+def _content_length(values: Optional[List[str]]) -> int:
+    """The body length a request declares: 0 without a ``Content-Length``
+    header, else its single value, which must be ASCII digits only (no
+    sign, no inner spaces).  Raises RequestValidationError otherwise.
+    A numeral with more digits than ``MAX_BODY_BYTES`` reads as
+    ``MAX_BODY_BYTES + 1`` unconverted: ``int()`` refuses one over 4300
+    digits."""
+    if not values:
+        return 0
+    if len(values) > 1:
+        raise RequestValidationError(
+            f"{len(values)} Content-Length headers; send one")
+    raw = values[0].strip()
+    if not (raw.isascii() and raw.isdigit()):
+        raise RequestValidationError(
+            f"Content-Length must be a byte count in decimal digits,"
+            f" got {raw!r}")
+    digits = raw.lstrip("0")
+    if len(digits) > len(str(MAX_BODY_BYTES)):
+        return MAX_BODY_BYTES + 1
+    return int(digits or "0")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Routes the three endpoints onto the daemon object."""
 
     server_version = "repro-dps/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: the stdlib's own send_error replies write the head
+    # and the body apart, and Nagle would hold the body back until the
+    # client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    timeout = HANDLER_TIMEOUT_S
 
     @property
     def dps(self) -> DPSDaemon:
@@ -509,13 +629,22 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(self, status: int, body: bytes,
                  headers: Optional[Dict[str, str]] = None,
                  content_type: str = "application/json") -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+        """Write the whole response -- status line, headers and body --
+        with one send.  Written apart, the body of a keep-alive response
+        waits for the client's delayed ACK."""
+        self.log_request(status, len(body))
+        head = [f"{self.protocol_version} {status}"
+                f" {self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                f"Content-Type: {content_type}",
+                f"Content-Length: {len(body)}"]
         for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+            head.append(f"{name}: {value}")
+            if name == "Connection" and value == "close":
+                self.close_connection = True
+        head.append("\r\n")
+        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
 
     def do_GET(self) -> None:
         if self.path == "/healthz":
@@ -525,24 +654,39 @@ class _Handler(BaseHTTPRequestHandler):
                           self.dps.render_metrics().encode("utf-8"),
                           content_type="text/plain; version=0.0.4")
         elif self.path == "/query":
-            self._respond(405, _json_bytes(
-                {"error": {"type": "MethodNotAllowed",
-                           "message": "/query takes POST"}}))
+            self._respond(405, _error_body("MethodNotAllowed",
+                                           "/query takes POST"))
         else:
-            self._respond(404, _json_bytes(
-                {"error": {"type": "NotFound",
-                           "message": f"no such endpoint {self.path}"}}))
+            self._respond(404, _error_body(
+                "NotFound", f"no such endpoint {self.path}"))
 
     def do_POST(self) -> None:
         if self.path != "/query":
-            self._respond(404, _json_bytes(
-                {"error": {"type": "NotFound",
-                           "message": f"no such endpoint {self.path}"}}))
+            # The body of an unknown endpoint is never read, so the
+            # connection cannot carry another request.
+            self._respond(404, _error_body(
+                "NotFound", f"no such endpoint {self.path}"),
+                {"Connection": "close"})
             return
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        try:
+            length = _content_length(self.headers.get_all("Content-Length"))
+        except RequestValidationError as exc:
+            self._reject_framing(400, str(exc))
+            return
+        if length > MAX_BODY_BYTES:
+            self._reject_framing(
+                413, f"Content-Length exceeds MAX_BODY_BYTES"
+                f" ({MAX_BODY_BYTES} bytes)")
+            return
         body = self.rfile.read(length) if length else b""
-        status, response, headers = self.dps.handle_query(body)
-        self._respond(status, response, headers)
+        self._respond(*self.dps.handle_query(body))
+
+    def _reject_framing(self, status: int, message: str) -> None:
+        """Answer a request whose body cannot be delimited; the unread
+        body would be taken for the next request, so the connection
+        closes."""
+        status, body, headers = self.dps.reject(status, message)
+        self._respond(status, body, {**headers, "Connection": "close"})
 
 
 def serve(network: RoadNetwork, index: Optional[RoadPartIndex] = None,

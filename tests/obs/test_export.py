@@ -56,6 +56,14 @@ class TestRenderMetrics:
             {"lat": "summary"})
         assert text.count("# TYPE lat summary") == 1
 
+    def test_histogram_samples_announce_their_family(self):
+        text = render_metrics(
+            [("lat_bucket", {"le": "+Inf"}, 2), ("lat_sum", None, 0.5),
+             ("lat_count", None, 2)],
+            {"lat": "histogram"})
+        assert text.startswith("# TYPE lat histogram\n")
+        assert text.count("# TYPE") == 1
+
     def test_bool_rejected(self):
         # bool is an int subclass; an accidental True would render as
         # a valid-looking sample and hide the bug.

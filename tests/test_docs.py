@@ -125,7 +125,8 @@ class TestObservabilityDoc:
                        "repro_computed_seconds_total",
                        "repro_phase_seconds_total", "StatsAccumulator",
                        "render_metrics", "parse_metrics",
-                       "--arrival-rate"):
+                       "--arrival-rate", "repro_request_layer_seconds",
+                       "lock_wait", "serialize"):
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
 
@@ -194,7 +195,9 @@ class TestServingDoc:
         for needle in ("POST /query", "GET /healthz", "GET /metrics",
                        "X-Repro-Cache", "400", "504", "500",
                        "RequestValidationError", "DeadlineExceeded",
-                       "fallback_used", "deadline_ms"):
+                       "fallback_used", "deadline_ms", "X-Repro-Engine",
+                       "X-Repro-Oracle", "413", "MAX_BODY_BYTES",
+                       "HANDLER_TIMEOUT_S", "TCP_NODELAY"):
             assert needle in serving_doc, (
                 f"{needle!r} missing from docs/serving.md")
 

@@ -20,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro.core.dps import DPSQuery
+from repro.core.roadpart.index import build_index
 from repro.core.roadpart.query import roadpart_dps
 from repro.datasets.queries import window_query
 from repro.obs.export import parse_metrics
@@ -128,6 +129,25 @@ class TestQueryEndpoint:
         assert cold_status == warm_status == 200
         assert warm_headers["X-Repro-Cache"] == "hit"
         assert cold == warm  # literal byte identity, the cache contract
+        # The resolved config travels in headers, never in the body (the
+        # fixture index carries no table, so no oracle answers).
+        for headers in (cold_headers, warm_headers):
+            assert headers["X-Repro-Engine"] == "flat"
+            assert headers["X-Repro-Oracle"] == "none"
+        assert b"flat" not in warm
+
+    def test_oracle_header_resolves_against_the_index(
+            self, medium_network, medium_index, window):
+        hub_index = build_index(medium_network, border_count=8,
+                                oracle="auto")
+        body = json.dumps({"Q": window}).encode("ascii")
+        for index, policy, kind in ((hub_index, "auto", "hub"),
+                                    (hub_index, "none", "none"),
+                                    (medium_index, "auto", "none")):
+            d = DPSDaemon(medium_network, index, oracle=policy)
+            status, _, headers = d.handle_query(body)
+            assert status == 200
+            assert headers["X-Repro-Oracle"] == kind
 
     def test_st_query(self, base, window):
         half = len(window) // 2
@@ -156,11 +176,13 @@ class TestRequestValidation:
         ({"Q": [10 ** 9]}, "outside the network"),
     ])
     def test_bad_requests_are_400(self, base, payload, fragment):
-        status, body, _ = _post(base, payload)
+        status, body, headers = _post(base, payload)
         assert status == 400
         error = json.loads(body)["error"]
         assert error["type"] == "RequestValidationError"
         assert fragment in error["message"]
+        assert headers["X-Repro-Engine"] == "flat"
+        assert "X-Repro-Cache" not in headers
 
     def test_not_json_is_400(self, base, daemon):
         status, body, headers = daemon.handle_query(b"{nope")
@@ -212,14 +234,27 @@ class TestMetricsHonesty:
             for w in windows + windows + windows:  # 2 misses, 4 hits
                 status, _, _ = _post(base, {"Q": w})
                 assert status == 200
+            assert _post(base, {"Q": []})[0] == 400
             metrics = parse_metrics(d.render_metrics())
             assert metrics["repro_requests_total"] == 6
+            assert metrics["repro_rejected_total"] == 1
             assert metrics["repro_cache_misses_total"] == 2
             assert metrics["repro_cache_hits_total"] == 4
             assert metrics["repro_failures_total"] == 0
             assert metrics["repro_request_latency_seconds_count"] == 6
             assert metrics['repro_request_latency_seconds{quantile="0.5"}'] \
                 > 0.0
+            # Hits pass parse and cache only; a rejected request passes
+            # none of the layers.
+            for layer, count in (("parse", 6), ("cache", 6),
+                                 ("lock_wait", 2), ("compute", 2),
+                                 ("serialize", 2)):
+                assert metrics["repro_request_layer_seconds_count"
+                               f'{{layer="{layer}"}}'] == count
+                assert metrics["repro_request_layer_seconds_bucket"
+                               f'{{layer="{layer}",le="+Inf"}}'] == count
+                assert metrics["repro_request_layer_seconds_sum"
+                               f'{{layer="{layer}"}}'] > 0.0
         finally:
             d.stop()
 
