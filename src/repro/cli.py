@@ -73,14 +73,9 @@ from repro.shortestpath.oracle import ORACLE_POLICIES
 
 
 def _version_line() -> str:
-    """``repro --version`` capability line: version, the engines this
-    install can actually run, and the active array backend."""
+    """``repro --version`` capability line: version and engines."""
     from repro import __version__
-    from repro.shortestpath.flat import available_engines
-    from repro.vec.backend import backend_name
-    engines = ", ".join(available_engines())
-    return (f"repro {__version__}"
-            f" (engines: {engines}; vec backend: {backend_name()})")
+    return f"repro {__version__} (engines: {', '.join(ENGINES)})"
 
 
 def _load_network(args) -> RoadNetwork:
@@ -398,12 +393,6 @@ def _table_line(endpoints: int, dist_bytes: int, pred_bytes: int) -> None:
 def _cmd_index_info(args) -> int:
     from repro.core.roadpart import binfmt
     from repro.core.roadpart.index import read_index_json
-    from repro.shortestpath.flat import available_engines
-    from repro.vec.backend import backend_name
-
-    def _capability_line() -> None:
-        print(f"vec backend: {backend_name()}"
-              f" (engines: {', '.join(available_engines())})")
 
     path = getattr(args, "in")
     if binfmt.sniff_binary(path):
@@ -423,7 +412,6 @@ def _cmd_index_info(args) -> int:
         for tag, (offset, length) in header.sections.items():
             print(f"section {tag.decode('ascii'):<9}"
                   f" offset={offset} bytes={length}")
-        _capability_line()
         return 0
     payload = read_index_json(path)
     print(f"format:      {payload.get('format', '?')}")
@@ -437,7 +425,6 @@ def _cmd_index_info(args) -> int:
                     4 * len(oracle.get("pred", [])))
     else:
         print(f"oracle:      {oracle.get('kind') if oracle else 'none'}")
-    _capability_line()
     return 0
 
 
@@ -480,12 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
                             " index is byte-identical to --jobs 1)")
     build.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
-                       help="build kernels: A* for the cuts plus, with"
-                            " numpy, the vectorized flood pass"
-                            " (byte-identical index with every engine;"
-                            " the oracle table always runs the flat"
-                            " kernel; numpy needs the 'vec' extra and"
-                            " falls back to flat with a notice)")
+                       help="A* kernel for the cuts (byte-identical"
+                            " index with either engine; the oracle table"
+                            " always runs the flat kernel)")
     build.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
                        help="bridge-domain oracle to precompute (auto:"
@@ -522,9 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                             " (.gr/.co/.vertices appended)")
     query.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
-                       help="SSSP kernel (identical answers with every"
-                            " engine; numpy needs the 'vec' extra and"
-                            " falls back to flat with a notice)")
+                       help="SSSP kernel (identical answers with either"
+                            " engine)")
     query.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
                        help="bridge-domain oracle policy (auto: answer"
@@ -568,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
                             " none")
     serve.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
-                       help="SSSP kernel (identical answers with every"
-                            " engine; numpy needs the 'vec' extra)")
+                       help="SSSP kernel (identical answers with either"
+                            " engine)")
     serve.add_argument("--oracle", choices=list(ORACLE_POLICIES),
                        default="auto",
                        help="bridge-domain oracle policy; part of every"

@@ -36,10 +36,10 @@ def bl_quality(network: RoadNetwork, query: DPSQuery,
 
     ``stats`` (optional) collects per-phase timings (``sssp``,
     ``collect``) and engine counters.  ``engine`` selects the kernel of
-    :func:`~repro.shortestpath.settle.settle_targets`: every engine
-    returns identical vertices, but ``flat`` and ``numpy`` run the
-    goal-directed kernel, so their counters count fewer settles than
-    ``dict``'s.  ``deadline`` (optional) bounds the query's wall clock
+    :func:`~repro.shortestpath.settle.settle_targets`: both engines
+    return identical vertices, but ``flat`` runs the goal-directed
+    kernel, so its counters count fewer settles than ``dict``'s.
+    ``deadline`` (optional) bounds the query's wall clock
     across *all* its SSSP rounds (one shared budget); on expiry the
     round's scratch is recycled and
     :class:`~repro.errors.DeadlineExceeded` propagates.

@@ -146,10 +146,10 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
     ``stats`` (optional) collects per-phase timings (``hull-membership``,
     ``crossing-border``, ``connect-borders``) and engine counters.
     ``engine`` selects the kernel of
-    :func:`~repro.shortestpath.settle.settle_targets`: every engine
-    returns identical vertices, but ``flat`` and ``numpy`` run the
-    goal-directed kernel, so their counters count fewer settles than
-    ``dict``'s.  ``deadline`` (optional) bounds the
+    :func:`~repro.shortestpath.settle.settle_targets`: both engines
+    return identical vertices, but ``flat`` runs the goal-directed
+    kernel, so its counters count fewer settles than ``dict``'s.
+    ``deadline`` (optional) bounds the
     border-connection SSSP rounds (the dominant cost; the geometric
     phases are not deadline-checked) -- see
     :mod:`repro.shortestpath.deadline`.

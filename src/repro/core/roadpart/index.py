@@ -42,7 +42,7 @@ from repro.errors import IndexFormatError
 from repro.core.roadpart.border import select_borders
 from repro.core.roadpart.bridges import EdgeKey, find_bridges
 from repro.core.roadpart.contour import Contour, compute_contour
-from repro.core.roadpart.labeling import CutCache, FloodEngine, label_round
+from repro.core.roadpart.labeling import CutCache, label_round
 from repro.core.roadpart.parallel import fork_available, run_parallel_labeling
 from repro.core.roadpart.regions import RegionBuilder, RegionSet
 from repro.graph.network import RoadNetwork
@@ -314,13 +314,8 @@ def build_index(network: RoadNetwork, border_count: int,
     byte-identical to a serial build.  Platforms without ``fork`` fall
     back to the serial loop silently.  ``engine`` selects the A* kernel
     for the cuts (``'flat'``/``'dict'``; identical cuts either way, see
-    :mod:`repro.shortestpath.flat`) and the in-zone flood pass
-    (``'numpy'`` runs the array-backed
-    :class:`~repro.core.roadpart.labeling.FloodEngine`).  Every engine
-    -- and any ``jobs``/``engine`` combination -- produces a
-    **byte-identical index**; the vectorized pass is a pure speed knob
-    that degrades to scalar without a backend or under
-    ``REPRO_VEC_DISABLE``.
+    :mod:`repro.shortestpath.flat`), so any ``jobs``/``engine``
+    combination produces a **byte-identical index**.
 
     ``oracle`` (``"none"``/``"auto"``, see
     :mod:`repro.shortestpath.oracle`) adds the endpoint tree table
@@ -357,13 +352,11 @@ def build_index(network: RoadNetwork, border_count: int,
     builder = RegionBuilder(network.num_vertices)
     bridge_set = set(bridges)
     cut_cache = CutCache(network, forbidden_edges=bridge_set, engine=engine)
-    flood_engine = FloodEngine(network, bridge_set, engine=engine)
     with trace.span("labeling"):
         if jobs > 1 and fork_available():
             rounds = run_parallel_labeling(network, contour,
                                            border_positions, bridge_set,
-                                           cut_cache, jobs, trace,
-                                           flood=flood_engine)
+                                           cut_cache, jobs, trace)
         else:
             rounds = []
             for round_index in range(len(border_positions)):
@@ -371,8 +364,7 @@ def build_index(network: RoadNetwork, border_count: int,
                     rounds.append(label_round(network, contour,
                                               border_positions,
                                               round_index, bridge_set,
-                                              cut_cache, trace=trace,
-                                              flood=flood_engine))
+                                              cut_cache, trace=trace))
         for labels, round_stats in rounds:
             builder.apply_round(labels)
             stats.raycast_calls += round_stats.raycast_calls

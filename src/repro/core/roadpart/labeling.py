@@ -126,9 +126,7 @@ class CutCache:
     def _compute(self, source: int, target: int) -> List[int]:
         # Both A* engines expand, tie-break and trace back identically,
         # so the cut paths -- and hence the whole index -- do not depend
-        # on the engine choice (pinned by the property tests).  There is
-        # no vectorized A*: engine="numpy" runs the flat kernel here,
-        # keeping index builds byte-identical across all engines.
+        # on the engine choice (pinned by the property tests).
         search = astar if self._engine == "dict" else flat_astar
         if self._skeleton is not None:
             try:
@@ -176,124 +174,10 @@ def _in_zone_bfs(network: RoadNetwork, seeds: List[int], zone: int,
     return labelled
 
 
-class FloodEngine:
-    """The in-zone flood of steps 2 and 3 behind the engine seam.
-
-    A flood labels exactly the unlabelled vertices reachable from its
-    seeds through unlabelled vertices over non-bridge edges -- a
-    connected component, so the result is independent of traversal
-    order.  That makes an array-backed pass (whole-frontier CSR gather
-    per step instead of per-vertex adjacency-dict pops) trivially
-    result-identical to the scalar stack BFS: same vertices, same
-    ``[zone, zone]`` interval, byte-identical index.
-
-    With ``engine="numpy"`` (and a live backend -- ``resolve_engine``
-    degrades otherwise) the engine keeps a dense *labelled* mask per
-    round plus a per-arc ``arc_ok`` mask with bridge arcs struck out,
-    both CuPy-compatible array ops; any other engine delegates straight
-    to :func:`_in_zone_bfs`.  One instance serves all rounds of a build
-    (the CSR views and arc mask are round-independent) and survives
-    forking: :meth:`prewarm_for_fork` materialises the views so
-    parallel-build workers inherit them copy-on-write.
-    """
-
-    def __init__(self, network: RoadNetwork,
-                 bridges: Set[Tuple[int, int]],
-                 engine: str = "flat") -> None:
-        self._network = network
-        self._bridges = bridges
-        self._engine = resolve_engine(engine)
-        self._np = None
-        self._indptr = None
-        self._targets = None
-        self._arc_ok = None
-        self._mask = None
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether floods run the array pass (vs the scalar BFS)."""
-        return self._engine == "numpy"
-
-    def prewarm_for_fork(self) -> None:
-        """Build the arrays before forking so workers inherit them
-        copy-on-write (mirrors :meth:`CutCache.prewarm_for_fork`)."""
-        if self.vectorized:
-            self._ensure_views()
-
-    def _ensure_views(self) -> None:
-        if self._np is not None:
-            return
-        from repro.shortestpath.vec import _expand_ranges, _require_backend
-        np = _require_backend()
-        indptr, targets, _, _ = self._network.csr().vec_views()
-        arc_ok = np.ones(targets.shape[0], dtype=bool)
-        # Bridges are few; a per-bridge CSR-slice scan beats building
-        # an arc->edge-key table.
-        for u, v in self._bridges:
-            for a, b in ((u, v), (v, u)):
-                lo, hi = int(indptr[a]), int(indptr[a + 1])
-                sl = targets[lo:hi]
-                arc_ok[lo:hi] &= sl != b
-        self._np = np
-        self._expand_ranges = _expand_ranges
-        self._indptr = indptr
-        self._targets = targets
-        self._arc_ok = arc_ok
-
-    def begin_round(self, labels: List[Optional[List[int]]]) -> None:
-        """Snapshot the labelled set into the dense mask (called once
-        per round, after step 1 labels the cut vertices)."""
-        if not self.vectorized:
-            return
-        self._ensure_views()
-        np = self._np
-        n = self._network.num_vertices
-        self._mask = np.fromiter((lab is not None for lab in labels),
-                                 dtype=bool, count=n)
-
-    def mark(self, vertices: List[int]) -> None:
-        """Record vertices the caller just labelled (contour-chain
-        seeds, pocket roots, widened vertices)."""
-        if self.vectorized and vertices:
-            self._mask[self._np.asarray(vertices, dtype=self._np.int64)] \
-                = True
-
-    def flood(self, seeds: List[int], zone: int,
-              labels: List[Optional[List[int]]]) -> int:
-        """Flood ``zone`` from ``seeds`` (already labelled and marked);
-        returns the count of newly labelled vertices."""
-        if not self.vectorized:
-            return _in_zone_bfs(self._network, seeds, zone, labels,
-                                self._bridges)
-        np = self._np
-        mask = self._mask
-        indptr = self._indptr
-        labelled = 0
-        frontier = np.asarray(seeds, dtype=np.int64)
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            total = int(counts.sum())
-            if total == 0:
-                break
-            arc = self._expand_ranges(np, starts, counts, total)
-            nb = self._targets[arc]
-            nb = nb[self._arc_ok[arc] & ~mask[nb]]
-            if nb.size == 0:
-                break
-            frontier = np.unique(nb)
-            mask[frontier] = True
-            for v in frontier.tolist():
-                labels[v] = [zone, zone]
-            labelled += int(frontier.size)
-        return labelled
-
-
 def label_round(network: RoadNetwork, contour: Contour,
                 border_positions: Sequence[int], round_index: int,
                 bridges: Set[Tuple[int, int]], cuts: CutCache,
                 trace: Optional[TraceRecorder] = None,
-                flood: Optional[FloodEngine] = None,
                 ) -> Tuple[List[Label], RoundStats]:
     """Label every vertex with respect to border vertex
     ``border_positions[round_index]``.
@@ -301,14 +185,10 @@ def label_round(network: RoadNetwork, contour: Contour,
     Returns the per-vertex labels (1-based zone intervals, ``ℓ`` zones
     where ``ℓ = len(border_positions)``) and the round's instrumentation.
     ``trace`` (optional) records ``cuts`` / ``flood`` / ``pockets`` child
-    spans -- see :mod:`repro.obs.trace`.  ``flood`` (optional) supplies
-    the in-zone flood engine, shared across rounds; by default each
-    round runs the scalar BFS.
+    spans -- see :mod:`repro.obs.trace`.
     """
     trace = resolve_trace(trace)
     stats = RoundStats()
-    if flood is None:
-        flood = FloodEngine(network, bridges)
     coords = network.coords
     zone_count = len(border_positions)
     # Rotate borders so c_0 is this round's vertex; zones then follow the
@@ -334,7 +214,6 @@ def label_round(network: RoadNetwork, contour: Contour,
                 _insert_zone(labels, v, j)
                 _insert_zone(labels, v, j + 1)
         stats.cut_vertices = sum(1 for lab in labels if lab is not None)
-        flood.begin_round(labels)
 
         # --- Step 2: contour segments + in-zone BFS --------------------
         contour_chains: List[List[int]] = []
@@ -350,8 +229,8 @@ def label_round(network: RoadNetwork, contour: Contour,
                     seeds.append(v)
                 else:
                     _insert_zone(labels, v, i)  # widening fix, docstring
-            flood.mark(seeds)
-            stats.bfs_labelled += flood.flood(seeds, i, labels)
+            stats.bfs_labelled += _in_zone_bfs(network, seeds, i, labels,
+                                               bridges)
 
     # --- Step 3: ray-cast the sealed pockets ---------------------------
     unlabelled = [v for v in network.vertices() if labels[v] is None]
@@ -366,12 +245,11 @@ def label_round(network: RoadNetwork, contour: Contour,
                 if zone is None:
                     labels[v] = [1, zone_count]
                     stats.widened += 1
-                    flood.mark([v])
                     continue
                 labels[v] = [zone, zone]
                 stats.pockets += 1
-                flood.mark([v])
-                stats.bfs_labelled += flood.flood([v], zone, labels)
+                stats.bfs_labelled += _in_zone_bfs(network, [v], zone,
+                                                   labels, bridges)
 
     return [(lab[0], lab[1]) for lab in labels], stats  # type: ignore[index]
 

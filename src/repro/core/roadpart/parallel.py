@@ -35,7 +35,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 from repro.core.roadpart.contour import Contour
 from repro.core.roadpart.labeling import (
     CutCache,
-    FloodEngine,
     Label,
     RoundStats,
     label_round,
@@ -86,8 +85,7 @@ def _label_round_worker(round_index: int):
             _CTX["network"], _CTX["contour"],  # type: ignore[arg-type]
             _CTX["border_positions"], round_index,  # type: ignore[arg-type]
             _CTX["bridges"], _CTX["cuts"],  # type: ignore[arg-type]
-            trace=recorder,
-            flood=_CTX.get("flood"))  # type: ignore[arg-type]
+            trace=recorder)
     return round_index, labels, stats, recorder.root.children
 
 
@@ -96,7 +94,6 @@ def run_parallel_labeling(network: RoadNetwork, contour: Contour,
                           bridge_set: Set[Tuple[int, int]],
                           cuts: CutCache, jobs: int,
                           trace: TraceRecorder,
-                          flood: FloodEngine = None,
                           ) -> List[Tuple[List[Label], RoundStats]]:
     """Fill ``cuts`` and run every labelling round across ``jobs`` fork
     workers; returns the per-round ``(labels, stats)`` in round order.
@@ -105,20 +102,13 @@ def run_parallel_labeling(network: RoadNetwork, contour: Contour,
     active span of ``trace`` in round order, so the span tree matches a
     serial build's ``round-<i>`` children (phase A adds one extra
     parent-level ``cuts`` span for the up-front cut sweep).
-
-    ``flood`` (optional) is the shared in-zone flood engine; its CSR
-    views and arc mask are prewarmed here so phase-B workers inherit
-    them copy-on-write (the per-round labelled mask is worker-private
-    by the same fork).
     """
     global _CTX
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]
     cuts.prewarm_for_fork()
-    if flood is not None:
-        flood.prewarm_for_fork()
     _CTX = {"network": network, "contour": contour,
             "border_positions": list(border_positions),
-            "bridges": bridge_set, "cuts": cuts, "flood": flood}
+            "bridges": bridge_set, "cuts": cuts}
     ctx = multiprocessing.get_context("fork")
     try:
         keys = _cut_keys(border_ids)

@@ -50,7 +50,7 @@ class CSRGraph:
 
     __slots__ = ("num_vertices", "num_arcs", "indptr", "targets",
                  "weights", "indptr_list", "targets_list", "weights_list",
-                 "_pool", "_vec")
+                 "_pool")
 
     def __init__(self, indptr: array, targets: array,
                  weights: array) -> None:
@@ -63,7 +63,6 @@ class CSRGraph:
         self.targets_list = targets.tolist()
         self.weights_list = weights.tolist()
         self._pool = ArenaPool(self.num_vertices)
-        self._vec = None
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Sequence[Tuple[int, float]]],
@@ -100,37 +99,6 @@ class CSRGraph:
     def release_arena(self, arena: SearchArena) -> None:
         """Return an arena once no live search/result references it."""
         self._pool.release(arena)
-
-    # ------------------------------------------------------------------
-    # Array-backend views (see repro.vec.backend)
-    # ------------------------------------------------------------------
-
-    def vec_views(self):
-        """``(indptr, targets, weights, delta)`` as backend arrays.
-
-        Zero-copy ``frombuffer`` views over the typed arrays (same
-        memory, same arc order), cached per CSR; ``delta`` is the mean
-        arc weight -- the bucket width the vectorized engine uses.
-        Raises RuntimeError without an active backend.  The cache is
-        per-process scratch like the arena pool: pickled/forked copies
-        rebuild it lazily.
-        """
-        if self._vec is None:
-            from repro.vec.backend import xp
-            np = xp()
-            if np is None:
-                raise RuntimeError("vec_views needs an array backend"
-                                   " (numpy); none is active")
-            indptr = np.frombuffer(self.indptr,
-                                   dtype=np.dtype(self.indptr.typecode)
-                                   ).astype(np.int64, copy=False)
-            targets = np.frombuffer(self.targets,
-                                    dtype=np.dtype(self.targets.typecode)
-                                    ).astype(np.int64, copy=False)
-            weights = np.frombuffer(self.weights, dtype=np.float64)
-            delta = float(weights.mean()) if self.num_arcs else 1.0
-            self._vec = (indptr, targets, weights, max(delta, 1e-9))
-        return self._vec
 
     # ------------------------------------------------------------------
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -253,10 +252,6 @@ class RoadNetwork:
     def total_weight(self) -> float:
         """Return the sum of all edge weights."""
         return sum(self._weights.values())
-
-    def edge_set(self) -> FrozenSet[Tuple[int, int]]:
-        """Return the frozen set of normalised edge keys."""
-        return frozenset(self._weights)
 
     def __repr__(self) -> str:
         return (f"RoadNetwork(|V|={self.num_vertices}, "

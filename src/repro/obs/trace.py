@@ -91,9 +91,6 @@ class TraceRecorder:
         process and shipped back) under the currently active span."""
         self._stack[-1].children.append(span_)
 
-    def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.spans)
-
     def find(self, label: str) -> Optional[Span]:
         """Return the first span with ``label`` (depth-first), or None."""
         for span_ in self.root.walk():

@@ -392,10 +392,8 @@ def run_queries(algorithm: str, queries: Iterable[DPSQuery],
     if algorithm not in ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-    # Resolve once for the whole batch: unknown names raise here (not
-    # inside a worker, where they would surface as N QueryFailures) and
-    # "numpy" without an array backend degrades to "flat" with a single
-    # notice before any fork.
+    # Validate once for the whole batch: unknown names raise here, not
+    # inside a worker, where they would surface as N QueryFailures.
     from repro.shortestpath.flat import resolve_engine
     engine = resolve_engine(engine)
     if algorithm == "roadpart":

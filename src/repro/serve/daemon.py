@@ -82,7 +82,6 @@ from repro.serve import (
 from repro.serve.cache import ResultCache, canonical_key
 from repro.serve.faults import FaultPlan
 from repro.shortestpath.flat import resolve_engine
-from repro.vec.backend import backend_name
 
 #: Latency samples kept for the /metrics quantiles (a recent window,
 #: not daemon-lifetime history; count/sum cover the lifetime).
@@ -200,11 +199,8 @@ class DPSDaemon:
         self.network = network
         self.index = index
         self.algorithm = algorithm
-        # Resolved at startup: unknown names are rejected here (the CLI
-        # turns the ValueError into exit 2), and "numpy" without an
-        # array backend degrades to "flat" once -- so cache keys, the
-        # /healthz document and every answer agree on the engine that
-        # actually runs.
+        # Validated at startup: unknown names are rejected here (the
+        # CLI turns the ValueError into exit 2).
         self.engine = resolve_engine(engine)
         #: Bridge-domain oracle policy; part of every cache key (the
         #: stats payload differs with/without an oracle, so policy is
@@ -317,12 +313,6 @@ class DPSDaemon:
             engine = self.engine
         else:
             try:
-                # Resolving (not just membership-testing) keeps request
-                # semantics aligned with the daemon flag: unknown names
-                # are rejected with the list of engines this install
-                # can actually run, and "numpy" without a backend
-                # degrades to "flat" so the cache key matches the
-                # engine that answers.
                 engine = resolve_engine(raw_engine)
             except ValueError as exc:
                 raise RequestValidationError(str(exc)) from exc
@@ -498,7 +488,6 @@ class DPSDaemon:
             "status": "ok",
             "algorithm": self.algorithm,
             "engine": self.engine,
-            "vec_backend": backend_name(),
             "oracle": self.oracle,
             "network_vertices": self.network.num_vertices,
             "index_loaded": self.index is not None,
@@ -518,12 +507,10 @@ class DPSDaemon:
             merged = self._accumulator.snapshot()
             samples: List = [
                 # Build/config identity as a constant gauge (the
-                # standard Prometheus *_info idiom): which engine the
-                # daemon resolved to and whether the vectorized array
-                # backend is active in this process.
+                # standard Prometheus *_info idiom).
                 ("repro_build_info",
                  {"algorithm": self.algorithm, "engine": self.engine,
-                  "oracle": self.oracle, "vec_backend": backend_name()},
+                  "oracle": self.oracle},
                  1),
                 ("repro_uptime_seconds", None,
                  time.monotonic() - self._started_at),
@@ -687,11 +674,3 @@ class _Handler(BaseHTTPRequestHandler):
         closes."""
         status, body, headers = self.dps.reject(status, message)
         self._respond(status, body, {**headers, "Connection": "close"})
-
-
-def serve(network: RoadNetwork, index: Optional[RoadPartIndex] = None,
-          **kwargs) -> DPSDaemon:
-    """Convenience constructor + :meth:`DPSDaemon.start` in one call."""
-    daemon = DPSDaemon(network, index, **kwargs)
-    daemon.start()
-    return daemon

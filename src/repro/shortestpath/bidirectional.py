@@ -95,14 +95,9 @@ def bridge_domains(network: RoadNetwork, u: int, v: int,
     """
     # Imported here, not at module top: flat.py builds on this module.
     from repro.shortestpath.flat import flat_bridge_domains, resolve_engine
-    resolved = resolve_engine(engine)
-    if resolved == "flat":
+    if resolve_engine(engine) == "flat":
         return flat_bridge_domains(network, u, v, targets,
                                    counters=counters, deadline=deadline)
-    if resolved == "numpy":
-        from repro.shortestpath.vec import vec_bridge_domains
-        return vec_bridge_domains(network, u, v, targets,
-                                  counters=counters, deadline=deadline)
     bridge_weight = network.edge_weight(u, v)
     target_set = set(targets)
     # One shared counter set: the two directions report as one search.
@@ -164,16 +159,10 @@ def bidirectional_ppsp(network: RoadNetwork, source: int, target: int,
     # Imported here, not at module top: flat.py builds on this module.
     from repro.shortestpath.flat import (flat_bidirectional_ppsp,
                                          resolve_engine)
-    resolved = resolve_engine(engine)
-    if resolved == "flat":
+    if resolve_engine(engine) == "flat":
         return flat_bidirectional_ppsp(network, source, target,
                                        allowed=allowed, counters=counters,
                                        deadline=deadline)
-    if resolved == "numpy":
-        from repro.shortestpath.vec import vec_bidirectional_ppsp
-        return vec_bidirectional_ppsp(network, source, target,
-                                      allowed=allowed, counters=counters,
-                                      deadline=deadline)
     if source == target:
         return 0.0, [source]
     forward = DijkstraSearch(network, source, allowed, counters=counters)

@@ -295,19 +295,6 @@ class ContractionHierarchy:
     def network(self) -> RoadNetwork:
         return self._network
 
-    def ranks(self) -> List[int]:
-        """The contraction rank of every vertex (0 = contracted first,
-        least important)."""
-        return list(self._rank)
-
-    def upward_adjacency(self) -> List[List[Tuple[int, float]]]:
-        """The upward search graph: per vertex, its ``(target, weight)``
-        edges towards higher-ranked vertices (original edges plus
-        shortcuts).  This plus :meth:`ranks` is everything a
-        distance-only CH query needs -- the serialisable core of the
-        hierarchy (see :mod:`repro.shortestpath.oracle`)."""
-        return [list(edges) for edges in self._up]
-
     def upward_edge_count(self) -> int:
         """Return the number of edges in the upward search graph
         (original edges + shortcuts)."""

@@ -62,40 +62,20 @@ from repro.shortestpath.deadline import DEADLINE_CHECK_INTERVAL, Deadline
 from repro.shortestpath.dijkstra import DijkstraSearch, ShortestPathTree
 from repro.shortestpath.paths import reconstruct_path
 
-#: The engine names the ``engine=`` selectors accept.  ``numpy`` is
-#: the vectorized bucketed engine (:mod:`repro.shortestpath.vec`); it
-#: needs the optional array backend and degrades to ``flat`` without
-#: one (see :func:`resolve_engine`).
-ENGINES = ("flat", "dict", "numpy")
-
-
-def available_engines() -> Tuple[str, ...]:
-    """The engines usable in *this install*: ``numpy`` is listed only
-    when the optional array backend is importable and enabled."""
-    from repro.vec.backend import has_backend
-    if has_backend():
-        return ENGINES
-    return tuple(e for e in ENGINES if e != "numpy")
+#: The engine names the ``engine=`` selectors accept: the flat kernel
+#: and the dict reference it is operation-equivalent to.
+ENGINES = ("flat", "dict")
 
 
 def resolve_engine(engine: str) -> str:
-    """Validate an engine name and resolve it to the engine that will
-    actually run.
+    """Validate an engine name and return it.
 
-    Unknown names raise ValueError listing :func:`available_engines`
-    (so a bad ``--engine`` surfaces immediately instead of as a deep
-    KeyError).  ``numpy`` without an array backend resolves to
-    ``flat`` -- same answers, stdlib speed -- with a one-line stderr
-    notice, once per process.
+    Unknown names raise ValueError listing :data:`ENGINES`, so a bad
+    ``--engine`` surfaces immediately instead of as a deep KeyError.
     """
     if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; available engines"
-                         f" in this install: {available_engines()}")
-    if engine == "numpy":
-        from repro.vec.backend import has_backend, notice_fallback
-        if not has_backend():
-            notice_fallback("engine 'numpy'")
-            return "flat"
+        raise ValueError(f"unknown engine {engine!r}; available engines:"
+                         f" {ENGINES}")
     return engine
 
 
@@ -641,23 +621,15 @@ def make_search(network: RoadNetwork, source: int,
                 ) -> Union[FlatDijkstraSearch, DijkstraSearch]:
     """Construct a resumable SSSP search with the selected engine.
 
-    This is the single dispatch point the DPS entry points use; every
-    engine exposes the same search API.  ``flat`` and ``dict`` produce
-    identical results *and operation counts* (the flat kernel's
-    contract); ``numpy`` produces identical distances, predecessors
-    and settled closures with bucket-level counters (see
-    :mod:`repro.shortestpath.vec`).  ``deadline`` (optional) installs
-    a cooperative wall-clock budget all engines poll from their bulk
-    runs -- see :mod:`repro.shortestpath.deadline`.
+    This is the single dispatch point the DPS entry points use; both
+    engines expose the same search API and produce identical results
+    *and operation counts* (the flat kernel's contract).  ``deadline``
+    (optional) installs a cooperative wall-clock budget both engines
+    poll from their bulk runs -- see :mod:`repro.shortestpath.deadline`.
     """
-    resolved = resolve_engine(engine)
-    if resolved == "flat":
+    if resolve_engine(engine) == "flat":
         return FlatDijkstraSearch(network, source, allowed=allowed,
                                   counters=counters, deadline=deadline)
-    if resolved == "numpy":
-        from repro.shortestpath.vec import VecDijkstraSearch
-        return VecDijkstraSearch(network, source, allowed=allowed,
-                                 counters=counters, deadline=deadline)
     return DijkstraSearch(network, source, allowed=allowed,
                           counters=counters, deadline=deadline)
 

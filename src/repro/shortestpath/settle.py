@@ -9,8 +9,8 @@ Engines
 -------
 ``engine="dict"`` runs the reference: one
 :class:`~repro.shortestpath.dijkstra.DijkstraSearch` per source.  The
-default ``flat`` and ``numpy`` both run the *goal-directed kernel*
-below, whose answers are byte-identical to the reference.
+default ``flat`` runs the *goal-directed kernel* below, whose answers
+are byte-identical to the reference.
 
 The goal-directed kernel
 ------------------------
@@ -38,8 +38,14 @@ not just its distances:
   strictly shorter label updates ``dist`` and ``pred``; an equal label
   replaces ``pred[v]`` by ``u`` when ``(dist[u], u) < (dist[pred[v]],
   pred[v])``.  This argmin is the predecessor the reference's settle
-  order produces when every arc has positive length (equal-distance
-  vertices then settle in id order; see :mod:`repro.shortestpath.vec`).
+  order produces when every arc has positive length.  The reference
+  keeps as ``pred[v]`` the first settled neighbour whose relaxation
+  reached the final label.  With positive arcs, every vertex at
+  distance ``d`` is pushed with key ``(d, v)`` by a neighbour settled
+  strictly below ``d``, so all of them are in the heap before the first
+  pop at ``d`` and settle in id order.  That first neighbour is then
+  the argmin of ``(dist[u], u)`` over ``{u : dist[u] + w(u, v) ==
+  dist[v]}`` (exact float equality).
 - *Tie settling.*  After the last target settles at key ``F`` the
   kernel keeps popping while the key is at most ``F + 1e-9·(F + 1)``:
   every vertex on a shortest path to a target has key ``≤ F``, so every
@@ -56,7 +62,7 @@ Scratch comes from the CSR :class:`~repro.shortestpath.arena.ArenaPool`
 (one arena per call; each round starts a new generation and restores
 the all-inf ``dist`` invariant before the next round or on any error).
 Counters count goal-directed settles, flushed once per round, so under
-``flat``/``numpy`` they are smaller than ``dict``'s for the same answer.
+``flat`` they are smaller than ``dict``'s for the same answer.
 
 :func:`repro.core.verify.verify_dps` deliberately stays on the
 single-source engine: the checker must not share the kernel it checks.

@@ -207,10 +207,6 @@ class PointRTree:
     def __len__(self) -> int:
         return len(self._tree)
 
-    @property
-    def bounds(self) -> Optional[Rect]:
-        return self._tree.bounds
-
     def nearest(self, point: Sequence[float], k: int = 1,
                 ) -> List[Tuple[float, Hashable]]:
         """Return the ``k`` nearest point labels with exact distances."""
@@ -271,7 +267,3 @@ class SegmentRTree:
             if predicate(a, b, c, d):
                 hits.append(label)
         return hits
-
-    def in_window(self, window: Rect) -> List[Hashable]:
-        """Return the labels of segments whose MBR intersects ``window``."""
-        return [item for _, item in self._tree.search(window)]

@@ -1,23 +1,1 @@
-"""Vectorized array backend seam (numpy today, CuPy-shaped).
-
-See :mod:`repro.vec.backend` for the probe and
-:mod:`repro.shortestpath.vec` for the kernels built on it.
-"""
-
-from repro.vec.backend import (
-    ENV_DISABLE,
-    backend_name,
-    has_backend,
-    notice_fallback,
-    reset_backend_probe,
-    xp,
-)
-
-__all__ = [
-    "ENV_DISABLE",
-    "backend_name",
-    "has_backend",
-    "notice_fallback",
-    "reset_backend_probe",
-    "xp",
-]
+"""Array-backend name for benchmark provenance (see :mod:`.backend`)."""

@@ -17,6 +17,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import filecmp
 import json
 import struct
 
@@ -26,10 +27,17 @@ from repro.core.roadpart import binfmt
 from repro.core.roadpart.index import RoadPartIndex, build_index
 from repro.core.roadpart.parallel import fork_available
 from repro.core.roadpart.query import RoadPartQueryProcessor, roadpart_dps
+from repro.datasets.synthetic import add_bridges, grid_network
 from repro.errors import IndexFormatError
+from repro.obs.trace import TraceRecorder
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
+
+
+def _bridged_fixture(seed):
+    return add_bridges(grid_network(12, 10, seed=seed), 6, (2.0, 5.0),
+                       seed=seed + 1)
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +269,42 @@ class TestBuildDeterminism:
         assert hub_index.stats.oracle_seconds > 0
         assert medium_index.stats.oracle_kind == "none"
         assert medium_index.stats.oracle_entries == 0
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_table_identical_across_engines(self, seed):
+        """The flat and dict index builds attach the same endpoint tree
+        table on a bridged network."""
+        network, bridges = _bridged_fixture(seed)
+        tables = [build_index(network, 6, bridges=bridges, engine=engine,
+                              oracle="auto").oracle.to_payload()
+                  for engine in ("flat", "dict")]
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "bin"])
+    def test_oracle_index_files_byte_identical(self, tmp_path, fmt):
+        """--oracle auto index files compare equal, byte for byte,
+        across engine=dict|flat, serial and --jobs 2, in both on-disk
+        formats."""
+        network, bridges = _bridged_fixture(9)
+        paths = []
+        for engine in ("dict", "flat"):
+            for jobs in (1, 2):
+                index = build_index(network, 6, bridges=bridges, jobs=jobs,
+                                    engine=engine, oracle="auto")
+                path = tmp_path / f"{engine}-{jobs}.{fmt}"
+                if fmt == "json":
+                    index.save(str(path))
+                else:
+                    index.save_binary(str(path))
+                paths.append(path)
+        for path in paths[1:]:
+            assert filecmp.cmp(paths[0], path, shallow=False), (
+                f"{path.name} differs from {paths[0].name}")
+
+    def test_oracle_build_trace_names_the_builder(self):
+        network, bridges = _bridged_fixture(13)
+        trace = TraceRecorder()
+        build_index(network, 6, bridges=bridges, oracle="auto", trace=trace)
+        span = trace.find("oracle")
+        assert span is not None
+        assert [child.label for child in span.children] == ["trees"]

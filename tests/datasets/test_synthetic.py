@@ -68,12 +68,14 @@ class TestRingRadial:
 
 class TestDelaunay:
     def test_model_properties(self):
+        pytest.importorskip("scipy")
         net = delaunay_network(400, seed=2)
         assert is_connected(net)
         assert metric_violation_ratio(net) <= 1.0
         assert net.num_edges <= 3 * net.num_vertices
 
     def test_planar(self):
+        pytest.importorskip("scipy")
         net = delaunay_network(300, seed=6)
         assert len(find_bridges(net)) == 0
 

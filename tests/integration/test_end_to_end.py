@@ -105,6 +105,7 @@ class TestAcrossTopologies:
                               max_sources=8).ok, name
 
     def test_delaunay_with_bridges(self):
+        pytest.importorskip("scipy")
         from repro.datasets.synthetic import delaunay_network
         base = delaunay_network(700, seed=83)
         network, _ = add_bridges(base, 8, (6.0, 18.0), seed=84)

@@ -8,10 +8,12 @@ from repro.obs.counters import SearchCounters
 from repro.shortestpath.astar import astar
 from repro.shortestpath.dijkstra import DijkstraSearch, sssp
 from repro.shortestpath.flat import (
+    ENGINES,
     FlatDijkstraSearch,
     flat_astar,
     make_search,
     release_search,
+    resolve_engine,
 )
 from repro.shortestpath.paths import collect_path_vertices
 
@@ -26,6 +28,14 @@ class TestMakeSearch:
     def test_unknown_engine_rejected(self, grid5):
         with pytest.raises(ValueError, match="unknown engine"):
             make_search(grid5, 0, engine="cuda")
+
+    def test_unknown_engine_lists_available(self):
+        assert ENGINES == ("flat", "dict")
+        for name in ("cuda", "numpy"):
+            with pytest.raises(ValueError, match="unknown engine") as exc:
+                resolve_engine(name)
+            for engine in ENGINES:
+                assert engine in str(exc.value)
 
     def test_source_outside_allowed_rejected(self, grid5):
         with pytest.raises(ValueError, match="allowed"):

@@ -186,23 +186,6 @@ class TestHubOracle:
         assert oracle.row_bytes() == (8 * oracle.entry_count(),
                                       4 * oracle.entry_count())
 
-    def test_numpy_engine_degrades_to_scalar_builder(self, bridged,
-                                                     oracle, monkeypatch):
-        """An engine='numpy' index build without a backend
-        (REPRO_VEC_DISABLE) attaches the identical table: the table
-        always comes from the scalar flat kernel."""
-        from repro.core.roadpart.index import build_index
-        from repro.vec.backend import ENV_DISABLE, reset_backend_probe
-        network, bridges = bridged
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        reset_backend_probe()
-        try:
-            degraded = build_index(network, 4, bridges=frozenset(bridges),
-                                   engine="numpy", oracle="auto").oracle
-        finally:
-            reset_backend_probe()
-        assert degraded.to_payload() == oracle.to_payload()
-
     def test_parallel_build_identical(self, bridged, oracle):
         network, bridges = bridged
         parallel = HubOracle.build(network, bridges, jobs=3)

@@ -38,11 +38,10 @@ def _reference(network, sources, targets):
 
 class TestAnswers:
 
-    @pytest.mark.parametrize("engine", ["flat", "numpy"])
-    def test_matches_reference(self, medium_network, medium_query, engine):
+    def test_matches_reference(self, medium_network, medium_query):
         q = sorted(medium_query.sources)
         into = set()
-        rounds = settle_targets(medium_network, q, q, into, engine=engine)
+        rounds = settle_targets(medium_network, q, q, into, engine="flat")
         assert rounds == len(q)
         assert into == _reference(medium_network, q, q)
 

@@ -441,6 +441,16 @@ class TestIndexTools:
         assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["build-index", "--out", "x.idx"], ["query"], ["serve"]])
+    def test_numpy_engine_rejected(self, argv, capsys):
+        """--engine takes flat|dict; numpy is an argparse error."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--graph", "g.gr", "--coords", "g.co",
+                         "--engine", "numpy"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_serve_roadpart_requires_index(self, generated_map, capsys):
         code = main(["serve", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co"])

@@ -26,6 +26,11 @@ PHASE_LABELS = {
 TRACE_LABELS = ["bridges", "contour", "labeling", "cuts", "flood",
                 "pockets", "oracle", "trees"]
 
+# Surfaces of the retired numpy engine that no doc may still describe.
+RETIRED_ENGINE_NEEDLES = ("REPRO_VEC_DISABLE", "repro.shortestpath.vec",
+                          "VecDijkstraSearch", "FloodEngine",
+                          "vec_backend", "repro[vec]", "{flat,dict,numpy}")
+
 
 @pytest.fixture(scope="module")
 def observability_doc():
@@ -132,16 +137,17 @@ class TestObservabilityDoc:
 
     def test_documents_vectorized_engine_surfaces(self,
                                                   observability_doc):
-        """PR 8 surfaces: the numpy engine, its bucket-level counter
-        caveat, the fallback notice and the build-info metric must stay
-        documented; the label-sweep gate went with the partial PLL."""
-        for needle in ("numpy", "bucket-level", "REPRO_VEC_DISABLE",
-                       "repro_build_info", "vec_backend",
-                       "available_engines", "--engine {flat,dict,numpy}",
-                       "--version"):
+        """The two-engine surfaces (the --engine flag, the build-info
+        metric, the --version line) stay documented; the numpy engine,
+        its backend probe and the label-sweep gate are gone."""
+        for needle in ("repro_build_info", "--engine {flat,dict}",
+                       "resolve_engine", "--version",
+                       "(engines: flat, dict)"):
             assert needle in observability_doc, (
                 f"{needle!r} missing from docs/observability.md")
-        for gone in ("bench sweep", "SWEEP_CHECK_RATIO"):
+        for gone in RETIRED_ENGINE_NEEDLES + (
+                "bucket-level", "available_engines", "bench sweep",
+                "SWEEP_CHECK_RATIO"):
             assert gone not in observability_doc
 
     def test_documents_vectorized_build_surfaces(self,
@@ -310,21 +316,25 @@ class TestReadmeLinks:
         assert "CHOracle" not in doc
 
     def test_architecture_doc_covers_vectorized_engine(self):
+        """Two engines: the numpy engine and its backend seam are gone,
+        and the reason the batched array sweep was left out stays."""
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
-        assert "VecHubScratch" not in doc
-        for needle in ("VecDijkstraSearch",
-                       "repro.vec.backend", "repro.shortestpath.vec",
-                       "minimum.reduceat", "result equivalence",
-                       "REPRO_VEC_DISABLE", "resolve_engine",
-                       "repro[vec]"):
+        for gone in RETIRED_ENGINE_NEEDLES + (
+                "VecHubScratch", "minimum.reduceat", "result equivalence"):
+            assert gone not in doc
+        for needle in ("resolve_engine", "operation-equivalent",
+                       "array sweep"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
 
     def test_architecture_doc_covers_vectorized_build(self):
+        """Builds are byte-identical across engines and jobs; the array
+        flood pass and the batched PLL builder are gone."""
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
-        for gone in ("VecHubLabeler", "vec_pruned_labeling"):
+        for gone in ("VecHubLabeler", "vec_pruned_labeling", "bucketed",
+                     "CuPy"):
             assert gone not in doc
-        for needle in ("FloodEngine", "bucketed", "byte-identical",
-                       "CuPy", "BUILD_CHECK_RATIO", "bench build"):
+        for needle in ("engine=dict|flat", "byte-identical",
+                       "BUILD_CHECK_RATIO", "bench build"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")

@@ -125,6 +125,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="needs network"):
             run_queries("blq", batch)
 
+    def test_run_queries_rejects_unknown_engine(self, medium_network,
+                                                batch):
+        for engine in ("cuda", "numpy"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                run_queries("ble", batch, network=medium_network,
+                            engine=engine)
+
     def test_algorithm_registry_is_complete(self):
         assert ALGORITHMS == ("roadpart", "blq", "ble", "hull")
 

@@ -108,6 +108,11 @@ class TestLifecycleAndRouting:
         with pytest.raises(ValueError, match="index"):
             DPSDaemon(medium_network, None, algorithm="roadpart")
 
+    def test_daemon_rejects_unknown_engine(self, medium_network):
+        for engine in ("cuda", "numpy"):
+            with pytest.raises(ValueError, match="unknown engine"):
+                DPSDaemon(medium_network, algorithm="ble", engine=engine)
+
 
 class TestQueryEndpoint:
     def test_answer_matches_direct_call(self, base, daemon, window,
@@ -183,6 +188,21 @@ class TestRequestValidation:
         assert fragment in error["message"]
         assert headers["X-Repro-Engine"] == "flat"
         assert "X-Repro-Cache" not in headers
+
+    def test_daemon_request_engine_field(self, medium_network, window):
+        daemon = DPSDaemon(medium_network, algorithm="ble", cache_size=0)
+        for name in ("cuda", "numpy"):
+            bad = json.dumps({"Q": window, "engine": name}).encode()
+            status, body, _ = daemon.handle_query(bad)
+            assert status == 400
+            assert b"unknown engine" in body
+        good = json.dumps({"Q": window, "engine": "dict"}).encode()
+        status, body_dict, _ = daemon.handle_query(good)
+        assert status == 200
+        default = json.dumps({"Q": window}).encode()
+        status, body_default, _ = daemon.handle_query(default)
+        assert status == 200
+        assert body_dict == body_default  # engines agree on the answer
 
     def test_not_json_is_400(self, base, daemon):
         status, body, headers = daemon.handle_query(b"{nope")
