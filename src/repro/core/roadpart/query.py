@@ -5,11 +5,15 @@ Given a query, the processor:
 1. looks up the regions ``R(Q)`` containing query vertices and computes
    the window ``W`` (tight by default, Equation (1) as ablation);
 2. keeps every region whose label vector intersects ``W`` in all
-   dimensions (Theorem 2) -- their vertices form the planar part of the
-   DPS (Theorem 3);
+   dimensions (Theorem 2), read off the region set's prefix bitsets
+   (:meth:`~repro.core.roadpart.regions.RegionSet.regions_in_window`)
+   -- their vertices form the planar part of the DPS (Theorem 3);
 3. classifies each bridge against ``W``, prunes interior bridges
    (Theorem 6) and any bridge with an endpoint beyond BL-E's ``2r`` ball
-   (Corollary 3 / Theorem 1); the survivors are *examined*: their domains
+   (Corollary 3 / Theorem 1) -- BL-E's search stops at ``r`` and the
+   endpoint tree table's ``dist(x, vc)`` cells decide the ball, the
+   search extending to ``2r`` only without a table or for a cell within
+   rounding of ``2r``; the survivors are *examined*: their domains
    ``UD*`` and ``VD*`` are read off the index's endpoint tree table (or,
    without one, computed with the dual-heap search), and each *valid*
    bridge (both domains non-empty, Theorem 5) patches the shortest paths
@@ -47,7 +51,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.ble import run_ble_search
+from repro.core.ble import run_ble_radius
 from repro.shortestpath.flat import release_search
 from repro.core.dps import DPSQuery, DPSResult
 from repro.obs.stats import QueryStats, resolve_stats
@@ -58,7 +62,7 @@ from repro.core.roadpart.bridges import (
     theorem7_survivors,
 )
 from repro.core.roadpart.index import RoadPartIndex
-from repro.core.roadpart.window import loose_window, region_in_window, tight_window
+from repro.core.roadpart.window import loose_window, tight_window
 from repro.shortestpath.bidirectional import bridge_domains
 from repro.shortestpath.deadline import Deadline
 from repro.shortestpath.oracle import ORACLE_POLICIES
@@ -99,9 +103,11 @@ class RoadPartQueryProcessor:
         every examined bridge from the endpoint tree table attached to
         the index when there is one: domains from its ``dist`` rows,
         the path patch of a valid bridge from its ``pred`` rows, no
-        search at all.  ``'none'`` never consults it and runs the
-        dual-heap search per bridge (the reference); any other value
-        raises :class:`ValueError`.  The table holds the very trees the
+        search at all -- and decides Corollary 3 from its ``dist(x,
+        vc)`` cells, so the BL-E search stops at ``r``.  ``'none'``
+        never consults it: the BL-E search extends to ``2r`` and the
+        dual-heap search runs per bridge (the reference); any other
+        value raises :class:`ValueError`.  The table holds the very trees the
         dual heap grows (:mod:`repro.shortestpath.oracle`), so the DPS
         is byte-identical either way.  Table reads touch no search
         counters; they are accounted as ``oracle_hits`` /
@@ -158,12 +164,11 @@ class RoadPartQueryProcessor:
 
         # --- region pruning (Theorem 2) ---------------------------------
         collected: Set[int] = set()
-        kept_regions = 0
         with stats.phase("region-prune"):
-            for rid, vector in enumerate(regions.vectors):
-                if region_in_window(vector, window):
-                    collected.update(regions.members[rid])
-                    kept_regions += 1
+            kept = regions.regions_in_window(window)
+            members = regions.members
+            for rid in kept:
+                collected.update(members[rid])
 
         # --- bridge handling (Section V) --------------------------------
         examined, valid = self._handle_bridges(
@@ -171,7 +176,7 @@ class RoadPartQueryProcessor:
 
         elapsed = time.perf_counter() - started
         result_stats = {"b": examined, "bv": valid,
-                        "regions_kept": kept_regions,
+                        "regions_kept": len(kept),
                         "query_regions": len(query_regions)}
         if self._oracle is not None:
             # Emitted only when a table is attached, so oracle-less
@@ -246,19 +251,27 @@ class RoadPartQueryProcessor:
                     # interior bridges are pruned (Theorem 6, still sound)
             if self._prune_cor3 and (cut_bridges or exterior_bridges):
                 with stats.phase("cor3-ble"):
-                    # Corollary 3's 2r ball reuses BL-E's search; its
-                    # heap/relax work lands in the same counter set but
-                    # keeps its own phase so the breakdown stays honest.
-                    ble = run_ble_search(network, query, counters=counters,
+                    # Corollary 3's 2r ball reuses BL-E's search up to
+                    # r; the table's cells decide the rest, the search
+                    # extending to 2r only without a table or for a
+                    # cell within rounding of 2r.  Its heap/relax work
+                    # lands in the same counter set but keeps its own
+                    # phase so the breakdown stays honest.
+                    ble = run_ble_radius(network, query, counters=counters,
                                          engine=self._engine,
                                          deadline=deadline)
-                    cut_bridges = {
-                        key: cls for key, cls in cut_bridges.items()
-                        if ble.within_2r(key[0]) and ble.within_2r(key[1])}
-                    exterior_bridges = [
-                        key for key in exterior_bridges
-                        if ble.within_2r(key[0]) and ble.within_2r(key[1])]
-                    release_search(ble.search)  # probes done; recycle
+                    table = self._oracle
+                    try:
+                        cut_bridges = {
+                            key: cls for key, cls in cut_bridges.items()
+                            if ble.within_2r(key[0], table)
+                            and ble.within_2r(key[1], table)}
+                        exterior_bridges = [
+                            key for key in exterior_bridges
+                            if ble.within_2r(key[0], table)
+                            and ble.within_2r(key[1], table)]
+                    finally:
+                        release_search(ble.search)  # probes done; recycle
             with stats.phase("bridge-classify"):
                 if self._prune_thm7 and cut_bridges:
                     to_examine = theorem7_survivors(

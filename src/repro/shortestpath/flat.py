@@ -51,6 +51,7 @@ import heapq
 import math
 from array import array
 from time import monotonic
+from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.errors import DeadlineExceeded
@@ -79,13 +80,22 @@ def resolve_engine(engine: str) -> str:
     return engine
 
 
+#: What the views of a released search read instead of the search: no
+#: vertex, no settle, no arena.  :meth:`FlatDijkstraSearch.release`
+#: repoints both views here, which breaks the search <-> view reference
+#: cycle, so reference counting frees a released search at once instead
+#: of leaving it (and its ``settled_order``) to a gen-2 collection.
+_RELEASED = SimpleNamespace(csr=SimpleNamespace(num_vertices=0),
+                            settled_order=(), _dist=(), _arena=None)
+
+
 class _DistView:
     """Dict-like read view of a flat search's settled distances.
 
     Mirrors the dict engine's ``search.dist``: membership == settled,
     iteration yields vertices in settle order, ``[v]`` raises KeyError
     for unsettled vertices.  The view is live -- advancing the search
-    extends it -- and dies with the search's :meth:`release`.
+    extends it -- and reads empty after the search's :meth:`release`.
     """
 
     __slots__ = ("_search",)
@@ -591,11 +601,13 @@ class FlatDijkstraSearch:
 
         After release the search and its ``dist``/``pred`` views (and any
         tree sharing them) read as *empty* -- the generation stamp is
-        retired and the arena reference dropped, so a recycled arena can
-        never leak another search's data into them.  Releasing twice is a
-        no-op.
+        retired, the arena reference dropped and the views repointed at
+        :data:`_RELEASED`, so a recycled arena can never leak another
+        search's data into them and no view keeps the search alive.
+        Releasing twice is a no-op.
         """
         if self._arena is not None:
+            self.dist._search = self.pred._search = _RELEASED
             arena, self._arena = self._arena, None
             # Restore the pool's all-inf dist invariant: every dirtied
             # vertex is either settled or still holds a frontier entry.

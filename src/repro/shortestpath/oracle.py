@@ -251,6 +251,15 @@ class HubOracle:
 
     # -- queries ---------------------------------------------------------
 
+    def distance(self, hub: int, x: int) -> float:
+        """The cell ``dist(hub, x)`` (``inf`` when unreachable); a NaN or
+        negative cell raises :class:`~repro.errors.IndexFormatError`."""
+        d = self._dist[self._row_of[hub] * self._n + x]
+        if d >= 0.0:
+            return d
+        raise self._corrupt(0, hub, f"distance to vertex {x} is {d!r}"
+                                    f" (expected >= 0 or inf)")
+
     def domains(self, u: int, v: int, weight: float,
                 targets: Iterable[int]) -> Tuple[Set[int], Set[int]]:
         """``(UD*, VD*)`` of bridge ``(u, v)`` over ``targets``.

@@ -14,12 +14,14 @@ import struct
 
 import pytest
 
+from repro.core.ble import run_ble_radius
 from repro.core.dps import DPSQuery
 from repro.core.roadpart import binfmt
 from repro.core.roadpart.index import RoadPartIndex
 from repro.core.roadpart.query import RoadPartQueryProcessor, roadpart_dps
 from repro.datasets.queries import window_query
 from repro.errors import IndexFormatError
+from repro.shortestpath.flat import release_search
 from repro.shortestpath.oracle import build_oracle
 
 
@@ -340,6 +342,21 @@ class TestTableCells:
         self._query_raises(bad, medium_network, query,
                            f"section 'ordist', row of endpoint {hub}:"
                            f" distance to vertex {x}")
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_bad_corollary3_cell(self, oracle_bin, tmp_path,
+                                 medium_network, read_cells, value):
+        # Corollary 3 reads dist(x, vc) for every candidate endpoint x
+        # before any bridge's domains are read.
+        query, (hub, _), _ = read_cells
+        center = run_ble_radius(medium_network, query)
+        release_search(center.search)
+        at = _table_cell_at(oracle_bin, b"ordist", hub,
+                            center.center_vertex, medium_network)
+        bad = _corrupt(oracle_bin, tmp_path, at, struct.pack("<d", value))
+        self._query_raises(bad, medium_network, query,
+                           f"section 'ordist', row of endpoint {hub}:"
+                           f" distance to vertex {center.center_vertex}")
 
     @pytest.mark.parametrize("value", ["n", -1, -5])
     def test_bad_predecessor(self, oracle_bin, tmp_path, medium_network,

@@ -23,13 +23,19 @@ import struct
 
 import pytest
 
+from repro.core.ble import run_ble_radius
+from repro.core.dps import DPSQuery
 from repro.core.roadpart import binfmt
 from repro.core.roadpart.index import RoadPartIndex, build_index
 from repro.core.roadpart.parallel import fork_available
 from repro.core.roadpart.query import RoadPartQueryProcessor, roadpart_dps
 from repro.datasets.synthetic import add_bridges, grid_network
 from repro.errors import IndexFormatError
+from repro.graph.network import RoadNetwork
+from repro.obs.counters import SearchCounters
+from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceRecorder
+from repro.shortestpath.flat import release_search
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
@@ -89,6 +95,73 @@ class TestQueryByteIdentity:
         for policy in ("hub", "ch", "plateau"):
             with pytest.raises(ValueError, match="unknown oracle policy"):
                 RoadPartQueryProcessor(hub_index, oracle=policy)
+
+
+def _flyover_grid():
+    """A 7x7 unit grid with two weight-3 flyovers, (1,1)-(3,2) and
+    (4,4)-(6,5).  Integer weights make every float distance exact, so
+    table cells land exactly on ``2r``."""
+    n = 7
+    coords = [(float(i), float(j)) for j in range(n) for i in range(n)]
+    edges = [(v, v + 1, 1.0) for v in range(n * n) if v % n < n - 1]
+    edges += [(v, v + n, 1.0) for v in range(n * n - n)]
+    edges += [(8, 17, 3.0), (32, 41, 3.0)]
+    return RoadNetwork(coords, edges)
+
+
+class TestCorollary3FromTable:
+    """With a table, Corollary 3 reads ``dist(x, vc)`` cells instead of
+    extending BL-E's search to ``2r``; the answers must not move."""
+
+    def test_endpoint_exactly_at_2r_takes_the_band_path(self):
+        network = _flyover_grid()
+        index = build_index(network, border_count=4, oracle="auto")
+        query = DPSQuery.q_query([0, 3])
+        r_stage = SearchCounters()
+        ble = run_ble_radius(network, query, counters=r_stage)
+        release_search(ble.search)
+        assert (ble.center_vertex, ble.radius) == (1, 2.0)
+        # Endpoint 17 of the exterior bridge (8, 17) sits exactly on 2r,
+        # inside the rounding band: the search must extend and decide.
+        assert index.oracle.distance(17, 1) == 4.0
+        assert (8, 17) in RoadPartQueryProcessor(index).examined_bridges(
+            query)
+        stats = QueryStats()
+        with_table = roadpart_dps(index, query, stats=stats)
+        assert stats.counters.vertices_settled > r_stage.vertices_settled
+        plain = roadpart_dps(index, query, oracle="none")
+        assert with_table.vertices == plain.vertices
+        assert (with_table.stats["b"], with_table.stats["bv"]) == (
+            plain.stats["b"], plain.stats["bv"])
+
+    def test_every_pair_matches_the_2r_search(self):
+        network = _flyover_grid()
+        index = build_index(network, border_count=4, oracle="auto")
+        table = RoadPartQueryProcessor(index)
+        plain = RoadPartQueryProcessor(index, oracle="none")
+        for s in range(0, 49, 3):
+            for t in range(s + 1, 49, 2):
+                query = DPSQuery.q_query([s, t])
+                a, b = table.query(query), plain.query(query)
+                assert a.vertices == b.vertices, (s, t)
+                assert (a.stats["b"], a.stats["bv"]) == (
+                    b.stats["b"], b.stats["bv"]), (s, t)
+
+    def test_table_leaves_only_the_r_stage(self, medium_network,
+                                           medium_index, hub_index,
+                                           medium_query):
+        r_stage = SearchCounters()
+        release_search(run_ble_radius(medium_network, medium_query,
+                                      counters=r_stage).search)
+        with_table, plain = QueryStats(), QueryStats()
+        roadpart_dps(hub_index, medium_query, stats=with_table)
+        roadpart_dps(medium_index, medium_query, stats=plain)
+        assert with_table.counters.vertices_settled == (
+            r_stage.vertices_settled)
+        assert (with_table.counters.vertices_settled
+                < plain.counters.vertices_settled)
+        # docs/observability.md's worked example (oracle "none").
+        assert plain.counters.vertices_settled == 4477
 
 
 class TestSerialisation:

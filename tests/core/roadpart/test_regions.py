@@ -1,8 +1,11 @@
 """Unit tests for regions and region splitting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.roadpart.regions import RegionBuilder, RegionSet
+from repro.core.roadpart.window import region_in_window, tight_window
 
 
 class TestRegionBuilder:
@@ -74,6 +77,54 @@ class TestRegionSet:
 
     def test_vector_of_vertex(self):
         assert self._simple().vector_of_vertex(3) == ((4, 4),)
+
+
+def _interval(low_range, max_width):
+    return st.tuples(st.integers(*low_range), st.integers(0, max_width)) \
+        .map(lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+@st.composite
+def _vectors_and_window(draw):
+    """Region vectors over zones 1..9 and a window whose labels may lie
+    partly or wholly outside the stored zones."""
+    dims = draw(st.integers(1, 5))
+    vectors = draw(st.lists(
+        st.tuples(*[_interval((1, 7), 2) for _ in range(dims)]),
+        min_size=1, max_size=40))
+    window = draw(st.lists(_interval((-3, 12), 5), min_size=dims,
+                           max_size=dims))
+    return vectors, window
+
+
+class TestWindowBitsets:
+    """Theorem 2 from prefix bitsets must keep exactly the regions the
+    reference test :func:`region_in_window` keeps."""
+
+    @given(_vectors_and_window())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        vectors, window = case
+        regions = RegionSet(list(range(len(vectors))), vectors)
+        assert regions.regions_in_window(window) == [
+            rid for rid, vec in enumerate(vectors)
+            if region_in_window(vec, window)]
+
+    def test_window_beyond_stored_zones(self):
+        regions = RegionSet([0, 1], [((2, 3),), ((4, 5),)])
+        assert regions.regions_in_window([(0, 1)]) == []
+        assert regions.regions_in_window([(6, 9)]) == []
+        assert regions.regions_in_window([(0, 9)]) == [0, 1]
+        assert regions.regions_in_window([(3, 4)]) == [0, 1]
+        assert regions.regions_in_window([(5, 5)]) == [1]
+
+    def test_index_windows_match_reference(self, medium_index):
+        regions = medium_index.regions
+        for rids in ([0], [0, 5], list(range(0, regions.region_count, 7))):
+            window = tight_window([regions.vectors[r] for r in rids])
+            assert regions.regions_in_window(window) == [
+                rid for rid, vec in enumerate(regions.vectors)
+                if region_in_window(vec, window)]
 
 
 class TestIntegrationWithIndex:

@@ -1,6 +1,7 @@
 """Property-based tests for RoadPart's internals: contour containment,
 labelling invariants and index determinism over fuzzed networks."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,31 @@ def test_non_bridge_edges_never_jump_zones(params, border_count):
         lv, hv = labels[edge.v]
         assert not (hu < lv or hv < lu), (edge.key, labels[edge.u],
                                           labels[edge.v])
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: on _make(6, 6, 9, 3) the labelling lets non-bridge"
+    " edges jump zones (with 6 borders edge (24, 25) is labelled (6, 6)"
+    " and (4, 5); with 7, round 1 jumps on (6, 7), (8, 14), (14, 20) and"
+    " (14, 15)), so Theorem 2 prunes a region a shortest path needs"))
+def test_zone_jump_breaks_distance_preservation():
+    """Deterministic regression for the zone-jump counterexample
+    Hypothesis found for :func:`test_non_bridge_edges_never_jump_zones`:
+    RoadPart drops part of ``sp(9, 19)`` (4.04146 in G, 4.82726 in the
+    answer) whatever the oracle policy or engine."""
+    from repro.core.dps import DPSQuery
+    from repro.core.roadpart.index import build_index
+    from repro.core.roadpart.query import roadpart_dps
+    from repro.core.verify import verify_dps
+    network = _make(6, 6, 9, 3)
+    index = build_index(network, 7, oracle="auto")
+    query = DPSQuery.q_query([7, 9, 19, 34, 35])
+    for oracle in ("auto", "none"):
+        for engine in ("flat", "dict"):
+            result = roadpart_dps(index, query, oracle=oracle,
+                                  engine=engine)
+            report = verify_dps(network, result, query)
+            assert report.ok, (oracle, engine, report.failures)
 
 
 @given(network_params, st.integers(4, 6))

@@ -9,9 +9,15 @@ Three contracts, each pinned for both engines:
 - an abort mid-search leaves the flat engine's pooled arena reusable --
   the all-inf invariant is restored on release, so the next search from
   the pool still answers correctly.
+
+The mid-loop aborts are driven by a fake clock patched over the flat
+kernel's ``monotonic``: the entry check reads the real clock and passes,
+the first quantized check reads a time past every deadline.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -19,15 +25,24 @@ from repro.core.ble import bl_efficiency
 from repro.core.blq import bl_quality
 from repro.core.dps import DPSQuery
 from repro.core.hull import convex_hull_dps
+from repro.core.ble import run_ble_radius
+from repro.core.roadpart.index import build_index
 from repro.core.roadpart.query import roadpart_dps
+from repro.datasets.queries import window_query
 from repro.errors import DeadlineExceeded
 from repro.obs.counters import SearchCounters
+from repro.obs.stats import QueryStats
+from repro.shortestpath import flat
 from repro.shortestpath.bidirectional import (
     bidirectional_ppsp,
     bridge_domains,
 )
-from repro.shortestpath.deadline import Deadline
-from repro.shortestpath.flat import make_search, release_search
+from repro.shortestpath.deadline import DEADLINE_CHECK_INTERVAL, Deadline
+from repro.shortestpath.flat import (
+    FlatDijkstraSearch,
+    make_search,
+    release_search,
+)
 
 ENGINES = ("flat", "dict")
 
@@ -200,3 +215,69 @@ class TestEntryPointDeadlines:
                                       deadline=generous())
         assert bounded.vertices == plain.vertices
         assert bounded.stats == plain.stats
+
+
+@pytest.fixture()
+def clock_past_deadline(monkeypatch):
+    """The flat kernel's clock reads past every deadline, so a bulk run
+    aborts at its first quantized check, after exactly
+    ``DEADLINE_CHECK_INTERVAL`` settles."""
+    monkeypatch.setattr(flat, "monotonic", lambda: math.inf)
+
+
+class TestMidLoopAbort:
+
+    @pytest.mark.parametrize("run", ["until_settled", "until_beyond",
+                                     "to_exhaustion"])
+    def test_abort_flushes_counters_and_restores_arena(
+            self, medium_network, clock_past_deadline, run):
+        far = medium_network.num_vertices - 1
+        counters = SearchCounters()
+        search = FlatDijkstraSearch(medium_network, 0, counters=counters,
+                                    deadline=generous())
+        arena = search._arena
+        with pytest.raises(DeadlineExceeded):
+            if run == "until_settled":
+                search.run_until_settled([far])
+            elif run == "until_beyond":
+                search.run_until_beyond(1e9)
+            else:
+                search.run_to_exhaustion()
+        # The abort lands right after the interval's last settle, before
+        # that vertex relaxes its arcs; every tally is flushed.
+        order = search.settled_order
+        indptr = medium_network.csr().indptr_list
+        assert len(order) == DEADLINE_CHECK_INTERVAL
+        assert counters.vertices_settled == DEADLINE_CHECK_INTERVAL
+        assert search.expanded == DEADLINE_CHECK_INTERVAL
+        assert counters.heap_pops == (counters.vertices_settled
+                                      + counters.stale_skips)
+        assert counters.heap_pushes == (counters.heap_pops
+                                        + len(search._frontier))
+        assert counters.edges_relaxed == sum(
+            indptr[u + 1] - indptr[u] for u in order[:-1])
+        search.release()
+        assert all(d == math.inf for d in arena.dist)
+
+    def test_roadpart_abort_in_corollary3_r_stage(self, medium_network,
+                                                  monkeypatch):
+        index = build_index(medium_network, border_count=8,
+                            oracle="auto")
+        query = DPSQuery.q_query(window_query(medium_network, 0.6,
+                                              seed=21))
+        before = roadpart_dps(index, query)
+        assert before.stats["b"] > 0  # Corollary 3 runs
+        r_stage = SearchCounters()
+        release_search(run_ble_radius(medium_network, query,
+                                      counters=r_stage).search)
+        # The first quantized check falls inside the r stage.
+        assert r_stage.vertices_settled > DEADLINE_CHECK_INTERVAL
+        monkeypatch.setattr(flat, "monotonic", lambda: math.inf)
+        stats = QueryStats()
+        with pytest.raises(DeadlineExceeded):
+            roadpart_dps(index, query, stats=stats, deadline=generous())
+        assert stats.counters.vertices_settled == DEADLINE_CHECK_INTERVAL
+        monkeypatch.undo()
+        after = roadpart_dps(index, query)
+        assert after.vertices == before.vertices
+        assert after.stats == before.stats

@@ -1,5 +1,6 @@
 """Tests for the flat CSR search kernel and the engine selector."""
 
+import gc
 import math
 
 import pytest
@@ -125,6 +126,33 @@ class TestRelease:
         assert len(search.dist) == 0 or 4 not in search.dist
         assert not tree.reached(4)
         assert search.dist.get(4) is None
+
+    def test_views_taken_before_release_read_empty(self, path_network):
+        search = make_search(path_network, 0, engine="flat")
+        search.run_to_exhaustion()
+        dist, pred = search.dist, search.pred
+        search.release()
+        assert len(dist) == 0 and list(dist) == [] and dist.items() == []
+        assert 4 not in dist and dist.get(4) is None
+        assert len(pred) == 0 and 4 not in pred and pred.get(4) is None
+
+    def test_released_searches_leave_no_cycles(self, medium_network):
+        # A released search must not sit in a search <-> view cycle:
+        # reference counting frees it, and nothing is left for the
+        # cyclic collector.
+        medium_network.csr()
+        gc.collect()
+        gc.disable()
+        try:
+            for source in range(20):
+                search = make_search(medium_network, source, engine="flat")
+                search.run_to_exhaustion()
+                tree = search.tree()
+                search.release()
+                del search, tree
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_release_twice_is_noop(self, path_network):
         search = make_search(path_network, 0, engine="flat")

@@ -225,6 +225,17 @@ class TestCorruptCells:
                                  rf" endpoint {v}: distance to vertex {x}"):
             bad.domains(u, v, network.edge_weight(u, v), [u, x])
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
+    def test_bad_single_cell(self, bridged, oracle, value):
+        network, bridges = bridged
+        hub = bridges[0][1]
+        bad = _patched(oracle, network, bridges, "dist", hub, 3, value)
+        assert oracle.distance(hub, 3) == oracle.dist_row(hub)[3]
+        with pytest.raises(IndexFormatError,
+                           match=rf"idx\.bin: section 'ordist', row of"
+                                 rf" endpoint {hub}: distance to vertex 3"):
+            bad.distance(hub, 3)
+
     @pytest.mark.parametrize("value", [-1, -7, 10 ** 6])
     def test_bad_predecessor(self, bridged, oracle, value):
         network, bridges = bridged

@@ -338,3 +338,24 @@ class TestReadmeLinks:
                        "BUILD_CHECK_RATIO", "bench build"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
+
+    def test_docs_cover_index_reads_on_a_miss(self):
+        """Corollary 3 from endpoint-table cells and Theorem 2 from
+        region bitsets, each with its reference, stay documented."""
+        needles = {
+            "algorithms.md": ("run_ble_radius", "rounding_band",
+                              "BLEOutcome.within_2r",
+                              "RegionSet.regions_in_window",
+                              "region_in_window", "dist(x, vc)"),
+            "architecture.md": ("RegionSet.regions_in_window",
+                                "region_in_window", "rounding_band",
+                                "dist(x, vc)", "`r` stage"),
+            "observability.md": ("repro.core.ble.rounding_band",
+                                 "RegionSet.regions_in_window",
+                                 "`r` stage", "repro_search_*",
+                                 "dist(x, vc)"),
+        }
+        for page, words in needles.items():
+            doc = (REPO_ROOT / "docs" / page).read_text()
+            for needle in words:
+                assert needle in doc, f"{needle!r} missing from docs/{page}"
