@@ -14,12 +14,20 @@ by comparing full counter sets; the timed repeats are interleaved
 (dict, flat, dict, flat, ...) so machine-load drift cancels out of the
 speedup ratio.
 
-A third measure answers the same bridges from the index's endpoint
-tree table (:mod:`repro.shortestpath.oracle`): full ``(UD*, VD*)``
-membership per bridge via :meth:`HubOracle.domains`, read off the two
-``dist`` rows -- exactly what a real query does instead of the dual
-heap.  A warm-up pass cross-checks every table domain pair against the
-dict engine's sets before anything is timed.
+Two more measures answer the same bridges from the index's endpoint
+tree table (:mod:`repro.shortestpath.oracle`):
+
+- ``oracle``: full ``(UD*, VD*)`` membership per bridge via
+  :meth:`HubOracle.domains`, every target's two ``dist`` cells read
+  afresh -- the reference; a warm-up pass cross-checks every pair
+  against the dict engine's sets before anything is timed;
+- ``screen``: :meth:`HubOracle.screen`, Theorem 5's test over the
+  bridge's memoised verdicts -- exactly what a real query runs instead
+  of the dual heap.  It runs on a table of its own, so its first pass
+  (timed once, reported as ``first pass``) fills a fresh memo, as the
+  first queries of a fresh daemon do; the median is over warm passes.
+  The warm-up cross-checks every answer against the dict engine's
+  domain emptiness (and, for a valid bridge, its sets).
 
 ``python -m repro.bench bridges --check`` fails (exit 1) when the fused
 flat dual-heap loop is below :data:`BRIDGES_CHECK_RATIO` x the dict
@@ -41,6 +49,7 @@ from repro.core.roadpart.query import RoadPartQueryProcessor
 from repro.datasets.queries import window_query
 from repro.obs.counters import SearchCounters
 from repro.shortestpath.bidirectional import bridge_domains
+from repro.shortestpath.oracle import oracle_from_payload
 
 #: Table II-scale stand-in whose bridge workload is measured.
 BRIDGES_DATASET = "EAST-S"
@@ -64,6 +73,8 @@ class BridgeMeasure:
     targets: int           #: query vertices each dual-heap search covers
     seconds: float         #: median over the repeats
     samples: List[float] = field(default_factory=list)
+    #: ``screen`` only: the one pass over a fresh verdict memo.
+    first_pass: Optional[float] = None
 
     @property
     def domains_per_second(self) -> float:
@@ -93,14 +104,23 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
     q_vertices = sorted(query.combined)
     network.csr()  # built once and cached, like the R-trees: not timed
     oracle = index.oracle
-    engines = ("dict", "flat") + (("oracle",) if oracle is not None
+    engines = ("dict", "flat") + (("oracle", "screen") if oracle is not None
                                   else ())
     weights = {(u, v): network.edge_weight(u, v) for u, v in examined}
+    screener = None
+    if oracle is not None:
+        # Shares the rows, not the memo.
+        screener = oracle_from_payload(oracle.to_payload(),
+                                       network.num_vertices, index.bridges)
 
     def one_pass(engine, counters=None):
         if engine == "oracle":
             for u, v in examined:
                 oracle.domains(u, v, weights[(u, v)], q_vertices)
+            return
+        if engine == "screen":
+            for u, v in examined:
+                screener.screen(u, v, weights[(u, v)], q_vertices)
             return
         for u, v in examined:
             domains = bridge_domains(network, u, v, q_vertices,
@@ -117,10 +137,15 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
     if checks["dict"] != checks["flat"]:
         raise AssertionError(
             f"engines disagree on operation counts: {checks}")
+    first_pass = None
     if oracle is not None:
-        # Oracle warm-up is a correctness cross-check instead (the
+        start = time.perf_counter()
+        one_pass("screen")  # fills the fresh memo
+        first_pass = time.perf_counter() - start
+        # Table warm-up is a correctness cross-check instead (the
         # table touches no SearchCounters by design): every (UD*, VD*)
-        # pair must match the dict engine's sets exactly.
+        # pair must match the dict engine's sets exactly, and the
+        # screen must answer None exactly when one of them is empty.
         for u, v in examined:
             domains = bridge_domains(network, u, v, q_vertices,
                                      engine="dict")
@@ -131,8 +156,13 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
                 raise AssertionError(
                     f"oracle disagrees with the dict engine on bridge"
                     f" ({u}, {v}): oracle={got} dict={expected}")
+            screened = screener.screen(u, v, weights[(u, v)], q_vertices)
+            if screened != (expected if all(expected) else None):
+                raise AssertionError(
+                    f"screen disagrees with the dict engine on bridge"
+                    f" ({u}, {v}): screen={screened} dict={expected}")
     samples = {engine: [] for engine in engines}
-    # Interleaved repeats (dict, flat, oracle, dict, flat, oracle, ...):
+    # Interleaved repeats (dict, flat, oracle, screen, dict, ...):
     # slow machine load drift hits every engine equally and cancels out
     # of the speedup ratios.
     for _ in range(repeats):
@@ -141,7 +171,8 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
             one_pass(engine)
             samples[engine].append(time.perf_counter() - start)
     return [BridgeMeasure(dataset, engine, len(examined), len(q_vertices),
-                          median(samples[engine]), samples[engine])
+                          median(samples[engine]), samples[engine],
+                          first_pass if engine == "screen" else None)
             for engine in engines]
 
 
@@ -158,3 +189,12 @@ def oracle_speedup(measures: List[BridgeMeasure]) -> Optional[float]:
     if "oracle" not in by_engine:
         return None
     return by_engine["flat"].seconds / by_engine["oracle"].seconds
+
+
+def screen_speedup(measures: List[BridgeMeasure]) -> Optional[float]:
+    """oracle seconds / warm screen seconds (>1 means the memoised
+    verdicts beat reading every cell), or None when no oracle ran."""
+    by_engine = {m.engine: m for m in measures}
+    if "screen" not in by_engine:
+        return None
+    return by_engine["oracle"].seconds / by_engine["screen"].seconds

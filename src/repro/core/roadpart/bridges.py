@@ -7,8 +7,10 @@ repair the window-pruned DPS needs.
 
 Offline, :func:`find_bridges` runs the indexed-nested-loop spatial
 self-join of Section V-A.  Online, bridges are classified against the
-window (interior / cut / exterior, Section V-C) and whittled down by
-three pruning rules before the expensive domain computations run:
+window (interior / cut / exterior, Section V-C) -- all at once from the
+endpoint-label bitsets of :class:`BridgeLabelBits`, with
+:func:`classify_bridge` as the per-bridge reference -- and whittled down
+by three pruning rules before the expensive domain computations run:
 
 - Theorem 6: interior and exterior bridges never need examining;
 - Corollary 3: a cut bridge with an endpoint beyond ``2r`` from BL-E's
@@ -32,12 +34,16 @@ only when explicitly asked (``prune_theorem7=True``, default False; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.roadpart.window import Label, comp
+from repro.core.roadpart.regions import RegionSet
+from repro.core.roadpart.window import Label, LabelBits, comp, set_bits
 from repro.graph.network import RoadNetwork
 
 EdgeKey = Tuple[int, int]
+
+#: Orders of the cut pairs ``L`` for Theorem 7 (:func:`theorem7_survivors`).
+CUT_PAIR_ORDERS = ("load", "dimension")
 
 
 def find_bridges(network: RoadNetwork) -> FrozenSet[EdgeKey]:
@@ -103,6 +109,59 @@ def classify_bridge(vec_u: Sequence[Label], vec_v: Sequence[Label],
         return BridgeClassification("exterior", outside_dims=tuple(outside))
     return BridgeClassification("cut", cut_dims=tuple(cut_dims),
                                 outside_dims=tuple(outside))
+
+
+class BridgeLabelBits:
+    """Observation 1 for every bridge at once.
+
+    Built once per index: per label dimension, one
+    :class:`~repro.core.roadpart.window.LabelBits` over the sorted
+    bridges' ``u`` endpoint labels and one over their ``v`` endpoint
+    labels (bit ``i`` for ``bridges[i]``).  Per window dimension ``w``
+    each endpoint side splits into ``overlap`` (``comp = 0``), ``above``
+    (``+1``) and ``below`` (``-1``) bitsets, and :func:`classify_bridge`'s
+    rules become
+
+    - cut in this dimension: ``(above_u & below_v) | (below_u &
+      above_v) | (overlap_u ^ overlap_v)`` -- opposite strict sides, or
+      exactly one endpoint in the span;
+    - interior: ``overlap_u & overlap_v`` in *every* dimension;
+
+    and every bridge in neither set is exterior.
+    """
+
+    def __init__(self, bridges: Iterable[EdgeKey],
+                 regions: RegionSet) -> None:
+        self.bridges: List[EdgeKey] = sorted(bridges)
+        vector = regions.vector_of_vertex
+        ends = [(vector(u), vector(v)) for u, v in self.bridges]
+        self._dims = [
+            (LabelBits([vec_u[i] for vec_u, _ in ends]),
+             LabelBits([vec_v[i] for _, vec_v in ends]))
+            for i in range(regions.dimensions)]
+
+    def classify(self, window: Sequence[Label],
+                 ) -> Tuple[List[EdgeKey], List[EdgeKey]]:
+        """``(cut, exterior)`` bridges against ``window``, each
+        ascending -- exactly the bridges :func:`classify_bridge` calls
+        ``'cut'`` and ``'exterior'``; the rest are interior."""
+        full = (1 << len(self.bridges)) - 1
+        cut = 0
+        interior = full
+        for w, (bits_u, bits_v) in zip(window, self._dims):
+            low_le_u = bits_u.low_le(w[1])
+            high_ge_u = bits_u.high_ge(w[0])
+            low_le_v = bits_v.low_le(w[1])
+            high_ge_v = bits_v.high_ge(w[0])
+            overlap_u = low_le_u & high_ge_u
+            overlap_v = low_le_v & high_ge_v
+            cut |= (((full ^ low_le_u) & (full ^ high_ge_v))
+                    | ((full ^ high_ge_u) & (full ^ low_le_v))
+                    | (overlap_u ^ overlap_v))
+            interior &= overlap_u & overlap_v
+        bridges = self.bridges
+        return ([bridges[i] for i in set_bits(cut)],
+                [bridges[i] for i in set_bits(full & ~(cut | interior))])
 
 
 def theorem7_survivors(

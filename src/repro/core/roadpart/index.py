@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, List, Optional, Union
 from repro.errors import IndexFormatError
 
 from repro.core.roadpart.border import select_borders
-from repro.core.roadpart.bridges import EdgeKey, find_bridges
+from repro.core.roadpart.bridges import BridgeLabelBits, EdgeKey, find_bridges
 from repro.core.roadpart.contour import Contour, compute_contour
 from repro.core.roadpart.labeling import CutCache, label_round
 from repro.core.roadpart.parallel import fork_available, run_parallel_labeling
@@ -108,7 +108,10 @@ class RoadPartIndex:
     ``regions`` carries the vertex → region mapping and region label
     vectors; ``bridges`` the crossing-edge set; ``border_vertex_ids`` the
     ``ℓ`` border vertices in contour order (their order defines the label
-    dimensions).
+    dimensions).  ``bridge_bits`` is derived at construction, never
+    stored: the bridges' endpoint-label bitsets that classify them all
+    against a window at once (Observation 1, see
+    :class:`~repro.core.roadpart.bridges.BridgeLabelBits`).
     """
 
     network: RoadNetwork
@@ -121,6 +124,11 @@ class RoadPartIndex:
     #: :mod:`repro.shortestpath.oracle`); ``None`` when built with
     #: ``oracle="none"`` or over a network without bridges.
     oracle: Optional[HubOracle] = None
+    bridge_bits: BridgeLabelBits = field(init=False, repr=False,
+                                         compare=False)
+
+    def __post_init__(self) -> None:
+        self.bridge_bits = BridgeLabelBits(self.bridges, self.regions)
 
     @property
     def border_count(self) -> int:

@@ -8,16 +8,20 @@ Given a query, the processor:
    dimensions (Theorem 2), read off the region set's prefix bitsets
    (:meth:`~repro.core.roadpart.regions.RegionSet.regions_in_window`)
    -- their vertices form the planar part of the DPS (Theorem 3);
-3. classifies each bridge against ``W``, prunes interior bridges
-   (Theorem 6) and any bridge with an endpoint beyond BL-E's ``2r`` ball
-   (Corollary 3 / Theorem 1) -- BL-E's search stops at ``r`` and the
-   endpoint tree table's ``dist(x, vc)`` cells decide the ball, the
-   search extending to ``2r`` only without a table or for a cell within
-   rounding of ``2r``; the survivors are *examined*: their domains
-   ``UD*`` and ``VD*`` are read off the index's endpoint tree table (or,
-   without one, computed with the dual-heap search), and each *valid*
-   bridge (both domains non-empty, Theorem 5) patches the shortest paths
-   between its endpoints and the query vertices into the DPS.
+3. classifies every bridge against ``W`` at once, from the index's
+   endpoint-label bitsets
+   (:class:`~repro.core.roadpart.bridges.BridgeLabelBits`), prunes
+   interior bridges (Theorem 6) and any bridge with an endpoint beyond
+   BL-E's ``2r`` ball (Corollary 3 / Theorem 1) -- BL-E's search stops
+   at ``r`` and the endpoint tree table's ``dist(x, vc)`` cells decide
+   the ball, the search extending to ``2r`` only without a table or for
+   a cell within rounding of ``2r``; the survivors are *examined*:
+   Theorem 5 (both domains ``UD*`` and ``VD*`` non-empty) is read off
+   the table's memoised verdicts
+   (:meth:`~repro.shortestpath.oracle.HubOracle.screen`; without a
+   table the dual-heap search computes the domains), and each *valid*
+   bridge patches the shortest paths between its endpoints and the
+   query vertices into the DPS.
 
 Two deliberate deviations from the paper, both forced by the
 skeleton-cut fix (see :class:`repro.core.roadpart.labeling.CutCache`).
@@ -49,14 +53,14 @@ result.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.ble import run_ble_radius
-from repro.shortestpath.flat import release_search
+from repro.shortestpath.flat import release_search, resolve_engine
 from repro.core.dps import DPSQuery, DPSResult
 from repro.obs.stats import QueryStats, resolve_stats
 from repro.core.roadpart.bridges import (
-    BridgeClassification,
+    CUT_PAIR_ORDERS,
     EdgeKey,
     classify_bridge,
     theorem7_survivors,
@@ -90,6 +94,9 @@ class RoadPartQueryProcessor:
         no-pruning row.
     cut_pair_order:
         ``'load'`` or ``'dimension'`` ordering of ``L`` for Theorem 7.
+        Like ``window_mode``, ``engine`` and ``oracle``, any other
+        value raises :class:`ValueError` here, whether or not a query
+        ever reaches the code that reads it.
     examine_all_bridges:
         Skip every pruning rule and run the domain computation on all
         bridges (the ablation baseline; slow but maximally conservative).
@@ -101,8 +108,9 @@ class RoadPartQueryProcessor:
     oracle:
         Bridge-domain oracle policy.  ``'auto'`` (default) answers
         every examined bridge from the endpoint tree table attached to
-        the index when there is one: domains from its ``dist`` rows,
-        the path patch of a valid bridge from its ``pred`` rows, no
+        the index when there is one: Theorem 5 from the verdicts it
+        memoises off its ``dist`` rows (:meth:`HubOracle.screen`), the
+        path patch of a valid bridge from its ``pred`` rows, no
         search at all -- and decides Corollary 3 from its ``dist(x,
         vc)`` cells, so the BL-E search stops at ``r``.  ``'none'``
         never consults it: the BL-E search extends to ``2r`` and the
@@ -124,13 +132,15 @@ class RoadPartQueryProcessor:
                  oracle: str = "auto") -> None:
         if window_mode not in ("tight", "loose"):
             raise ValueError(f"unknown window mode {window_mode!r}")
+        if cut_pair_order not in CUT_PAIR_ORDERS:
+            raise ValueError(f"unknown cut-pair order {cut_pair_order!r}")
         self._index = index
         self._window_mode = window_mode
         self._prune_cor3 = prune_corollary3
         self._prune_thm7 = prune_theorem7
         self._cut_pair_order = cut_pair_order
         self._examine_all = examine_all_bridges
-        self._engine = engine
+        self._engine = resolve_engine(engine)
         if oracle not in ORACLE_POLICIES:
             raise ValueError(f"unknown oracle policy {oracle!r}")
         self._oracle = index.oracle if oracle == "auto" else None
@@ -225,61 +235,47 @@ class RoadPartQueryProcessor:
                         ) -> List[EdgeKey]:
         """Classify and prune bridges; returns the examined list."""
         network = self._index.network
-        bridges = self._index.bridges
-        if not bridges:
+        bridge_bits = self._index.bridge_bits
+        if not bridge_bits.bridges:
             return []
-        regions = self._index.regions
-        counters = stats.counters
-
         if self._examine_all:
-            to_examine: List[EdgeKey] = sorted(bridges)
-        else:
-            cut_bridges: Dict[EdgeKey, BridgeClassification] = {}
-            exterior_bridges: List[EdgeKey] = []
-            with stats.phase("bridge-classify"):
-                for key in bridges:
-                    cls = classify_bridge(regions.vector_of_vertex(key[0]),
-                                          regions.vector_of_vertex(key[1]),
-                                          window)
-                    if cls.kind == "cut":
-                        cut_bridges[key] = cls
-                    elif cls.kind == "exterior":
-                        # Not pruned outright (paper's Theorem 6): with
-                        # skeleton cuts only the metric Corollary 3 test
-                        # below may discard these (module docstring).
-                        exterior_bridges.append(key)
-                    # interior bridges are pruned (Theorem 6, still sound)
-            if self._prune_cor3 and (cut_bridges or exterior_bridges):
-                with stats.phase("cor3-ble"):
-                    # Corollary 3's 2r ball reuses BL-E's search up to
-                    # r; the table's cells decide the rest, the search
-                    # extending to 2r only without a table or for a
-                    # cell within rounding of 2r.  Its heap/relax work
-                    # lands in the same counter set but keeps its own
-                    # phase so the breakdown stays honest.
-                    ble = run_ble_radius(network, query, counters=counters,
-                                         engine=self._engine,
-                                         deadline=deadline)
-                    table = self._oracle
-                    try:
-                        cut_bridges = {
-                            key: cls for key, cls in cut_bridges.items()
-                            if ble.within_2r(key[0], table)
-                            and ble.within_2r(key[1], table)}
-                        exterior_bridges = [
-                            key for key in exterior_bridges
+            return list(bridge_bits.bridges)
+
+        with stats.phase("bridge-classify"):
+            # Exterior bridges are not pruned outright (paper's Theorem
+            # 6): with skeleton cuts only the metric Corollary 3 test
+            # below may discard them (module docstring).  Interior
+            # bridges are pruned (Theorem 6, still sound).
+            cut, exterior = bridge_bits.classify(window)
+        if self._prune_cor3 and (cut or exterior):
+            with stats.phase("cor3-ble"):
+                # Corollary 3's 2r ball reuses BL-E's search up to r;
+                # the table's cells decide the rest, the search
+                # extending to 2r only without a table or for a cell
+                # within rounding of 2r.  Its heap/relax work lands in
+                # the same counter set but keeps its own phase so the
+                # breakdown stays honest.
+                ble = run_ble_radius(network, query, counters=stats.counters,
+                                     engine=self._engine, deadline=deadline)
+                table = self._oracle
+
+                def in_ball(keys: List[EdgeKey]) -> List[EdgeKey]:
+                    return [key for key in keys
                             if ble.within_2r(key[0], table)
                             and ble.within_2r(key[1], table)]
-                    finally:
-                        release_search(ble.search)  # probes done; recycle
+                try:
+                    cut, exterior = in_ball(cut), in_ball(exterior)
+                finally:
+                    release_search(ble.search)  # probes done; recycle
+        if self._prune_thm7 and cut:
             with stats.phase("bridge-classify"):
-                if self._prune_thm7 and cut_bridges:
-                    to_examine = theorem7_survivors(
-                        cut_bridges, len(window), self._cut_pair_order)
-                else:
-                    to_examine = sorted(cut_bridges)
-                to_examine = sorted(set(to_examine) | set(exterior_bridges))
-        return to_examine
+                vector = self._index.regions.vector_of_vertex
+                cut = theorem7_survivors(
+                    {key: classify_bridge(vector(key[0]), vector(key[1]),
+                                          window)
+                     for key in cut},
+                    len(window), self._cut_pair_order)
+        return sorted(cut + exterior)
 
     def _handle_bridges(self, query: DPSQuery, window,
                         collected: Set[int],
@@ -296,13 +292,13 @@ class RoadPartQueryProcessor:
         for u, v in to_examine:
             if table is not None:
                 with stats.phase("oracle"):
-                    ud_star, vd_star = table.domains(
-                        u, v, network.edge_weight(u, v), q_vertices)
-                if not ud_star or not vd_star:
+                    screened = table.screen(u, v, network.edge_weight(u, v),
+                                            q_vertices)
+                if screened is None:
                     continue  # Theorem 5: no query path uses it
                 valid += 1
                 with stats.phase("path-patch"):
-                    members = sorted(ud_star | vd_star)
+                    members = sorted(screened[0] | screened[1])
                     table.collect_paths(u, members, collected)
                     table.collect_paths(v, members, collected)
                 continue

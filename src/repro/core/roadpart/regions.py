@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-Label = Tuple[int, int]
+from repro.core.roadpart.window import Label, LabelBits, set_bits
 
 
 @dataclass
@@ -26,12 +26,12 @@ class RegionSet:
     region's label vector.
 
     Construction also builds Theorem 2's window index: per dimension
-    ``i`` and zone ``z``, two bitsets over region ids (Python ints, bit
-    ``rid``) -- the regions whose label has ``low ≤ z`` and those whose
-    label has ``high ≥ z``.  A region meets a window label ``[wl, wh]``
-    iff it is in the first set at ``wh`` and the second at ``wl``, so
-    :meth:`regions_in_window` ANDs ``2ℓ`` bitsets instead of testing
-    every vector.
+    ``i``, a :class:`~repro.core.roadpart.window.LabelBits` over region
+    ids (bit ``rid``) -- for every zone ``z``, the regions whose label
+    has ``low ≤ z`` and those whose label has ``high ≥ z``.  A region
+    meets a window label ``[wl, wh]`` iff it is in the first set at
+    ``wh`` and the second at ``wl``, so :meth:`regions_in_window` ANDs
+    ``2ℓ`` bitsets instead of testing every vector.
     """
 
     region_of: List[int]
@@ -43,26 +43,8 @@ class RegionSet:
             self.members = [[] for _ in self.vectors]
             for v, rid in enumerate(self.region_of):
                 self.members[rid].append(v)
-        self._window_bits = [self._dimension_bits(i)
+        self._window_bits = [LabelBits([vector[i] for vector in self.vectors])
                              for i in range(self.dimensions)]
-
-    def _dimension_bits(self, i: int) -> Tuple[int, List[int], List[int]]:
-        """``(z0, low_le, high_ge)`` of dimension ``i``: ``low_le[k]``
-        holds the regions with ``low ≤ z0 + k`` and ``high_ge[k]`` those
-        with ``high ≥ z0 + k``, for ``z0 + k`` over the stored zones."""
-        labels = [vector[i] for vector in self.vectors]
-        z0 = min(low for low, _ in labels)
-        width = max(high for _, high in labels) - z0 + 1
-        low_le = [0] * width
-        high_ge = [0] * width
-        for rid, (low, high) in enumerate(labels):
-            bit = 1 << rid
-            low_le[low - z0] |= bit
-            high_ge[high - z0] |= bit
-        for k in range(1, width):
-            low_le[k] |= low_le[k - 1]
-            high_ge[width - 1 - k] |= high_ge[width - k]
-        return z0, low_le, high_ge
 
     @property
     def region_count(self) -> int:
@@ -92,30 +74,14 @@ class RegionSet:
         """Theorem 2's survivors, ascending: the ids ``rid`` for which
         :func:`~repro.core.roadpart.window.region_in_window` holds
         (window labels are intervals, ``low ≤ high``), from ``2ℓ``
-        bitset ANDs (class docstring).  Window zones beyond the stored
-        ones clamp: nothing has ``low`` below every stored zone, and
-        everything has ``high`` at or above the lowest."""
+        bitset ANDs (class docstring; window zones beyond the stored
+        ones clamp)."""
         keep = (1 << len(self.vectors)) - 1
-        for (low_w, high_w), (z0, low_le, high_ge) in zip(
-                window, self._window_bits):
-            k = high_w - z0
-            if k < 0:
+        for w, bits in zip(window, self._window_bits):
+            keep &= bits.overlap(w)
+            if not keep:
                 return []
-            if k < len(low_le):
-                keep &= low_le[k]
-            k = low_w - z0
-            if k >= len(high_ge):
-                return []
-            if k > 0:
-                keep &= high_ge[k]
-        # Walk the set bits: '1' positions of the LSB-first binary.
-        bits = bin(keep)[:1:-1]
-        kept = []
-        rid = bits.find("1")
-        while rid >= 0:
-            kept.append(rid)
-            rid = bits.find("1", rid + 1)
-        return kept
+        return set_bits(keep)
 
 
 class RegionBuilder:

@@ -111,3 +111,67 @@ def region_in_window(vector: Tuple[Label, ...],
         if max(label[0], w[0]) > min(label[1], w[1]):
             return False
     return True
+
+
+class LabelBits:
+    """Prefix bitsets over one dimension's labels, bit ``i`` standing for
+    ``labels[i]`` (Python ints): :meth:`low_le` is the set with ``low ≤
+    z`` and :meth:`high_ge` the set with ``high ≥ z``.
+
+    Built once in ``O(n + zones)`` ORs; each lookup is a list read.
+    Zones beyond the stored ones clamp: nothing has ``low`` below every
+    stored zone, and everything has ``high`` at or above the lowest.
+    ``comp(labels[i], w)`` (:func:`comp`) is ``0`` for the bits of
+    :meth:`overlap`, ``+1`` for those missing from ``low_le(w[1])`` and
+    ``-1`` for those missing from ``high_ge(w[0])``.
+    """
+
+    __slots__ = ("_full", "_z0", "_low_le", "_high_ge")
+
+    def __init__(self, labels: Sequence[Label]) -> None:
+        self._full = (1 << len(labels)) - 1
+        z0 = min((low for low, _ in labels), default=0)
+        width = max((high for _, high in labels), default=z0 - 1) - z0 + 1
+        low_le = [0] * width
+        high_ge = [0] * width
+        for i, (low, high) in enumerate(labels):
+            bit = 1 << i
+            low_le[low - z0] |= bit
+            high_ge[high - z0] |= bit
+        for k in range(1, width):
+            low_le[k] |= low_le[k - 1]
+            high_ge[width - 1 - k] |= high_ge[width - k]
+        self._z0 = z0
+        self._low_le = low_le
+        self._high_ge = high_ge
+
+    def low_le(self, z: int) -> int:
+        """The labels with ``low ≤ z``."""
+        k = z - self._z0
+        if k < 0:
+            return 0
+        return self._low_le[k] if k < len(self._low_le) else self._full
+
+    def high_ge(self, z: int) -> int:
+        """The labels with ``high ≥ z``."""
+        k = z - self._z0
+        if k <= 0:
+            return self._full
+        return self._high_ge[k] if k < len(self._high_ge) else 0
+
+    def overlap(self, window_label: Label) -> int:
+        """The labels meeting the interval ``window_label``."""
+        return (self.low_le(window_label[1])
+                & self.high_ge(window_label[0]))
+
+
+def set_bits(bits: int) -> List[int]:
+    """The positions of the set bits of ``bits``, ascending."""
+    # The '1' positions of the LSB-first binary.
+    digits = bin(bits)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out

@@ -14,11 +14,22 @@ flat Dijkstra and keeps the whole shortest-path tree as two rows --
 - ``pred``: int32 predecessor of every vertex in the hub's tree (``-1``
   at the hub itself and where unreachable).
 
-A query then reads ``UD*``/``VD*`` off the two ``dist`` rows under the
-dual-heap's own :func:`~repro.shortestpath.bidirectional._in_domain`
+A query then decides ``UD*``/``VD*`` from the two ``dist`` rows under
+the dual-heap's own :func:`~repro.shortestpath.bidirectional._in_domain`
 if/elif, and patches a valid bridge with
 :func:`~repro.shortestpath.paths.collect_path_vertices` over the two
 ``pred`` rows.  No search runs at all.
+
+**Memoised verdicts.**  Which domain a vertex falls in is a fact about
+the bridge, not the query, and only about 6% of examined bridges are
+valid (both domains non-empty, Theorem 5).  :meth:`HubOracle.screen`
+therefore keeps one verdict byte per vertex for each bridge it screens
+(unread, neither, ``UD``, ``VD``), filled the first time a query reads
+that vertex's two cells; a query gathers its vertices' verdicts at C
+level, reads the cells of the unread ones only, and builds the two
+sets only for a valid bridge.  :meth:`HubOracle.domains` reads every
+cell afresh and is the reference.  The memo costs at most ``|V|``
+bytes per bridge (0.95 MB on EAST-S, 1/24 of the table).
 
 **Why the rows equal the dual-heap trees.**  Each side of the dual heap
 is a plain Dijkstra from its endpoint: the same heap entries pushed in
@@ -39,7 +50,8 @@ the row bytes so the trade stays visible.
 Corrupt cells are caught where a query reads them: a ``dist`` value
 that is NaN or negative, or a ``pred`` id outside ``[0, |V|)`` on a
 chain walk, raises :class:`~repro.errors.IndexFormatError` naming the
-file, the section and the hub.  Loading checks only ``O(|hubs|)``
+file, the section and the hub.  A corrupt cell is never memoised, so
+it raises on every read.  Loading checks only ``O(|hubs|)``
 facts (:func:`oracle_from_payload`), so an mmap-loaded table is never
 scanned.
 
@@ -54,6 +66,7 @@ import math
 import multiprocessing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IndexFormatError
@@ -67,6 +80,10 @@ from repro.shortestpath.paths import collect_path_vertices
 #: Build/query policies: ``auto`` (a table when there are bridges,
 #: resolved by :func:`resolve_oracle_kind`) and ``none`` (no oracle).
 ORACLE_POLICIES = ("auto", "none")
+
+#: A target's verdict byte in a bridge's memo (:meth:`HubOracle.screen`):
+#: not read yet, in neither domain, in ``UD*``, in ``VD*``.
+_UNREAD, _NEITHER, _UD, _VD = 0, 1, 2, 3
 
 
 def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
@@ -181,6 +198,13 @@ class _PredRow:
                           f" path (expected an id in [0, {self._n}))")
 
 
+def _gather(memo: bytearray, targets: Sequence[int]) -> bytes:
+    """The verdict bytes of ``targets``, in order, gathered at C level."""
+    if len(targets) > 1:
+        return bytes(itemgetter(*targets)(memo))
+    return bytes(memo[x] for x in targets)
+
+
 class HubOracle:
     """The endpoint tree table: full ``dist``/``pred`` rows per hub.
 
@@ -205,6 +229,9 @@ class HubOracle:
         self._pred = memoryview(pred)
         self._source = source
         self._sections = sections
+        #: One verdict byte per vertex for each screened bridge, keyed
+        #: by ``(u, v, weight)`` (see :meth:`screen`).
+        self._verdicts: Dict[Tuple[int, int, float], bytearray] = {}
 
     @classmethod
     def build(cls, network: RoadNetwork,
@@ -260,35 +287,78 @@ class HubOracle:
         raise self._corrupt(0, hub, f"distance to vertex {x} is {d!r}"
                                     f" (expected >= 0 or inf)")
 
+    def _verdict(self, u: int, v: int, weight: float, du_row: memoryview,
+                 dv_row: memoryview, x: int) -> int:
+        """Target ``x``'s verdict from its two cells: targets
+        unreachable from the bridge are in neither domain, the rest are
+        in ``UD*`` when ``_in_domain(du, dv)`` and else in ``VD*`` when
+        ``_in_domain(dv, du)`` -- :func:`flat_bridge_domains`'s own
+        decision.  A NaN or negative cell raises
+        :class:`~repro.errors.IndexFormatError`."""
+        du = du_row[x]
+        dv = dv_row[x]
+        if not (du >= 0.0 and dv >= 0.0):
+            hub, bad = (v, dv) if du >= 0.0 else (u, du)
+            raise self._corrupt(0, hub, f"distance to vertex {x} is {bad!r}"
+                                        f" (expected >= 0 or inf)")
+        if du == math.inf or dv == math.inf:
+            return _NEITHER
+        if _in_domain(du, dv, weight):
+            return _UD
+        if _in_domain(dv, du, weight):
+            return _VD
+        return _NEITHER
+
     def domains(self, u: int, v: int, weight: float,
                 targets: Iterable[int]) -> Tuple[Set[int], Set[int]]:
-        """``(UD*, VD*)`` of bridge ``(u, v)`` over ``targets``.
-
-        The decision is :func:`flat_bridge_domains`'s own: targets
-        unreachable from the bridge are skipped, the rest go to ``UD*``
-        when ``_in_domain(du, dv)`` and else to ``VD*`` when
-        ``_in_domain(dv, du)``.
-        """
+        """``(UD*, VD*)`` of bridge ``(u, v)`` over ``targets``, every
+        target's verdict read afresh from the two ``dist`` rows (the
+        reference for :meth:`screen`)."""
         du_row = self._row(self._dist, u)
         dv_row = self._row(self._dist, v)
-        inf = math.inf
         ud_star: Set[int] = set()
         vd_star: Set[int] = set()
         for x in targets:
-            du = du_row[x]
-            dv = dv_row[x]
-            if not (du >= 0.0 and dv >= 0.0):
-                hub, bad = (v, dv) if du >= 0.0 else (u, du)
-                raise self._corrupt(
-                    0, hub, f"distance to vertex {x} is {bad!r}"
-                            f" (expected >= 0 or inf)")
-            if du == inf or dv == inf:
-                continue
-            if _in_domain(du, dv, weight):
+            verdict = self._verdict(u, v, weight, du_row, dv_row, x)
+            if verdict == _UD:
                 ud_star.add(x)
-            elif _in_domain(dv, du, weight):
+            elif verdict == _VD:
                 vd_star.add(x)
         return ud_star, vd_star
+
+    def screen(self, u: int, v: int, weight: float,
+               targets: Sequence[int],
+               ) -> Optional[Tuple[Set[int], Set[int]]]:
+        """Theorem 5's test of bridge ``(u, v)`` over ``targets``:
+        ``(UD*, VD*)`` when both meet the targets, else ``None`` --
+        exactly :meth:`domains` followed by the emptiness test.
+
+        The bridge keeps one verdict byte per vertex, filled by
+        :meth:`_verdict` the first time a query reads that vertex's two
+        cells; later queries gather their targets' bytes at C level
+        (an ``itemgetter`` over the memo), read only the unread ones and
+        build the two sets only for a valid bridge.  A corrupt cell
+        raises where it is first read and is never memoised, so it
+        raises again on every read.  The memo costs at most ``|V|``
+        bytes per bridge screened with its one weight.
+        """
+        key = (u, v, weight)
+        memo = self._verdicts.get(key)
+        if memo is None:
+            memo = self._verdicts[key] = bytearray(self._n)
+        verdicts = _gather(memo, targets)
+        if _UNREAD in verdicts:
+            du_row = self._row(self._dist, u)
+            dv_row = self._row(self._dist, v)
+            for x in targets:
+                if not memo[x]:
+                    memo[x] = self._verdict(u, v, weight, du_row, dv_row,
+                                            x)
+            verdicts = _gather(memo, targets)
+        if _UD not in verdicts or _VD not in verdicts:
+            return None
+        return ({x for x, c in zip(targets, verdicts) if c == _UD},
+                {x for x, c in zip(targets, verdicts) if c == _VD})
 
     def collect_paths(self, hub: int, members: Iterable[int],
                       into: Set[int]) -> None:

@@ -92,18 +92,24 @@ class TestAblations:
 
 class TestBridges:
     def test_engines_agree_and_measure(self):
-        from repro.bench.experiments.bridges import (run_bridges, speedup,
-                                                     oracle_speedup)
+        from repro.bench.experiments.bridges import (oracle_speedup,
+                                                     run_bridges,
+                                                     screen_speedup,
+                                                     speedup)
         # run_bridges raises AssertionError itself if the engines'
         # operation counts diverge -- completing IS the equivalence check
         # (the oracle engine is cross-checked against the dict domains
         # during warm-up the same way).
         measures = run_bridges("COL-S", epsilon=0.25, repeats=1)
-        assert {m.engine for m in measures} == {"dict", "flat", "oracle"}
+        assert {m.engine for m in measures} == {"dict", "flat", "oracle",
+                                                "screen"}
         assert all(m.bridges > 0 and m.seconds > 0 for m in measures)
         assert len({m.bridges for m in measures}) == 1
         assert speedup(measures) > 0
         assert oracle_speedup(measures) > 0
+        assert screen_speedup(measures) > 0
+        # Only the screen row has a cold first pass (a fresh memo).
+        assert [m.engine for m in measures if m.first_pass] == ["screen"]
 
 
 class TestThroughput:

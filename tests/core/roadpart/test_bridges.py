@@ -1,12 +1,17 @@
 """Unit tests for bridge finding, classification and pruning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.roadpart.bridges import (
+    BridgeLabelBits,
     classify_bridge,
     find_bridges,
     theorem7_survivors,
 )
+from repro.core.roadpart.regions import RegionSet
+from repro.core.roadpart.window import tight_window
 from repro.datasets.synthetic import add_bridges, grid_network
 
 
@@ -68,6 +73,71 @@ class TestClassify:
         assert cls.kind == "cut"
         assert cls.cut_dims == (0,)
         assert cls.outside_dims == (1,)
+
+
+def _interval(low_range, max_width):
+    return st.tuples(st.integers(*low_range), st.integers(0, max_width)) \
+        .map(lambda lw: (lw[0], lw[0] + lw[1]))
+
+
+@st.composite
+def _bridges_and_window(draw):
+    """``count`` bridges ``(2i, 2i + 1)`` whose endpoints each sit in a
+    region of their own, labelled over zones 1..9, plus one spare
+    vertex (so the region set has dimensions even with no bridges),
+    and a window whose labels may lie partly or wholly outside the
+    stored zones."""
+    dims = draw(st.integers(1, 5))
+    count = draw(st.sampled_from([0, 1, draw(st.integers(2, 30))]))
+    vectors = draw(st.lists(
+        st.tuples(*[_interval((1, 7), 2) for _ in range(dims)]),
+        min_size=2 * count + 1, max_size=2 * count + 1))
+    window = draw(st.lists(_interval((-3, 12), 5), min_size=dims,
+                           max_size=dims))
+    regions = RegionSet(list(range(len(vectors))), vectors)
+    return [(2 * i, 2 * i + 1) for i in range(count)], regions, window
+
+
+def _reference_classes(bridges, regions, window):
+    kinds = {key: classify_bridge(regions.vector_of_vertex(key[0]),
+                                  regions.vector_of_vertex(key[1]),
+                                  window).kind
+             for key in bridges}
+    return ([key for key in sorted(bridges) if kinds[key] == "cut"],
+            [key for key in sorted(bridges) if kinds[key] == "exterior"])
+
+
+class TestBridgeLabelBits:
+    """Observation 1 from endpoint-label bitsets must sort every bridge
+    exactly as the per-bridge reference :func:`classify_bridge` does."""
+
+    @given(_bridges_and_window())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        bridges, regions, window = case
+        assert (BridgeLabelBits(bridges, regions).classify(window)
+                == _reference_classes(bridges, regions, window))
+
+    def test_single_bridge_each_kind(self):
+        regions = RegionSet([0, 1], [((3, 3), (2, 2)), ((6, 6), (2, 2))])
+        bits = BridgeLabelBits([(0, 1)], regions)
+        assert bits.classify([(3, 6), (2, 3)]) == ([], [])       # interior
+        assert bits.classify([(3, 4), (2, 3)]) == ([(0, 1)], [])  # cut
+        assert bits.classify([(7, 9), (2, 3)]) == ([], [(0, 1)])  # exterior
+        assert bits.classify([(-5, 0), (2, 3)]) == ([], [(0, 1)])
+
+    def test_no_bridges(self):
+        regions = RegionSet([0], [((1, 2),)])
+        assert BridgeLabelBits([], regions).classify([(0, 5)]) == ([], [])
+
+    def test_index_windows_match_reference(self, medium_index):
+        regions = medium_index.regions
+        bridges = medium_index.bridges
+        for rids in ([0], [0, 5], [3, 40, 77],
+                     list(range(0, regions.region_count, 9))):
+            window = tight_window([regions.vectors[r] for r in rids])
+            assert (medium_index.bridge_bits.classify(window)
+                    == _reference_classes(bridges, regions, window))
 
 
 class TestTheorem7:

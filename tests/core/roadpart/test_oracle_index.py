@@ -17,6 +17,7 @@ The load-bearing contracts:
 
 from __future__ import annotations
 
+import dataclasses
 import filecmp
 import json
 import struct
@@ -29,6 +30,7 @@ from repro.core.roadpart import binfmt
 from repro.core.roadpart.index import RoadPartIndex, build_index
 from repro.core.roadpart.parallel import fork_available
 from repro.core.roadpart.query import RoadPartQueryProcessor, roadpart_dps
+from repro.datasets.queries import window_query
 from repro.datasets.synthetic import add_bridges, grid_network
 from repro.errors import IndexFormatError
 from repro.graph.network import RoadNetwork
@@ -36,6 +38,7 @@ from repro.obs.counters import SearchCounters
 from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceRecorder
 from repro.shortestpath.flat import release_search
+from repro.shortestpath.oracle import oracle_from_payload
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
@@ -162,6 +165,35 @@ class TestCorollary3FromTable:
                 < plain.counters.vertices_settled)
         # docs/observability.md's worked example (oracle "none").
         assert plain.counters.vertices_settled == 4477
+
+
+class TestTheorem5FromVerdicts:
+    """RoadPart screens each examined bridge over the table's memoised
+    verdicts (:meth:`HubOracle.screen`)."""
+
+    def test_memo_holds_one_vertex_buffer_per_examined_bridge(
+            self, medium_network, hub_index):
+        fresh = oracle_from_payload(hub_index.oracle.to_payload(),
+                                    medium_network.num_vertices,
+                                    hub_index.bridges)
+        index = dataclasses.replace(hub_index, oracle=fresh)
+        processor = RoadPartQueryProcessor(index)
+        examined = set()
+        valid = 0
+        for seed in range(8):
+            for eps in (0.1, 0.15, 0.25):
+                query = DPSQuery.q_query(window_query(medium_network, eps,
+                                                      seed=seed))
+                examined.update(processor.examined_bridges(query))
+                result = processor.query(query)
+                valid += result.stats["bv"]
+                assert result.vertices == roadpart_dps(
+                    hub_index, query, oracle="none").vertices
+        assert valid and len(examined) > 1
+        assert {key[:2] for key in fresh._verdicts} == examined
+        assert len(fresh._verdicts) == len(examined)
+        assert all(len(memo) == medium_network.num_vertices
+                   for memo in fresh._verdicts.values())
 
 
 class TestSerialisation:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dps import DPSQuery
+from repro.core.roadpart.index import build_index
 from repro.core.roadpart.query import RoadPartQueryProcessor, roadpart_dps
 from repro.core.verify import verify_dps
 from repro.datasets.queries import st_query, window_query
@@ -61,6 +62,28 @@ class TestWindowModes:
     def test_invalid_mode_rejected(self, medium_index):
         with pytest.raises(ValueError):
             RoadPartQueryProcessor(medium_index, window_mode="medium")
+
+
+class TestOptionValidation:
+    """Bad options fail at construction, like a bad ``window_mode`` or
+    ``oracle`` -- not only once some bridge reaches the code reading
+    them (never, on a bridgeless index)."""
+
+    @pytest.fixture(scope="class")
+    def bridgeless_index(self, grid5):
+        index = build_index(grid5, border_count=4)
+        assert not index.bridges
+        return index
+
+    def test_unknown_engine_rejected(self, bridgeless_index):
+        with pytest.raises(ValueError, match="unknown engine 'numpy'"):
+            RoadPartQueryProcessor(bridgeless_index, engine="numpy")
+
+    def test_unknown_cut_pair_order_rejected(self, bridgeless_index):
+        with pytest.raises(ValueError,
+                           match="unknown cut-pair order 'bogus'"):
+            RoadPartQueryProcessor(bridgeless_index,
+                                   cut_pair_order="bogus")
 
 
 class TestBridgeHandling:

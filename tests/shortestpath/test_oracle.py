@@ -192,6 +192,43 @@ class TestHubOracle:
         assert parallel.to_payload() == oracle.to_payload()
 
 
+class TestScreen:
+    """Theorem 5 over memoised verdicts: :meth:`HubOracle.screen` is
+    :meth:`HubOracle.domains` followed by the emptiness test, whatever
+    the memo already holds."""
+
+    @staticmethod
+    def _expected(oracle, network, u, v, targets):
+        ud, vd = oracle.domains(u, v, network.edge_weight(u, v), targets)
+        return (ud, vd) if ud and vd else None
+
+    def test_matches_domains_cold_and_warm(self, bridged, targets):
+        network, bridges = bridged
+        oracle = HubOracle.build(network, bridges)
+        everyone = list(range(network.num_vertices))
+        lists = [targets, targets[::-1], targets[3:9] + targets[:4],
+                 targets[:1], [], everyone, targets + targets]
+        valid = 0
+        for target_list in lists + lists:  # cold, then warm
+            for u, v in bridges:
+                got = oracle.screen(u, v, network.edge_weight(u, v),
+                                    target_list)
+                assert got == self._expected(oracle, network, u, v,
+                                             target_list), (u, v)
+                valid += got is not None
+        assert valid  # the fixture exercises both outcomes
+
+    def test_one_vertex_sized_buffer_per_bridge(self, bridged, targets):
+        network, bridges = bridged
+        oracle = HubOracle.build(network, bridges)
+        for _ in range(3):
+            for u, v in bridges[:3]:
+                oracle.screen(u, v, network.edge_weight(u, v), targets)
+        assert sorted(key[:2] for key in oracle._verdicts) == bridges[:3]
+        assert all(len(memo) == network.num_vertices
+                   for memo in oracle._verdicts.values())
+
+
 def _patched(oracle, network, bridges, section, hub, vertex, value):
     """A copy of ``oracle`` with one cell of one row overwritten."""
     payload = oracle.to_payload()
@@ -235,6 +272,29 @@ class TestCorruptCells:
                            match=rf"idx\.bin: section 'ordist', row of"
                                  rf" endpoint {hub}: distance to vertex 3"):
             bad.distance(hub, 3)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_bad_cell_raises_on_every_screen(self, bridged, oracle,
+                                             value):
+        """With every other verdict of the bridge warm, the corrupt cell
+        raises domains' message on the first screen that reads it and
+        again on the next: it is never memoised."""
+        network, bridges = bridged
+        u, v = bridges[0]
+        weight = network.edge_weight(u, v)
+        x = next(x for x in range(network.num_vertices)
+                 if x not in (u, v))
+        bad = _patched(oracle, network, bridges, "dist", v, x, value)
+        others = [y for y in range(network.num_vertices) if y != x]
+        bad.screen(u, v, weight, others)
+        with pytest.raises(IndexFormatError) as reference:
+            bad.domains(u, v, weight, [u, x])
+        for _ in range(2):
+            with pytest.raises(IndexFormatError) as raised:
+                bad.screen(u, v, weight, [u, x, v])
+            assert str(raised.value) == str(reference.value)
+        assert f"row of endpoint {v}: distance to vertex {x}" in str(
+            reference.value)
 
     @pytest.mark.parametrize("value", [-1, -7, 10 ** 6])
     def test_bad_predecessor(self, bridged, oracle, value):

@@ -359,3 +359,23 @@ class TestReadmeLinks:
             doc = (REPO_ROOT / "docs" / page).read_text()
             for needle in words:
                 assert needle in doc, f"{needle!r} missing from docs/{page}"
+
+    def test_docs_cover_bridge_handling_reads(self):
+        """Observation 1 from endpoint-label bitsets and Theorem 5 from
+        memoised table verdicts, each with its reference, stay
+        documented."""
+        needles = {
+            "algorithms.md": ("BridgeLabelBits.classify", "LabelBits",
+                              "classify_bridge", "HubOracle.screen",
+                              "HubOracle.domains"),
+            "architecture.md": ("BridgeLabelBits", "LabelBits",
+                                "classify_bridge", "HubOracle.screen",
+                                "HubOracle.domains", "verdict byte"),
+            "observability.md": ("BridgeLabelBits.classify",
+                                 "classify_bridge", "HubOracle.screen",
+                                 "HubOracle.domains", "first pass (ms)"),
+        }
+        for page, words in needles.items():
+            doc = (REPO_ROOT / "docs" / page).read_text()
+            for needle in words:
+                assert needle in doc, f"{needle!r} missing from docs/{page}"
