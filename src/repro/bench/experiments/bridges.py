@@ -110,8 +110,8 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
     screener = None
     if oracle is not None:
         # Shares the rows, not the memo.
-        screener = oracle_from_payload(oracle.to_payload(),
-                                       network.num_vertices, index.bridges)
+        screener = oracle_from_payload(oracle.to_payload(), network,
+                                       index.bridges)
 
     def one_pass(engine, counters=None):
         if engine == "oracle":

@@ -169,6 +169,7 @@ def _cmd_build_index(args) -> int:
     if index.oracle is not None:
         print(f"oracle: {index.oracle.describe()}, built in"
               f" {index.stats.oracle_seconds:.2f}s", file=chat)
+    _note_refused_table(network, index, args.oracle, chat)
     if args.stats_json:
         print(json.dumps(trace.to_dict(), indent=2))
     elif args.stats:
@@ -380,14 +381,28 @@ def _cmd_index_convert(args) -> int:
     print(f"wrote {args.out} ({fmt}: l={index.border_count},"
           f" |R|={index.regions.region_count},"
           f" bridges={len(index.bridges)}, oracle={oracle_kind})")
+    _note_refused_table(network, index, args.oracle, sys.stdout)
     return 0
 
 
-def _table_line(endpoints: int, dist_bytes: int, pred_bytes: int) -> None:
+def _note_refused_table(network, index, policy: str, stream) -> None:
+    """Say why ``--oracle auto`` attached no table to a bridged index:
+    a relaxation could absorb an edge, so RoadPart answers with the
+    dual heap."""
+    if policy != "auto" or index.oracle is not None or not index.bridges:
+        return
+    from repro.shortestpath.oracle import table_obstacle
+    obstacle = table_obstacle(network)
+    if obstacle is not None:
+        print(f"oracle: none: {obstacle}; RoadPart answers with the dual"
+              f" heap", file=stream)
+
+
+def _table_line(endpoints: int, dist_bytes: int) -> None:
     """The ``index info`` oracle line: the endpoint count and the row
     bytes, so the |endpoints| x |V| size trade stays visible."""
     print(f"oracle:      hub (endpoint tree table: {endpoints} endpoints;"
-          f" dist rows {dist_bytes} bytes, pred rows {pred_bytes} bytes)")
+          f" dist rows {dist_bytes} bytes)")
 
 
 def _cmd_index_info(args) -> int:
@@ -407,8 +422,7 @@ def _cmd_index_info(args) -> int:
         if count is None:
             print("oracle:      none")
         else:
-            _table_line(count, header.sections[b"ordist"][1],
-                        header.sections[b"orpred"][1])
+            _table_line(count, header.sections[b"ordist"][1])
         for tag, (offset, length) in header.sections.items():
             print(f"section {tag.decode('ascii'):<9}"
                   f" offset={offset} bytes={length}")
@@ -421,8 +435,7 @@ def _cmd_index_info(args) -> int:
     print(f"bridges:     {len(payload.get('bridges', []))}")
     oracle = payload.get("oracle")
     if isinstance(oracle, dict) and isinstance(oracle.get("dist"), list):
-        _table_line(len(oracle.get("hubs", [])), 8 * len(oracle["dist"]),
-                    4 * len(oracle.get("pred", [])))
+        _table_line(len(oracle.get("hubs", [])), 8 * len(oracle["dist"]))
     else:
         print(f"oracle:      {oracle.get('kind') if oracle else 'none'}")
     return 0

@@ -3,7 +3,7 @@
 The legacy on-disk index is JSON (``roadpart-index-v1``): simple, but a
 load parses and materialises every ``O(|V|)`` structure as Python
 objects, and every daemon worker or fork pool pays that again.  This
-module defines ``roadpart-index-bin-v3``, a sectioned little-endian
+module defines ``roadpart-index-bin-v4``, a sectioned little-endian
 binary layout whose large arrays are read through :mod:`mmap`:
 
 - the file's pages are shared by every process that maps it (the OS
@@ -19,13 +19,13 @@ Layout (all integers little-endian)::
 
     offset  size  field
     0       4     magic  b"RPIX"
-    4       4     version        u32  (always 3)
+    4       4     version        u32  (always 4)
     8       4     flags          u32  (reserved, must be 0)
     12      4     num_vertices   u32
     16      4     border_count   u32  (= label dimensions, ℓ)
     20      4     region_count   u32
     24      4     bridge_count   u32
-    28      4     section_count  u32  (4, or 8 with an oracle)
+    28      4     section_count  u32  (4, or 7 with an oracle)
     32      ...   section table: section_count × (tag 8s, offset u64,
                   length u64) -- offsets from file start
     ...           section payloads, packed in table order, each
@@ -41,7 +41,7 @@ Sections (tags are 8 bytes, NUL-padded), in file order:
                   ascending (the same order ``to_dict`` emits)
 
 An index carrying the endpoint tree table (see
-:mod:`repro.shortestpath.oracle`) appends four more sections; an
+:mod:`repro.shortestpath.oracle`) appends three more sections; an
 oracle-less index simply has none of them:
 
     ``oracle``    2 u32 meta words: kind (1 = endpoint tree table, the
@@ -49,17 +49,19 @@ oracle-less index simply has none of them:
     ``orends``    E endpoint vertex ids (u32), ascending
     ``ordist``    E × num_vertices f64 distances, endpoint-major (one
                   row per endpoint; +inf where unreachable)
-    ``orpred``    E × num_vertices i32 predecessors, same order (-1 at
-                  the endpoint and where unreachable)
 
-The row sections are mmap views too (cast ``"d"`` and ``"i"``), so a
-daemon loads a table of millions of cells without materialising a
-single Python number, and no load ever scans them.
+The predecessors of each endpoint's tree are derived from its ``dist``
+row where a query walks them, so no section stores them.  The row
+section is an mmap view too (cast ``"d"``), so a daemon loads a table
+of millions of cells without materialising a single Python number, and
+no load ever scans it.  The writer hands every section to ``write``
+straight from its buffer, so saving an index copies no table row, and
+writes a sibling file that then replaces the target.
 
 Every structural defect raises :class:`~repro.errors.IndexFormatError`
 naming the path and the problem, mirroring the JSON loader's contract:
-another version (version-1 and version-2 files from older builds
-included, with a rebuild note), an unknown section tag or oracle kind
+another version (version 1 to 3 files from older builds included,
+with a rebuild note), an unknown section tag or oracle kind
 code, sections out of layout order, counts that disagree with section
 lengths, and vertex ids (border vertices, bridge endpoints, table
 endpoints) or region ids out of range.  The table endpoints must be
@@ -84,8 +86,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import IndexFormatError
 
 MAGIC = b"RPIX"
-VERSION = 3
-FORMAT_NAME = "roadpart-index-bin-v3"
+VERSION = 4
+FORMAT_NAME = "roadpart-index-bin-v4"
 
 _HEADER = struct.Struct("<4sIIIIIII")
 _SECTION = struct.Struct("<8sQQ")
@@ -95,8 +97,8 @@ SECTION_TAGS = (b"borders", b"regionof", b"vectors", b"bridges")
 #: Oracle meta section: kind code and endpoint count.
 ORACLE_META_TAG = b"oracle"
 #: Endpoint tree table sections, file order: endpoint ids, then the
-#: ``dist`` and ``pred`` rows.
-TABLE_SECTION_TAGS = (b"orends", b"ordist", b"orpred")
+#: ``dist`` rows.
+TABLE_SECTION_TAGS = (b"orends", b"ordist")
 #: Every section an oracle-carrying file adds after the base ones.
 ORACLE_SECTION_TAGS = (ORACLE_META_TAG,) + TABLE_SECTION_TAGS
 #: The endpoint tree table's code in the meta section's kind word.
@@ -112,18 +114,19 @@ def _pad8(n: int) -> int:
 
 
 #: Array type code and element name per section payload format.
-_ELEMENTS = {"I": "u32", "i": "i32", "d": "f64"}
+_ELEMENTS = {"I": "u32", "d": "f64"}
 
 
-def _le_bytes(values, typecode: str = "I") -> bytes:
-    """Little-endian bytes of ``values`` -- numbers, or a native-order
-    ``memoryview`` such as a table row buffer -- via one ``array``
-    conversion instead of one ``struct.pack`` per value."""
+def _le_bytes(values, typecode: str = "I"):
+    """Little-endian bytes of ``values``: numbers via one ``array``
+    conversion instead of one ``struct.pack`` per value, or a
+    native-order ``memoryview`` such as the table rows, passed through
+    as a byte view on a little-endian host so the writer never copies
+    it."""
     if isinstance(values, memoryview):
-        raw = values.tobytes()
         if sys.byteorder == "little":
-            return raw
-        arr = array.array(typecode, raw)
+            return values.cast("B")
+        arr = array.array(typecode, values.tobytes())
     else:
         try:
             arr = array.array(typecode, values)
@@ -175,7 +178,6 @@ def write_index_binary(path, num_vertices: int,
                                         len(oracle["hubs"]))),
             b"orends": _le_bytes(oracle["hubs"]),
             b"ordist": _le_bytes(oracle["dist"], "d"),
-            b"orpred": _le_bytes(oracle["pred"], "i"),
         })
         tags = SECTION_TAGS + ORACLE_SECTION_TAGS
     table_offset = _HEADER.size
@@ -192,10 +194,22 @@ def write_index_binary(path, num_vertices: int,
                           len(border_vertex_ids), len(vectors),
                           len(bridge_pairs), len(tags))
     head = header + bytes(table)
-    with open(path, "wb") as stream:
-        stream.write(head + b"\0" * (data_offset - len(head)))
-        for chunk in chunks:
-            stream.write(chunk)
+    # Each section goes to ``write`` from its own buffer: no joined
+    # copy of the file, and no copy of a row section at all.  The rows
+    # may be a view over ``path`` itself (an mmap-loaded index saved in
+    # place), so the bytes go to a sibling file that then replaces
+    # ``path``: truncating the mapped file would pull the rows away
+    # mid-write.
+    partial = f"{os.fspath(path)}.{os.getpid()}.partial"
+    try:
+        with open(partial, "wb") as stream:
+            stream.write(head + b"\0" * (data_offset - len(head)))
+            for chunk in chunks:
+                stream.write(chunk)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
 
 
 @dataclass
@@ -325,9 +339,8 @@ def read_header(path,
 
 def _view(path, data: memoryview, header: BinaryIndexHeader, tag: bytes,
           expected: int, fmt: str = "I") -> Sequence:
-    """Typed view of one section (``"I"`` u32, ``"i"`` i32 or ``"d"``
-    f64), checked against the element count the header/meta words
-    imply."""
+    """Typed view of one section (``"I"`` u32 or ``"d"`` f64), checked
+    against the element count the header/meta words imply."""
     offset, length = header.sections[tag]
     width = struct.calcsize(fmt)
     if length != expected * width:
@@ -386,7 +399,7 @@ def _read_oracle(path, data: memoryview,
                  header: BinaryIndexHeader) -> Dict[str, object]:
     """Decode the oracle sections into the payload-dict form
     :func:`repro.shortestpath.oracle.oracle_from_payload` accepts, with
-    the row sections as zero-copy views over the mapping (``O(E)``
+    the row section as a zero-copy view over the mapping (``O(E)``
     work: only the endpoint ids are read)."""
     n = header.num_vertices
     count = _endpoint_count(
@@ -394,8 +407,7 @@ def _read_oracle(path, data: memoryview,
     ends = list(_view(path, data, header, b"orends", count))
     _check_ids(path, "oracle endpoint", ends, n)
     return {"kind": "hub", "hubs": ends,
-            "dist": _view(path, data, header, b"ordist", count * n, "d"),
-            "pred": _view(path, data, header, b"orpred", count * n, "i")}
+            "dist": _view(path, data, header, b"ordist", count * n, "d")}
 
 
 def read_index_binary(path) -> BinaryIndexPayload:

@@ -16,7 +16,7 @@ paper's deployment story).  Two on-disk formats coexist:
 
 - the legacy JSON layout (``roadpart-index-v1``, :meth:`save` /
   :meth:`load`) -- human-inspectable, parsed in full on load;
-- the compact binary layout (``roadpart-index-bin-v3``,
+- the compact binary layout (``roadpart-index-bin-v4``,
   :meth:`save_binary` / :meth:`load_binary`, spec in
   :mod:`repro.core.roadpart.binfmt`) -- mmap-loaded so the ``O(|V|)``
   ``region_of`` array is a zero-copy view over shared pages; the
@@ -162,10 +162,10 @@ class RoadPartIndex:
             "bridges": sorted(list(k) for k in self.bridges),
         }
         if self.oracle is not None:
-            # The rows as plain lists, from either storage (arrays or
-            # mmap views); float distances survive JSON via repr
-            # round-tripping (``Infinity`` where unreachable).  Absent
-            # for oracle-less indexes, so their JSON stays
+            # The rows as one plain list, from either storage (an
+            # array or an mmap view); float distances survive JSON via
+            # repr round-tripping (``Infinity`` where unreachable).
+            # Absent for oracle-less indexes, so their JSON stays
             # byte-identical to pre-oracle builds.
             payload = self.oracle.to_payload()
             out["oracle"] = {k: (v.tolist() if isinstance(v, memoryview)
@@ -220,9 +220,8 @@ class RoadPartIndex:
         if "oracle" in payload:
             try:
                 index._attach(oracle_from_payload(
-                    payload["oracle"], network.num_vertices, bridges,
-                    source=str(path),
-                    sections=("oracle.dist", "oracle.pred")))
+                    payload["oracle"], network, bridges, source=str(path),
+                    section="oracle.dist"))
             except IndexFormatError:
                 raise
             except (AttributeError, KeyError, TypeError,
@@ -243,8 +242,8 @@ class RoadPartIndex:
         :mod:`repro.core.roadpart.binfmt` for the byte-level spec).
 
         An attached table appends the oracle sections (its rows written
-        straight from their buffers); an oracle-less index is the same
-        layout without them.
+        straight from their buffer, never copied); an oracle-less index
+        is the same layout without them.
         """
         from repro.core.roadpart import binfmt
         binfmt.write_index_binary(
@@ -278,12 +277,12 @@ class RoadPartIndex:
         bridges = frozenset((u, v) for u, v in payload.bridges)
         index = cls(network, payload.border_vertex_ids, regions, bridges)
         if payload.oracle is not None:
-            # The rows are views over the same mapping -- queries read
+            # The rows are a view over the same mapping -- queries read
             # the page cache directly, and only the O(endpoints) facts
             # are checked here.
             index._attach(oracle_from_payload(
-                payload.oracle, network.num_vertices, bridges,
-                source=str(path), sections=("ordist", "orpred")))
+                payload.oracle, network, bridges, source=str(path),
+                section="ordist"))
         # The memoryviews above alias the mapping; keep it alive for
         # exactly as long as the index is.
         index._mmap_keepalive = payload.mapping
@@ -329,7 +328,11 @@ def build_index(network: RoadNetwork, border_count: int,
     :mod:`repro.shortestpath.oracle`) adds the endpoint tree table
     after labelling when ``auto`` finds bridges: one full Dijkstra per
     bridge endpoint, always with the flat kernel, spread over ``jobs``
-    fork workers with the same byte-identity guarantee.
+    fork workers with the same byte-identity guarantee.  A network
+    where a relaxation could absorb an edge
+    (:func:`~repro.shortestpath.oracle.table_obstacle`) gets no table:
+    ``stats.oracle_kind`` stays ``"none"`` and RoadPart answers with
+    the dual heap.
 
     ``trace`` (optional, see :mod:`repro.obs.trace`) records a nested
     span tree of the build: ``bridges`` / ``contour`` / ``labeling`` with
@@ -390,9 +393,10 @@ def build_index(network: RoadNetwork, border_count: int,
         with trace.span("oracle"):
             built_oracle = build_oracle(network, oracle, bridges,
                                         trace=trace, jobs=jobs)
-        stats.oracle_seconds = time.perf_counter() - step
-        stats.oracle_kind = built_oracle.kind
-        stats.oracle_entries = built_oracle.entry_count()
+        if built_oracle is not None:
+            stats.oracle_seconds = time.perf_counter() - step
+            stats.oracle_kind = built_oracle.kind
+            stats.oracle_entries = built_oracle.entry_count()
 
     stats.build_seconds = time.perf_counter() - started
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]

@@ -110,8 +110,8 @@ class RoadPartQueryProcessor:
         every examined bridge from the endpoint tree table attached to
         the index when there is one: Theorem 5 from the verdicts it
         memoises off its ``dist`` rows (:meth:`HubOracle.screen`), the
-        path patch of a valid bridge from its ``pred`` rows, no
-        search at all -- and decides Corollary 3 from its ``dist(x,
+        path patch of a valid bridge from the trees it derives from
+        those rows (:meth:`HubOracle.preds`), no search at all -- and decides Corollary 3 from its ``dist(x,
         vc)`` cells, so the BL-E search stops at ``r``.  ``'none'``
         never consults it: the BL-E search extends to ``2r`` and the
         dual-heap search runs per bridge (the reference); any other

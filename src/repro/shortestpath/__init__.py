@@ -40,10 +40,10 @@ Distance oracle
 The RoadPart index carries its own **distance oracle** for the
 bridge-domain workload: :class:`HubOracle` in
 :mod:`repro.shortestpath.oracle`, the endpoint tree table -- one full
-flat Dijkstra per bridge endpoint, kept as ``dist``/``pred`` rows --
-which ``build_index`` precomputes and the query processor reads to
-answer every examined bridge (domains and path patch) without a
-dual-heap sweep.  :func:`build_oracle` / :func:`resolve_oracle_kind`
+flat Dijkstra per bridge endpoint, kept as its ``dist`` row, from
+which the predecessors are derived -- which ``build_index``
+precomputes and the query processor reads to answer every examined
+bridge (domains and path patch) without a dual-heap sweep.  :func:`build_oracle` / :func:`resolve_oracle_kind`
 implement the ``--oracle`` policy (``auto``/``none``).
 """
 

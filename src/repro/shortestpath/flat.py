@@ -578,23 +578,14 @@ class FlatDijkstraSearch:
                                 exhausted=self.is_exhausted(),
                                 settled_order=self.settled_order)
 
-    def dense_rows(self) -> Tuple[array, array]:
-        """Vertex-indexed copies of an exhausted search's tree: float64
-        distances (``+inf`` where unreachable) and int32 predecessors
-        (``-1`` at the source and where unreachable) -- the rows of the
-        endpoint tree table (:mod:`repro.shortestpath.oracle`)."""
+    def dense_dist(self) -> array:
+        """A vertex-indexed float64 copy of an exhausted search's
+        distances (``+inf`` where unreachable: the arena's all-inf
+        invariant) -- one row of the endpoint tree table
+        (:mod:`repro.shortestpath.oracle`)."""
         if self._frontier or self._arena is None:
-            raise ValueError("dense_rows needs an exhausted, live search")
-        dist = array("d", self._dist)
-        pred = array("i", self._pred)
-        if len(self.settled_order) < self.csr.num_vertices:
-            # Unreached cells still hold earlier searches' preds.
-            inf = math.inf
-            for v, d in enumerate(dist):
-                if d == inf:
-                    pred[v] = -1
-        pred[self.source] = -1
-        return dist, pred
+            raise ValueError("dense_dist needs an exhausted, live search")
+        return array("d", self._dist)
 
     def release(self) -> None:
         """Recycle the scratch arena.

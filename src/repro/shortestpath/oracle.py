@@ -7,18 +7,34 @@ non-empty) the shortest paths between its endpoints and the domain
 members.  Without an oracle a dual-heap Dijkstra computes both, once
 per bridge and query.  :class:`HubOracle` computes them once per index
 instead: for every distinct bridge endpoint (a *hub*) it runs one full
-flat Dijkstra and keeps the whole shortest-path tree as two rows --
-
-- ``dist``: float64 distance from the hub to every vertex (``+inf``
-  where unreachable);
-- ``pred``: int32 predecessor of every vertex in the hub's tree (``-1``
-  at the hub itself and where unreachable).
+flat Dijkstra and keeps its ``dist`` row, the float64 distance from the
+hub to every vertex (``+inf`` where unreachable).
 
 A query then decides ``UD*``/``VD*`` from the two ``dist`` rows under
 the dual-heap's own :func:`~repro.shortestpath.bidirectional._in_domain`
 if/elif, and patches a valid bridge with
 :func:`~repro.shortestpath.paths.collect_path_vertices` over the two
-``pred`` rows.  No search runs at all.
+hubs' trees, whose predecessors it derives from the same rows.  No
+search runs at all.
+
+**Derived predecessors.**  ``pred(x)`` in a hub's tree is the argmin of
+``(dist[u], u)`` over the neighbours ``u`` of ``x`` with ``dist[u] +
+w(u, x) == dist[x]`` -- exact float equality on the expression the
+relaxation computes.  That is the predecessor the flat kernel assigns
+whenever no relaxation absorbs its arc (``fl(d + w) > d``): every
+vertex at label ``D`` is then pushed, with key ``(D, x)``, by a
+neighbour settled strictly below ``D``, so vertices with equal labels
+settle in id order and the kernel keeps as ``pred(x)`` the first
+settled neighbour whose relaxation reached ``D`` (the argument of
+:mod:`repro.shortestpath.settle`'s docstring).  :func:`table_obstacle`
+proves the no-absorption condition once per build in ``O(|E|)``; on a
+network that fails it, ``oracle="auto"`` attaches no table and RoadPart
+answers with the dual heap, the reference.  :meth:`HubOracle.preds`
+memoises the derived predecessors per hub in one int32 array of ``|V|``
+cells (``-1``: not derived yet), allocated on the first walk from that
+hub, so the memo never outgrows the ``|hubs| x |V| x 4`` bytes a stored
+predecessor row would take, and a repeated window reads its steps
+from the memo instead of deriving them again.
 
 **Memoised verdicts.**  Which domain a vertex falls in is a fact about
 the bridge, not the query, and only about 6% of examined bridges are
@@ -29,7 +45,7 @@ that vertex's two cells; a query gathers its vertices' verdicts at C
 level, reads the cells of the unread ones only, and builds the two
 sets only for a valid bridge.  :meth:`HubOracle.domains` reads every
 cell afresh and is the reference.  The memo costs at most ``|V|``
-bytes per bridge (0.95 MB on EAST-S, 1/24 of the table).
+bytes per bridge (0.95 MB on EAST-S, 1/14 of the table).
 
 **Why the rows equal the dual-heap trees.**  Each side of the dual heap
 is a plain Dijkstra from its endpoint: the same heap entries pushed in
@@ -38,21 +54,24 @@ push them, only interleaved with the other side and stopped early.  A
 vertex's distance and predecessor are final once it settles, and every
 vertex on the pred chain of a settled vertex settled before it, so the
 truncated run and the full run agree on every target the dual heap
-settles and on every chain it walks.  The DPS is therefore
-byte-identical with and without the table (``--oracle none`` keeps the
-dual heap as the reference the property tests compare against).
+settles and on every chain it walks -- and the derived predecessors
+are the full run's.  The DPS is therefore byte-identical with and
+without the table (``--oracle none`` keeps the dual heap as the
+reference the property tests compare against).
 
-**The size trade.**  The table is ``|hubs| x |V|`` cells of 12 bytes,
-about 19.5 MiB on EAST-S (141 hubs, 12,099 vertices).  A labelling
-would win on a network with many bridges; ``repro index info`` prints
-the row bytes so the trade stays visible.
+**The size trade.**  The table is ``|hubs| x |V|`` cells of 8 bytes,
+13.0 MiB on EAST-S (141 hubs, 12,099 vertices).  A labelling would win
+on a network with many bridges; ``repro index info`` prints the row
+bytes so the trade stays visible.
 
 Corrupt cells are caught where a query reads them: a ``dist`` value
-that is NaN or negative, or a ``pred`` id outside ``[0, |V|)`` on a
-chain walk, raises :class:`~repro.errors.IndexFormatError` naming the
-file, the section and the hub.  A corrupt cell is never memoised, so
-it raises on every read.  Loading checks only ``O(|hubs|)``
-facts (:func:`oracle_from_payload`), so an mmap-loaded table is never
+that is NaN or negative, or, on a tree walk, a vertex whose cell is not
+finite or that has no neighbour strictly below it on a shortest path,
+raises :class:`~repro.errors.IndexFormatError` naming the file, the
+section and the hub.  A corrupt read is never memoised, so it raises
+on every read, and every walk step strictly lowers the cell, so a walk
+ends.  Loading checks only ``O(|hubs|)`` facts
+(:func:`oracle_from_payload`), so an mmap-loaded table is never
 scanned.
 
 ``resolve_oracle_kind`` implements the build-time policy behind
@@ -67,7 +86,7 @@ import multiprocessing
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.errors import IndexFormatError
 from repro.graph.csr import CSRGraph
@@ -91,7 +110,8 @@ def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
 
     ``auto`` builds the endpoint tree table when the network has
     bridges and nothing when it has none (an oracle could never be
-    consulted).
+    consulted); :func:`build_oracle` further leaves it out on a network
+    that :func:`table_obstacle` refuses.
 
     Any iterable is accepted: sized containers are probed with
     ``len()`` and never consumed; only a non-sized iterable (a
@@ -109,6 +129,43 @@ def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
     return kind
 
 
+def table_obstacle(network: RoadNetwork) -> Optional[str]:
+    """Why the endpoint tree table cannot serve ``network`` -- the first
+    edge whose weight does not exceed ``ulp(2W)``, ``W`` the total edge
+    weight -- or ``None`` when it can.
+
+    Derived predecessors need ``fl(d + w) > d`` for every label ``d``
+    and edge weight ``w``.  With ``u = 2⁻⁵³`` and ``n = |V| < 2⁴⁹``:
+
+    - A label is the left-to-right float sum of the weights along its
+      predecessor chain, a simple path of fewer than ``n`` edges, so it
+      is at most ``(1 + γ)·L`` with ``γ = nu/(1 - nu)`` and ``L`` the
+      chain's exact length, itself at most the exact total weight.
+    - ``2W`` is the correctly rounded sum (:func:`math.fsum`) of the
+      CSR arc weights, every edge once per direction, so every label
+      ``d ≤ (1 + γ)·W/(1 - u) < 2W``.
+    - ``ulp`` is non-decreasing on ``[0, ∞)``, so ``ulp(d) ≤ ulp(2W) <
+      w``: the exact ``d + w`` exceeds ``d + ulp(d)``, the next float
+      above ``d``, and round-to-nearest is monotone, so ``fl(d + w) ≥
+      d + ulp(d) > d``.
+
+    A zero, NaN or infinite weight fails the test (the last two make
+    ``2W`` NaN or infinite), as does any weight too light for the
+    network's scale (about ``7e-12`` on the catalog stand-ins, whose
+    lightest edge weighs 0.72).  The test is two C-level passes over
+    the arc weights; only a failure walks the edges to name one.
+    """
+    weights = network.csr().weights_list
+    bound = math.ulp(math.fsum(weights))
+    if min(weights, default=math.inf) > bound:
+        return None
+    u, v, weight = next(e for e in network.edges() if not e.weight > bound)
+    return (f"edge ({u}, {v}) of weight {weight!r} does not exceed"
+            f" ulp(2W) = {bound!r} (W the total edge weight), so a"
+            f" relaxation may absorb it and the endpoint tree table"
+            f" cannot derive its predecessors")
+
+
 # ----------------------------------------------------------------------
 # Construction
 # ----------------------------------------------------------------------
@@ -118,57 +175,65 @@ def resolve_oracle_kind(kind: str, bridges: Iterable) -> str:
 _CTX: Dict[str, object] = {}
 
 
-def _append_rows(csr: CSRGraph, hubs: Sequence[int], dist: array,
-                 pred: array) -> None:
-    """One full flat Dijkstra per hub, rows appended in hub order."""
-    for hub in hubs:
+def _fill_rows(csr: CSRGraph, hubs: Sequence[int], rows: array) -> None:
+    """One full flat Dijkstra per hub, row ``i`` written in place into
+    ``rows[i·|V| : (i + 1)·|V|]``."""
+    n = csr.num_vertices
+    for i, hub in enumerate(hubs):
         search = FlatDijkstraSearch(csr, hub)
         try:
             search.run_to_exhaustion()
-            row_dist, row_pred = search.dense_rows()
+            rows[i * n:(i + 1) * n] = search.dense_dist()
         finally:
             search.release()
-        dist += row_dist
-        pred += row_pred
 
 
-def _rows_worker(bounds: Tuple[int, int]) -> Tuple[bytes, bytes]:
+def _empty_rows(cells: int) -> array:
+    """A float64 array of ``cells`` cells, allocated once."""
+    return array("d", [0.0]) * cells
+
+
+def _rows_worker(bounds: Tuple[int, int]) -> bytes:
     """Rows of ``hubs[lo:hi]`` in a fork worker, as raw bytes."""
     lo, hi = bounds
-    dist, pred = array("d"), array("i")
-    _append_rows(_CTX["csr"], _CTX["hubs"][lo:hi], dist, pred)
-    return dist.tobytes(), pred.tobytes()
+    csr = _CTX["csr"]
+    rows = _empty_rows((hi - lo) * csr.num_vertices)
+    _fill_rows(csr, _CTX["hubs"][lo:hi], rows)
+    return rows.tobytes()
 
 
-def _build_rows(csr: CSRGraph, hubs: Sequence[int],
-                jobs: int) -> Tuple[array, array]:
-    """Both row arrays, serially or across ``jobs`` fork workers.
+def _build_rows(csr: CSRGraph, hubs: Sequence[int], jobs: int) -> array:
+    """The ``dist`` rows, serially or across ``jobs`` fork workers.
 
-    Workers take contiguous hub ranges and the parent appends their
-    rows in range order, so the arrays are byte-identical to a serial
+    The array is allocated once and every row (or worker range) is
+    written into its own slice, so it is byte-identical to a serial
     build whatever ``jobs`` is.
     """
     global _CTX
-    dist, pred = array("d"), array("i")
+    n = csr.num_vertices
+    rows = _empty_rows(len(hubs) * n)
     if jobs <= 1 or len(hubs) < 2 or (
             "fork" not in multiprocessing.get_all_start_methods()):
-        _append_rows(csr, hubs, dist, pred)
-        return dist, pred
+        _fill_rows(csr, hubs, rows)
+        return rows
     # A few ranges per worker even out hubs with smaller components.
     step = max(1, -(-len(hubs) // (4 * jobs)))
     ranges = [(lo, min(lo + step, len(hubs)))
               for lo in range(0, len(hubs), step)]
+    row_bytes = n * rows.itemsize
+    cells = memoryview(rows).cast("B")
     _CTX = {"csr": csr, "hubs": list(hubs)}
     try:
         with ProcessPoolExecutor(
                 max_workers=jobs,
                 mp_context=multiprocessing.get_context("fork")) as pool:
-            for row_dist, row_pred in pool.map(_rows_worker, ranges):
-                dist.frombytes(row_dist)
-                pred.frombytes(row_pred)
+            for (lo, hi), raw in zip(ranges,
+                                     pool.map(_rows_worker, ranges)):
+                cells[lo * row_bytes:hi * row_bytes] = raw
     finally:
         _CTX = {}
-    return dist, pred
+        cells.release()
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -176,26 +241,28 @@ def _build_rows(csr: CSRGraph, hubs: Sequence[int],
 # ----------------------------------------------------------------------
 
 
-class _PredRow:
-    """One ``pred`` row as :func:`collect_path_vertices` walks it: every
-    id is checked where it is read, so a corrupt cell raises instead of
-    wrapping around (``-1``) or running off the row."""
+class _TreeWalk:
+    """One hub's shortest-path tree as :func:`collect_path_vertices`
+    walks it: ``[x]`` is ``x``'s predecessor, read from the hub's memo or
+    derived from its ``dist`` row (:meth:`HubOracle._derive`) and
+    memoised."""
 
-    __slots__ = ("_table", "_hub", "_row", "_n")
+    __slots__ = ("_table", "_hub", "_row", "_memo")
 
     def __init__(self, table: "HubOracle", hub: int) -> None:
         self._table = table
         self._hub = hub
-        self._row = table.pred_row(hub)
-        self._n = len(self._row)
+        self._row = table.dist_row(hub)
+        memo = table._preds.get(hub)
+        if memo is None:
+            memo = table._preds[hub] = array("i", [-1]) * table._n
+        self._memo = memo
 
     def __getitem__(self, x: int) -> int:
-        p = self._row[x]
-        if 0 <= p < self._n:
-            return p
-        raise self._table._corrupt(
-            1, self._hub, f"vertex {x} has predecessor {p} on a shortest"
-                          f" path (expected an id in [0, {self._n}))")
+        p = self._memo[x]
+        if p < 0:
+            p = self._memo[x] = self._table._derive(self._hub, self._row, x)
+        return p
 
 
 def _gather(memo: bytearray, targets: Sequence[int]) -> bytes:
@@ -206,32 +273,36 @@ def _gather(memo: bytearray, targets: Sequence[int]) -> bytes:
 
 
 class HubOracle:
-    """The endpoint tree table: full ``dist``/``pred`` rows per hub.
+    """The endpoint tree table: a full ``dist`` row per hub.
 
-    ``hubs`` are the distinct bridge endpoints, ascending; ``dist`` and
-    ``pred`` hold one row of ``num_vertices`` cells per hub, hub-major
-    -- ``array`` objects after a build, zero-copy views over the file
-    after a binary load, which no query materialises (rows are
-    ``memoryview`` slices).  ``source`` and ``sections`` name the file
-    and the two row sections in corrupt-cell errors.
+    ``hubs`` are the distinct bridge endpoints, ascending; ``dist``
+    holds one row of ``|V|`` cells per hub, hub-major -- an ``array``
+    after a build, a zero-copy view over the file after a binary load,
+    which no query materialises (rows are ``memoryview`` slices).
+    ``network`` is the network the rows were built on; its adjacency
+    is what :meth:`preds` derives the trees from.  ``source`` and
+    ``section`` name the file and the row section in corrupt-cell
+    errors.
     """
 
     kind = "hub"
 
-    def __init__(self, hubs: Sequence[int], dist, pred, num_vertices: int,
-                 source: str = "<memory>",
-                 sections: Tuple[str, str] = ("dist", "pred")) -> None:
+    def __init__(self, hubs: Sequence[int], dist, network: RoadNetwork,
+                 source: str = "<memory>", section: str = "dist") -> None:
         self._hubs: Tuple[int, ...] = tuple(hubs)
         self._row_of: Dict[int, int] = {h: i for i, h
                                          in enumerate(self._hubs)}
-        self._n = num_vertices
+        self._n = network.num_vertices
+        self._adjacency = network.adjacency
         self._dist = memoryview(dist)
-        self._pred = memoryview(pred)
         self._source = source
-        self._sections = sections
+        self._section = section
         #: One verdict byte per vertex for each screened bridge, keyed
         #: by ``(u, v, weight)`` (see :meth:`screen`).
         self._verdicts: Dict[Tuple[int, int, float], bytearray] = {}
+        #: Derived predecessors per walked hub, ``-1`` where not derived
+        #: yet (see :meth:`preds`).
+        self._preds: Dict[int, array] = {}
 
     @classmethod
     def build(cls, network: RoadNetwork,
@@ -243,14 +314,18 @@ class HubOracle:
         Always the flat kernel, whatever engine the rest of a build
         uses; ``jobs > 1`` spreads the hubs over fork workers with a
         byte-identical result.  The work is recorded as one ``trees``
-        span under the caller's active span.
+        span under the caller's active span.  A network that
+        :func:`table_obstacle` refuses raises :class:`ValueError`
+        naming the edge.
         """
+        obstacle = table_obstacle(network)
+        if obstacle is not None:
+            raise ValueError(obstacle)
         trace = resolve_trace(trace)
         hubs = sorted({e for bridge in bridges for e in bridge})
-        csr = network.csr()
         with trace.span("trees"):
-            dist, pred = _build_rows(csr, hubs, jobs)
-        return cls(hubs, dist, pred, csr.num_vertices)
+            dist = _build_rows(network.csr(), hubs, jobs)
+        return cls(hubs, dist, network)
 
     # -- rows ------------------------------------------------------------
 
@@ -258,22 +333,45 @@ class HubOracle:
     def hubs(self) -> Tuple[int, ...]:
         return self._hubs
 
-    def _row(self, rows: memoryview, hub: int) -> memoryview:
-        i = self._row_of[hub]
-        return rows[i * self._n:(i + 1) * self._n]
-
     def dist_row(self, hub: int) -> memoryview:
         """Distances from ``hub``, vertex-indexed (unchecked)."""
-        return self._row(self._dist, hub)
+        i = self._row_of[hub]
+        return self._dist[i * self._n:(i + 1) * self._n]
 
-    def pred_row(self, hub: int) -> memoryview:
-        """Predecessors in ``hub``'s tree, vertex-indexed (unchecked)."""
-        return self._row(self._pred, hub)
+    def preds(self, hub: int) -> _TreeWalk:
+        """``hub``'s shortest-path tree: ``preds(hub)[x]`` is ``x``'s
+        predecessor, derived from the ``dist`` row the first time it is
+        read and memoised in the hub's ``|V|``-cell int32 array
+        (allocated here, on the first walk from the hub)."""
+        return _TreeWalk(self, hub)
 
-    def _corrupt(self, which: int, hub: int,
-                 problem: str) -> IndexFormatError:
+    def _derive(self, hub: int, row: memoryview, x: int) -> int:
+        """``x``'s predecessor in ``hub``'s tree: the argmin of
+        ``(dist[u], u)`` over the neighbours ``u`` strictly below ``x``
+        with ``dist[u] + w(u, x) == dist[x]`` (see the module
+        docstring).  A cell that is not finite and non-negative, or a
+        vertex with no such neighbour, raises
+        :class:`~repro.errors.IndexFormatError`."""
+        dx = row[x]
+        if not 0.0 <= dx < math.inf:
+            raise self._corrupt(hub, f"vertex {x} on a shortest path has"
+                                     f" distance {dx!r} (expected a finite"
+                                     f" value >= 0)")
+        best, best_d = -1, dx
+        for u, w in self._adjacency[x]:
+            du = row[u]
+            if du + w == dx and (du < best_d
+                                 or (du == best_d and u < best)):
+                best, best_d = u, du
+        if best < 0:
+            raise self._corrupt(hub, f"vertex {x} at distance {dx!r} has"
+                                     f" no neighbour u below it with"
+                                     f" dist(u) + w(u, {x}) == {dx!r}")
+        return best
+
+    def _corrupt(self, hub: int, problem: str) -> IndexFormatError:
         return IndexFormatError(
-            f"{self._source}: section {self._sections[which]!r}, row of"
+            f"{self._source}: section {self._section!r}, row of"
             f" endpoint {hub}: {problem}; rebuild the index")
 
     # -- queries ---------------------------------------------------------
@@ -284,8 +382,8 @@ class HubOracle:
         d = self._dist[self._row_of[hub] * self._n + x]
         if d >= 0.0:
             return d
-        raise self._corrupt(0, hub, f"distance to vertex {x} is {d!r}"
-                                    f" (expected >= 0 or inf)")
+        raise self._corrupt(hub, f"distance to vertex {x} is {d!r}"
+                                 f" (expected >= 0 or inf)")
 
     def _verdict(self, u: int, v: int, weight: float, du_row: memoryview,
                  dv_row: memoryview, x: int) -> int:
@@ -299,8 +397,8 @@ class HubOracle:
         dv = dv_row[x]
         if not (du >= 0.0 and dv >= 0.0):
             hub, bad = (v, dv) if du >= 0.0 else (u, du)
-            raise self._corrupt(0, hub, f"distance to vertex {x} is {bad!r}"
-                                        f" (expected >= 0 or inf)")
+            raise self._corrupt(hub, f"distance to vertex {x} is {bad!r}"
+                                     f" (expected >= 0 or inf)")
         if du == math.inf or dv == math.inf:
             return _NEITHER
         if _in_domain(du, dv, weight):
@@ -314,8 +412,8 @@ class HubOracle:
         """``(UD*, VD*)`` of bridge ``(u, v)`` over ``targets``, every
         target's verdict read afresh from the two ``dist`` rows (the
         reference for :meth:`screen`)."""
-        du_row = self._row(self._dist, u)
-        dv_row = self._row(self._dist, v)
+        du_row = self.dist_row(u)
+        dv_row = self.dist_row(v)
         ud_star: Set[int] = set()
         vd_star: Set[int] = set()
         for x in targets:
@@ -348,8 +446,8 @@ class HubOracle:
             memo = self._verdicts[key] = bytearray(self._n)
         verdicts = _gather(memo, targets)
         if _UNREAD in verdicts:
-            du_row = self._row(self._dist, u)
-            dv_row = self._row(self._dist, v)
+            du_row = self.dist_row(u)
+            dv_row = self.dist_row(v)
             for x in targets:
                 if not memo[x]:
                     memo[x] = self._verdict(u, v, weight, du_row, dv_row,
@@ -363,8 +461,8 @@ class HubOracle:
     def collect_paths(self, hub: int, members: Iterable[int],
                       into: Set[int]) -> None:
         """Add ``sp(hub, x)`` for every member to ``into`` by walking
-        the hub's ``pred`` row (members must be reachable)."""
-        collect_path_vertices(_PredRow(self, hub), hub, members, into)
+        the hub's tree (:meth:`preds`; members must be reachable)."""
+        collect_path_vertices(self.preds(hub), hub, members, into)
 
     # -- size and serialisation -----------------------------------------
 
@@ -372,23 +470,21 @@ class HubOracle:
         """Table cells, ``|hubs| x |V|`` -- the size driver."""
         return len(self._hubs) * self._n
 
-    def row_bytes(self) -> Tuple[int, int]:
-        """Bytes of the ``dist`` and the ``pred`` rows."""
-        return self._dist.nbytes, self._pred.nbytes
+    def row_bytes(self) -> int:
+        """Bytes of the ``dist`` rows."""
+        return self._dist.nbytes
 
     def describe(self) -> str:
         """One human line for build logs."""
-        dist_bytes, pred_bytes = self.row_bytes()
         return (f"endpoint tree table, {len(self._hubs)} endpoints x"
                 f" {self._n} vertices (dist rows"
-                f" {dist_bytes / 2 ** 20:.1f} MiB, pred rows"
-                f" {pred_bytes / 2 ** 20:.1f} MiB)")
+                f" {self.row_bytes() / 2 ** 20:.1f} MiB)")
 
     def to_payload(self) -> Dict[str, object]:
-        """The serialisers' form: hub ids plus the two flat row
-        buffers (the stored ones, not copies)."""
+        """The serialisers' form: hub ids plus the flat row buffer (the
+        stored one, not a copy)."""
         return {"kind": "hub", "hubs": list(self._hubs),
-                "dist": self._dist, "pred": self._pred}
+                "dist": self._dist}
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +496,9 @@ def build_oracle(network: RoadNetwork, kind: str,
                  bridges: Iterable[Tuple[int, int]],
                  trace: Optional[TraceRecorder] = None,
                  jobs: int = 1) -> Optional[HubOracle]:
-    """Build the oracle a policy resolves to (``None`` for none).
+    """Build the oracle a policy resolves to (``None`` for none, and
+    under ``auto`` for a network that :func:`table_obstacle` refuses:
+    RoadPart then answers with the dual heap).
 
     ``bridges`` may be any iterable, a generator included: it is
     materialised exactly once here, so the ``auto`` emptiness probe and
@@ -409,21 +507,24 @@ def build_oracle(network: RoadNetwork, kind: str,
     bridges = list(bridges)
     if resolve_oracle_kind(kind, bridges) == "none":
         return None
+    if table_obstacle(network) is not None:
+        return None
     return HubOracle.build(network, bridges, trace=trace, jobs=jobs)
 
 
-def oracle_from_payload(payload: Dict[str, object], num_vertices: int,
+def oracle_from_payload(payload: Dict[str, object], network: RoadNetwork,
                         bridges: Iterable[Tuple[int, int]],
-                        source: str = "<memory>",
-                        sections: Tuple[str, str] = ("dist", "pred"),
+                        source: str = "<memory>", section: str = "dist",
                         ) -> HubOracle:
-    """Rehydrate a table from its payload (JSON lists or zero-copy
-    binary views -- both index loaders funnel through here).
+    """Rehydrate a table over ``network`` from its payload (a JSON list
+    or a zero-copy binary view -- both index loaders funnel through
+    here).
 
     Checks only ``O(|hubs|)`` facts: the hub ids are sorted, unique,
-    below ``num_vertices`` and exactly the endpoints of ``bridges``,
-    and each row buffer holds ``|hubs| x num_vertices`` cells.  An
-    unknown ``kind`` raises :class:`ValueError`; the rest raise
+    below ``|V|`` and exactly the endpoints of ``bridges``, and the row
+    buffer holds ``|hubs| x |V|`` cells.  An unknown ``kind`` raises
+    :class:`ValueError`; the rest, and a payload from an older build
+    (hub labels, or stored predecessor rows), raise
     :class:`~repro.errors.IndexFormatError` naming ``source``.
     """
     kind = payload.get("kind")
@@ -433,6 +534,12 @@ def oracle_from_payload(payload: Dict[str, object], num_vertices: int,
         raise IndexFormatError(
             f"{source}: the oracle holds hub labels from an older build"
             f" instead of an endpoint tree table; rebuild the index")
+    if "pred" in payload:
+        raise IndexFormatError(
+            f"{source}: the oracle stores predecessor rows from an older"
+            f" build (this build derives them from the dist rows);"
+            f" rebuild the index")
+    num_vertices = network.num_vertices
     hubs = list(payload["hubs"])
     bad = [h for h in hubs if not 0 <= h < num_vertices]
     if bad:
@@ -447,20 +554,16 @@ def oracle_from_payload(payload: Dict[str, object], num_vertices: int,
         raise IndexFormatError(
             f"{source}: oracle endpoints ({len(hubs)}) are not the"
             f" bridge endpoints ({len(expected)})")
-    rows: List[object] = []
-    for name, typecode, cells in zip(sections, "di",
-                                     (payload["dist"], payload["pred"])):
-        if isinstance(cells, list):  # a JSON payload
-            try:
-                cells = array(typecode, cells)
-            except (TypeError, OverflowError) as exc:
-                raise IndexFormatError(
-                    f"{source}: section {name!r} holds a bad cell"
-                    f" ({exc})") from exc
-        if len(cells) != len(hubs) * num_vertices:
+    cells = payload["dist"]
+    if isinstance(cells, list):  # a JSON payload
+        try:
+            cells = array("d", cells)
+        except (TypeError, OverflowError) as exc:
             raise IndexFormatError(
-                f"{source}: section {name!r} holds {len(cells)} cells,"
-                f" expected {len(hubs)} endpoints x {num_vertices}")
-        rows.append(cells)
-    return HubOracle(hubs, rows[0], rows[1], num_vertices, source=source,
-                     sections=sections)
+                f"{source}: section {section!r} holds a bad cell"
+                f" ({exc})") from exc
+    if len(cells) != len(hubs) * num_vertices:
+        raise IndexFormatError(
+            f"{source}: section {section!r} holds {len(cells)} cells,"
+            f" expected {len(hubs)} endpoints x {num_vertices}")
+    return HubOracle(hubs, cells, network, source=source, section=section)

@@ -24,6 +24,8 @@ from repro.errors import IndexFormatError
 from repro.shortestpath.flat import release_search
 from repro.shortestpath.oracle import build_oracle
 
+from tests.shortestpath.test_oracle import tight_neighbours, walk_corruption
+
 
 @pytest.fixture(scope="module")
 def saved_pair(medium_index, tmp_path_factory):
@@ -285,17 +287,16 @@ class TestIdChecks:
         assert "oracle_hits" in roadpart_dps(loaded, medium_query).stats
 
 
-def _table_cell_at(path, tag, hub, vertex, network):
-    """File offset of the ``vertex`` cell of ``hub``'s row in row
-    section ``tag`` (``ordist`` f64 or ``orpred`` i32)."""
+def _table_cell_at(path, hub, vertex, network):
+    """File offset of the ``vertex`` cell of ``hub``'s row in the
+    ``ordist`` section."""
     header = binfmt.read_header(path)
-    offset, _ = header.sections[tag]
+    offset, _ = header.sections[b"ordist"]
     ends_offset, ends_length = header.sections[b"orends"]
     ends = struct.unpack_from(f"<{ends_length // 4}I", path.read_bytes(),
                               ends_offset)
-    width = 8 if tag == b"ordist" else 4
     row = ends.index(hub)
-    return offset + width * (row * network.num_vertices + vertex)
+    return offset + 8 * (row * network.num_vertices + vertex)
 
 
 class TestTableCells:
@@ -308,9 +309,8 @@ class TestTableCells:
     @pytest.fixture(scope="class")
     def read_cells(self, oracle_bin, medium_network):
         """A query with a valid bridge, a ``dist`` cell it reads (its
-        first vertex in the first examined bridge's row) and a ``pred``
-        cell it reads (a domain member's predecessor in the valid
-        bridge's row)."""
+        first vertex in the first examined bridge's row) and a domain
+        member of the valid bridge with one of its endpoints."""
         index = RoadPartIndex.load_binary(oracle_bin, medium_network)
         processor = RoadPartQueryProcessor(index)
         for seed in range(40):
@@ -337,7 +337,7 @@ class TestTableCells:
     def test_bad_distance(self, oracle_bin, tmp_path, medium_network,
                           read_cells, value):
         query, (hub, x), _ = read_cells
-        at = _table_cell_at(oracle_bin, b"ordist", hub, x, medium_network)
+        at = _table_cell_at(oracle_bin, hub, x, medium_network)
         bad = _corrupt(oracle_bin, tmp_path, at, struct.pack("<d", value))
         self._query_raises(bad, medium_network, query,
                            f"section 'ordist', row of endpoint {hub}:"
@@ -351,26 +351,53 @@ class TestTableCells:
         query, (hub, _), _ = read_cells
         center = run_ble_radius(medium_network, query)
         release_search(center.search)
-        at = _table_cell_at(oracle_bin, b"ordist", hub,
-                            center.center_vertex, medium_network)
+        at = _table_cell_at(oracle_bin, hub, center.center_vertex,
+                            medium_network)
         bad = _corrupt(oracle_bin, tmp_path, at, struct.pack("<d", value))
         self._query_raises(bad, medium_network, query,
                            f"section 'ordist', row of endpoint {hub}:"
                            f" distance to vertex {center.center_vertex}")
 
-    @pytest.mark.parametrize("value", ["n", -1, -5])
-    def test_bad_predecessor(self, oracle_bin, tmp_path, medium_network,
-                             read_cells, value):
-        query, _, (hub, x) = read_cells
-        if value == "n":
-            value = medium_network.num_vertices
-        at = _table_cell_at(oracle_bin, b"orpred", hub, x, medium_network)
-        bad = _corrupt(oracle_bin, tmp_path, at, struct.pack("<i", value))
-        self._query_raises(bad, medium_network, query,
-                           f"section 'orpred', row of endpoint {hub}:"
-                           f" vertex {x} has predecessor {value}")
+    @pytest.fixture(scope="class")
+    def walk_cell(self, oracle_bin, medium_network, read_cells):
+        """A ``dist`` cell only the path patch reads: an inner vertex
+        of the walk from the valid bridge's endpoint to its member, not
+        a query vertex nor BL-E's centre, whose child on the walk has no
+        other tight neighbour."""
+        query, _, (hub, member) = read_cells
+        table = RoadPartIndex.load_binary(oracle_bin, medium_network).oracle
+        center = run_ble_radius(medium_network, query)
+        release_search(center.search)
+        read_elsewhere = set(query.combined) | {center.center_vertex}
+        row = table.dist_row(hub)
+        chain = [member]
+        while chain[-1] != hub:
+            chain.append(table.preds(hub)[chain[-1]])
+        for child, y in zip(chain, chain[1:-1]):
+            if (y not in read_elsewhere and tight_neighbours(
+                    medium_network, row, child) == [y]):
+                return query, hub, y, walk_corruption("off", row, y)
+        pytest.fail("the member's walk has no inner vertex to corrupt")
 
-    @pytest.mark.parametrize("tag", [b"orends", b"ordist", b"orpred"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "off"])
+    def test_bad_cell_on_a_walk(self, oracle_bin, tmp_path, medium_network,
+                                walk_cell, value):
+        """The path patch derives predecessors from the row: a corrupt
+        cell on its walk raises naming the section and the endpoint, on
+        the first query and again on the next one."""
+        query, hub, y, off = walk_cell
+        at = _table_cell_at(oracle_bin, hub, y, medium_network)
+        bad = _corrupt(oracle_bin, tmp_path, at, struct.pack(
+            "<d", off if value == "off" else value))
+        index = RoadPartIndex.load_binary(bad, medium_network)
+        for _ in range(2):
+            with pytest.raises(IndexFormatError,
+                               match=f"section 'ordist', row of endpoint"
+                                     f" {hub}: vertex") as excinfo:
+                roadpart_dps(index, query)
+            assert str(bad) in str(excinfo.value)
+
+    @pytest.mark.parametrize("tag", [b"orends", b"ordist"])
     def test_truncated_table_section(self, oracle_bin, tmp_path,
                                      medium_network, tag):
         """A file cut inside a table section fails at load."""

@@ -7,10 +7,14 @@ The load-bearing contracts:
   endpoint tree table holds the very trees the dual heap grows, and it
   answers every examined bridge.
 * There is one binary layout: ``oracle="none"`` builds write the same
-  version-3 header with the oracle sections left out.
-* Files from older layouts -- version 1, version 2 (hub labels), or a
-  file carrying a contraction-hierarchy oracle -- are rejected; the fix
-  is a rebuild.
+  version-4 header with the oracle sections left out.
+* Files from older layouts -- version 1, version 2 (hub labels),
+  version 3 (stored predecessor rows), a JSON payload that still
+  carries ``pred`` rows, or a file carrying a contraction-hierarchy
+  oracle -- are rejected; the fix is a rebuild.
+* Saving streams every section from its buffer: no copy of the rows.
+* A network where a relaxation could absorb an edge gets no table under
+  ``oracle="auto"``, and RoadPart answers with the dual heap.
 * Structural defects (unknown section tags, malformed oracle payloads)
   surface as :class:`~repro.errors.IndexFormatError` naming the path.
 """
@@ -20,7 +24,9 @@ from __future__ import annotations
 import dataclasses
 import filecmp
 import json
+import math
 import struct
+import tracemalloc
 
 import pytest
 
@@ -38,7 +44,7 @@ from repro.obs.counters import SearchCounters
 from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceRecorder
 from repro.shortestpath.flat import release_search
-from repro.shortestpath.oracle import oracle_from_payload
+from repro.shortestpath.oracle import HubOracle, oracle_from_payload
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
@@ -59,7 +65,7 @@ def hub_index(medium_network):
 
 
 @pytest.fixture(scope="module")
-def saved_v3(hub_index, tmp_path_factory):
+def saved_files(hub_index, tmp_path_factory):
     root = tmp_path_factory.mktemp("oracleidx")
     json_path = root / "index.json"
     bin_path = root / "index.bin"
@@ -174,8 +180,7 @@ class TestTheorem5FromVerdicts:
     def test_memo_holds_one_vertex_buffer_per_examined_bridge(
             self, medium_network, hub_index):
         fresh = oracle_from_payload(hub_index.oracle.to_payload(),
-                                    medium_network.num_vertices,
-                                    hub_index.bridges)
+                                    medium_network, hub_index.bridges)
         index = dataclasses.replace(hub_index, oracle=fresh)
         processor = RoadPartQueryProcessor(index)
         examined = set()
@@ -197,35 +202,49 @@ class TestTheorem5FromVerdicts:
 
 
 class TestSerialisation:
-    def test_oracle_none_build_writes_version_3(self, medium_index,
+    def test_oracle_none_build_writes_version_4(self, medium_index,
                                                 tmp_path):
         path = tmp_path / "plain.bin"
         medium_index.save_binary(path)
         header = binfmt.read_header(path)
-        assert header.version == binfmt.VERSION == 3
-        assert binfmt.FORMAT_NAME == "roadpart-index-bin-v3"
+        assert header.version == binfmt.VERSION == 4
+        assert binfmt.FORMAT_NAME == "roadpart-index-bin-v4"
         assert tuple(header.sections) == binfmt.SECTION_TAGS
 
-    def test_oracle_build_writes_version_3(self, saved_v3, hub_index,
+    def test_oracle_build_writes_version_4(self, saved_files, hub_index,
                                            medium_network):
-        _, bin_path = saved_v3
+        _, bin_path = saved_files
         header = binfmt.read_header(bin_path)
         assert header.version == binfmt.VERSION
         assert tuple(header.sections) == (binfmt.SECTION_TAGS
                                           + binfmt.ORACLE_SECTION_TAGS)
-        assert binfmt.ORACLE_SECTION_TAGS == (
-            b"oracle", b"orends", b"ordist", b"orpred")
+        assert binfmt.ORACLE_SECTION_TAGS == (b"oracle", b"orends",
+                                              b"ordist")
         cells = len(hub_index.oracle.hubs) * medium_network.num_vertices
         assert header.sections[b"ordist"][1] == 8 * cells
-        assert header.sections[b"orpred"][1] == 4 * cells
         assert (binfmt.read_oracle_meta(bin_path, header)
                 == len(hub_index.oracle.hubs))
 
-    def test_binary_round_trip_preserves_answers(self, saved_v3,
+    def test_save_copies_no_row(self, hub_index, tmp_path):
+        """Every section goes to the file from its own buffer: the
+        traced peak of a save stays far below the rows it writes (a
+        copy of them alone would read 1x)."""
+        hub_index.save_binary(tmp_path / "warm.bin")  # imports, caches
+        tracemalloc.start()
+        try:
+            hub_index.save_binary(tmp_path / "index.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < hub_index.oracle.row_bytes() / 4
+        assert ((tmp_path / "index.bin").read_bytes()
+                == (tmp_path / "warm.bin").read_bytes())
+
+    def test_binary_round_trip_preserves_answers(self, saved_files,
                                                  medium_network,
                                                  hub_index,
                                                  medium_query):
-        _, bin_path = saved_v3
+        _, bin_path = saved_files
         loaded = RoadPartIndex.load_binary(bin_path, medium_network)
         assert loaded.oracle is not None
         assert loaded.oracle.kind == "hub"
@@ -237,9 +256,9 @@ class TestSerialisation:
         assert reloaded.vertices == fresh.vertices
         assert reloaded.stats == fresh.stats
 
-    def test_json_round_trip_preserves_oracle(self, saved_v3,
+    def test_json_round_trip_preserves_oracle(self, saved_files,
                                               medium_network, hub_index):
-        json_path, _ = saved_v3
+        json_path, _ = saved_files
         loaded = RoadPartIndex.load(json_path, medium_network)
         assert loaded.oracle is not None
         assert (loaded.oracle.to_payload()
@@ -263,11 +282,55 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="version 1"):
             binfmt.read_header(path)
 
-    def test_version_2_hub_label_file_rejected(self, saved_v3,
+    def test_save_in_place_over_the_mapped_file(self, saved_files,
+                                                medium_network, tmp_path):
+        """An mmap-loaded index saved over its own file: its rows are a
+        view over that file, so the writer must not truncate the file
+        before it has written them."""
+        _, bin_path = saved_files
+        path = tmp_path / "inplace.bin"
+        path.write_bytes(bin_path.read_bytes())
+        loaded = RoadPartIndex.load_binary(path, medium_network)
+        loaded.save_binary(path)
+        assert path.read_bytes() == bin_path.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["inplace.bin"]
+        assert (roadpart_dps(loaded, DPSQuery.q_query([0, 400])).vertices
+                == roadpart_dps(RoadPartIndex.load_binary(
+                    path, medium_network), DPSQuery.q_query([0, 400])
+                ).vertices)
+
+    def test_version_3_stored_pred_file_rejected(self, saved_files,
+                                                  medium_network,
+                                                  tmp_path):
+        """A version-3 file (stored ``orpred`` rows) asks for a
+        rebuild."""
+        _, bin_path = saved_files
+        blob = bytearray(bin_path.read_bytes())
+        blob[4:8] = struct.pack("<I", 3)
+        path = tmp_path / "v3.bin"
+        path.write_bytes(bytes(blob))
+        for load in (binfmt.read_header,
+                     lambda p: RoadPartIndex.load_binary(p, medium_network)):
+            with pytest.raises(IndexFormatError,
+                               match="version 3.*rebuild the index"):
+                load(path)
+
+    def test_json_stored_pred_rows_rejected(self, saved_files,
+                                            medium_network, tmp_path):
+        json_path, _ = saved_files
+        doc = json.loads(json_path.read_text())
+        doc["oracle"]["pred"] = [-1] * len(doc["oracle"]["dist"])
+        bad = tmp_path / "pred.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(IndexFormatError,
+                           match="predecessor rows.*rebuild the index"):
+            RoadPartIndex.load(bad, medium_network)
+
+    def test_version_2_hub_label_file_rejected(self, saved_files,
                                                medium_network, tmp_path):
         """A version-2 file (the retired hub-label oracle) asks for a
         rebuild instead of being misread."""
-        _, bin_path = saved_v3
+        _, bin_path = saved_files
         blob = bytearray(bin_path.read_bytes())
         blob[4:8] = struct.pack("<I", 2)
         path = tmp_path / "v2.bin"
@@ -276,10 +339,10 @@ class TestSerialisation:
                            match="version 2.*rebuild the index"):
             RoadPartIndex.load_binary(path, medium_network)
 
-    def test_oracle_kind_code_2_rejected(self, saved_v3, medium_network,
+    def test_oracle_kind_code_2_rejected(self, saved_files, medium_network,
                                          tmp_path):
         """Kind code 2 was the contraction-hierarchy oracle."""
-        _, bin_path = saved_v3
+        _, bin_path = saved_files
         header = binfmt.read_header(bin_path)
         meta_offset, _ = header.sections[binfmt.ORACLE_META_TAG]
         blob = bytearray(bin_path.read_bytes())
@@ -291,12 +354,12 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="kind code 2"):
             binfmt.read_oracle_meta(path, binfmt.read_header(path))
 
-    def test_contraction_hierarchy_sections_rejected(self, saved_v3,
+    def test_contraction_hierarchy_sections_rejected(self, saved_files,
                                                      medium_network,
                                                      tmp_path):
         """A file laid out the way older builds wrote a CH oracle names
         the section this build does not know."""
-        _, bin_path = saved_v3
+        _, bin_path = saved_files
         blob = bin_path.read_bytes()
         for old, new in zip(binfmt.TABLE_SECTION_TAGS,
                             (b"orchrk", b"orchof", b"orchtg")):
@@ -307,9 +370,9 @@ class TestSerialisation:
             RoadPartIndex.load_binary(path, medium_network)
         assert "rebuild" in str(excinfo.value)
 
-    def test_json_ch_oracle_payload_rejected(self, saved_v3,
+    def test_json_ch_oracle_payload_rejected(self, saved_files,
                                              medium_network, tmp_path):
-        json_path, _ = saved_v3
+        json_path, _ = saved_files
         doc = json.loads(json_path.read_text())
         doc["oracle"] = {"kind": "ch", "rank": [], "offsets": [0],
                          "up_targets": [], "up_weights": []}
@@ -318,9 +381,9 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="'ch'"):
             RoadPartIndex.load(bad, medium_network)
 
-    def test_unknown_section_tag_names_path_and_section(self, saved_v3,
+    def test_unknown_section_tag_names_path_and_section(self, saved_files,
                                                         tmp_path):
-        _, bin_path = saved_v3
+        _, bin_path = saved_files
         blob = bin_path.read_bytes()
         assert blob.count(b"orends") == 1  # only the section table
         mangled = tmp_path / "mangled.bin"
@@ -330,12 +393,12 @@ class TestSerialisation:
         assert "zzends" in str(excinfo.value)
         assert "mangled.bin" in str(excinfo.value)
 
-    def test_malformed_json_oracle_payload_raises(self, saved_v3,
+    def test_malformed_json_oracle_payload_raises(self, saved_files,
                                                   medium_network,
                                                   tmp_path):
-        json_path, _ = saved_v3
+        json_path, _ = saved_files
         doc = json.loads(json_path.read_text())
-        del doc["oracle"]["pred"]
+        del doc["oracle"]["dist"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         with pytest.raises(IndexFormatError, match="oracle"):
@@ -413,3 +476,43 @@ class TestBuildDeterminism:
         span = trace.find("oracle")
         assert span is not None
         assert [child.label for child in span.children] == ["trees"]
+
+
+class TestAbsorptionPolicy:
+    """Derived predecessors need every relaxation to raise its label:
+    a network with an edge some relaxation could absorb gets no table
+    under ``oracle="auto"``, and RoadPart answers with the dual heap."""
+
+    @staticmethod
+    def _zero_edge_grid():
+        """:func:`_flyover_grid` with one grid edge of weight zero."""
+        base = _flyover_grid()
+        edges = [(e.u, e.v, 0.0 if (e.u, e.v) == (24, 25) else e.weight)
+                 for e in base.edges()]
+        return RoadNetwork([(c.x, c.y) for c in base.coords], edges)
+
+    def test_auto_attaches_no_table(self):
+        network = self._zero_edge_grid()
+        index = build_index(network, border_count=4, oracle="auto")
+        assert index.bridges and index.oracle is None
+        assert index.stats.oracle_kind == "none"
+        assert index.stats.oracle_entries == 0
+        with pytest.raises(ValueError,
+                           match=r"edge \(24, 25\) of weight 0\.0.*absorb"):
+            HubOracle.build(network, sorted(index.bridges))
+        for s, t in ((0, 48), (3, 45), (8, 41)):
+            query = DPSQuery.q_query([s, t])
+            assert (roadpart_dps(index, query).vertices
+                    == roadpart_dps(index, query, oracle="none").vertices)
+
+    def test_threshold_is_ulp_of_twice_the_total_weight(self):
+        """An edge exactly at ``ulp(2W)`` is refused, the next float up
+        is not (the policy ``table_obstacle`` documents)."""
+        from repro.shortestpath.oracle import table_obstacle
+        coords = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (2.0, 0.0)]
+        at = 2.0 ** -50  # ulp(4.0); W stays within [2, 4)
+        for weight, refused in ((at, True), (math.nextafter(at, 1), False)):
+            network = RoadNetwork(coords, [(0, 1, 1.0), (1, 2, 1.0),
+                                           (2, 3, weight)])
+            assert math.ulp(2.0 * (2.0 + weight)) == at
+            assert (table_obstacle(network) is not None) == refused

@@ -2,15 +2,20 @@
 
 With a table attached, the query processor answers every examined
 bridge from it: ``UD*``/``VD*`` from the two endpoints' ``dist`` rows,
-the path patch of a valid bridge from their ``pred`` rows.  Without
-one (``oracle="none"``) it runs the dual-heap search per bridge, the
-reference.  The two must agree on every domain pair and on every DPS
--- vertices and the ``b``/``bv`` measures -- under the flat and the
-dict engine, on the networks where shortest-path trees are hardest to
-pin down: the equal-weight ties, Euclidean and sub-Euclidean weights,
-0/1e-12 twins and zero edges of ``test_settle_equivalence.py`` (each
-with flyovers added), and a network whose query vertices partly cannot
-reach any bridge endpoint.
+the path patch of a valid bridge from the predecessors derived from
+those rows.  Without one (``oracle="none"``) it runs the dual-heap
+search per bridge, the reference.  The two must agree on every domain
+pair and on every DPS -- vertices and the ``b``/``bv`` measures --
+under the flat and the dict engine, on the networks where
+shortest-path trees are hardest to pin down: the equal-weight ties,
+Euclidean and sub-Euclidean weights, 0/1e-12 twins and zero edges of
+``test_settle_equivalence.py`` (each with flyovers added), and a
+network whose query vertices partly cannot reach any bridge endpoint.
+Every derived predecessor must equal the flat kernel's.  A zero-weight
+edge can be absorbed by a relaxation, so ``oracle="auto"`` attaches no
+table to such a network (RoadPart answers with the dual heap) and
+``HubOracle.build`` refuses it; 1e-12 twin edges stay above
+``ulp(2W)`` on these grids and keep their table.
 
 The query processor screens each examined bridge with
 :meth:`HubOracle.screen` (Theorem 5 over memoised verdicts); it must
@@ -34,6 +39,8 @@ from repro.datasets.synthetic import add_bridges, grid_network
 from repro.graph.network import RoadNetwork
 from repro.shortestpath import HubOracle
 from repro.shortestpath.bidirectional import bridge_domains
+from repro.shortestpath.flat import FlatDijkstraSearch
+from repro.shortestpath.oracle import table_obstacle
 
 from tests.property.test_settle_equivalence import KINDS, queries, \
     tie_networks
@@ -115,14 +122,62 @@ def _assert_table_matches_dual_heap(index, query):
             assert table.stats["oracle_fallbacks"] == 0
 
 
+def _has_zero_edge(network):
+    return min(edge.weight for edge in network.edges()) == 0.0
+
+
+def _assert_refused(network, bridges):
+    """The absorption policy on a network with a zero-weight edge:
+    ``auto`` attaches no table, a direct build raises naming it."""
+    assert table_obstacle(network) is not None
+    assert build_index(network, 4, bridges=frozenset(bridges),
+                       oracle="auto").oracle is None
+    with pytest.raises(ValueError, match="absorb"):
+        HubOracle.build(network, bridges)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_table_roadpart_matches_dual_heap(kind, data):
     network = _with_flyovers(data.draw(tie_networks(kind)), data)
     index = build_index(network, 4, oracle="auto")
-    assume(index.oracle is not None)
+    assume(index.bridges)
+    if kind == "zero" or _has_zero_edge(network):
+        assert kind in ("twins", "zero") and _has_zero_edge(network)
+        assert index.oracle is None
+        with pytest.raises(ValueError, match="absorb"):
+            HubOracle.build(network, sorted(index.bridges))
+        return
+    assert index.oracle is not None
     _assert_table_matches_dual_heap(index, queries(network, data))
+
+
+def _assert_preds_match_flat_kernel(network, table):
+    """Every reachable cell of every row: the derived predecessor is
+    the one the flat kernel stores."""
+    for hub in table.hubs:
+        search = FlatDijkstraSearch(network, hub)
+        search.run_to_exhaustion()
+        preds = table.preds(hub)
+        for x in search.settled_order[1:]:
+            assert preds[x] == search.pred[x], (hub, x)
+        search.release()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_derived_preds_match_flat_kernel(kind, data):
+    network = _with_flyovers(data.draw(tie_networks(kind)), data)
+    bridges = sorted(find_bridges(network))
+    assume(bridges)
+    if _has_zero_edge(network):
+        _assert_refused(network, bridges)
+        return
+    assert kind != "zero" and table_obstacle(network) is None
+    _assert_preds_match_flat_kernel(network,
+                                    HubOracle.build(network, bridges))
 
 
 def _two_components(seed):
@@ -225,6 +280,16 @@ def _assert_screen_matches_domains(network, bridges, target_lists):
     n = network.num_vertices
     assert all(len(memo) == n for memo in table._verdicts.values())
     assert len(table._verdicts) <= len(bridges)
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_derived_preds_match_flat_kernel_on_bridge_clusters(data):
+    network = data.draw(bridge_clusters())
+    bridges = sorted(find_bridges(network))
+    assume(bridges)
+    _assert_preds_match_flat_kernel(network,
+                                    HubOracle.build(network, bridges))
 
 
 @given(data=st.data())

@@ -1,11 +1,12 @@
 """Unit tests for the bridge-domain oracle: the endpoint tree table.
 
 The contract under test: the table's rows are the exact shortest-path
-trees of the bridge endpoints, its domains and path patches equal the
-dual-heap search's, its payload round-trips through the flat-row form
-the serialisers use, corrupt cells raise ``IndexFormatError`` where a
-query reads them, and the policy resolution behind ``oracle="auto"``
-matches its documentation.
+distances of the bridge endpoints and the predecessors derived from
+them are the flat kernel's trees, its domains and path patches equal
+the dual-heap search's, its payload round-trips through the flat-row
+form the serialisers use, corrupt cells raise ``IndexFormatError``
+where a query reads them (tree walks included), and the policy
+resolution behind ``oracle="auto"`` matches its documentation.
 """
 
 import math
@@ -25,6 +26,7 @@ from repro.shortestpath import (
 )
 from repro.shortestpath.bidirectional import bridge_domains
 from repro.shortestpath.dijkstra import sssp
+from repro.shortestpath.flat import FlatDijkstraSearch
 from repro.shortestpath.paths import collect_path_vertices
 
 
@@ -129,19 +131,37 @@ class TestHubOracle:
 
     def test_distances_exact_for_workload_pairs(self, bridged, oracle,
                                                 targets):
-        """Each ``dist`` row is the endpoint's exact SSSP, ``pred`` its
-        tree (``-1`` at the root) -- the soundness claim the query
-        processor relies on."""
+        """Each ``dist`` row is the endpoint's exact SSSP and the
+        predecessors derived from it are its tree -- the soundness claim
+        the query processor relies on."""
         network, _ = bridged
         for endpoint in oracle.hubs:
             tree = sssp(network, endpoint)
             dist = oracle.dist_row(endpoint)
-            pred = oracle.pred_row(endpoint)
-            assert pred[endpoint] == -1
+            preds = oracle.preds(endpoint)
             for x in targets:
                 assert dist[x] == tree.dist.get(x, math.inf)
                 if x != endpoint and x in tree.dist:
-                    assert pred[x] == tree.pred[x]
+                    assert preds[x] == tree.pred[x]
+
+    def test_derived_preds_equal_the_flat_kernel_on_every_cell(
+            self, bridged):
+        """Every reachable cell of every row: the derived predecessor
+        is the one the flat kernel stores, cold and then memoised."""
+        network, bridges = bridged
+        oracle = HubOracle.build(network, bridges)
+        for endpoint in oracle.hubs:
+            search = FlatDijkstraSearch(network, endpoint)
+            search.run_to_exhaustion()
+            reached = [x for x in search.settled_order if x != endpoint]
+            want = [search.pred[x] for x in reached]
+            search.release()
+            for _ in range(2):
+                preds = oracle.preds(endpoint)
+                assert [preds[x] for x in reached] == want, endpoint
+            memo = oracle._preds[endpoint]
+            assert len(memo) == network.num_vertices
+            assert memo.itemsize == 4
 
     def test_bridge_valid_matches_domains(self, bridged, oracle, targets):
         """Table domains equal the dual-heap search's, so validity
@@ -166,7 +186,7 @@ class TestHubOracle:
         back = oracle_from_payload(
             {k: (v.tolist() if isinstance(v, memoryview) else v)
              for k, v in payload.items()},
-            network.num_vertices, bridges)
+            network, bridges)
         assert isinstance(back, HubOracle)
         assert back.hubs == oracle.hubs
         assert back.entry_count() == oracle.entry_count()
@@ -181,10 +201,10 @@ class TestHubOracle:
         text = oracle.describe()
         assert "endpoint tree table" in text
         assert str(len(oracle.hubs)) in text
+        assert "dist rows" in text and "pred" not in text
         assert oracle.entry_count() == (len(oracle.hubs)
                                         * network.num_vertices)
-        assert oracle.row_bytes() == (8 * oracle.entry_count(),
-                                      4 * oracle.entry_count())
+        assert oracle.row_bytes() == 8 * oracle.entry_count()
 
     def test_parallel_build_identical(self, bridged, oracle):
         network, bridges = bridged
@@ -229,15 +249,28 @@ class TestScreen:
                    for memo in oracle._verdicts.values())
 
 
-def _patched(oracle, network, bridges, section, hub, vertex, value):
-    """A copy of ``oracle`` with one cell of one row overwritten."""
+def _patched(oracle, network, bridges, hub, vertex, value):
+    """A copy of ``oracle`` with one ``dist`` cell of one row
+    overwritten."""
     payload = oracle.to_payload()
-    cells = array("d" if section == "dist" else "i", payload[section])
+    cells = array("d", payload["dist"])
     cells[oracle.hubs.index(hub) * network.num_vertices + vertex] = value
-    payload[section] = cells
-    return oracle_from_payload(payload, network.num_vertices, bridges,
-                               source="idx.bin",
-                               sections=("ordist", "orpred"))
+    payload["dist"] = cells
+    return oracle_from_payload(payload, network, bridges,
+                               source="idx.bin", section="ordist")
+
+
+def tight_neighbours(network, row, x):
+    """The neighbours ``u`` of ``x`` strictly below it with ``row[u] +
+    w(u, x) == row[x]`` -- the candidates of a derived predecessor."""
+    return [u for u, w in network.neighbors(x)
+            if row[u] + w == row[x] and row[u] < row[x]]
+
+
+def walk_corruption(value, row, x):
+    """The corrupt cell for ``x``: ``value``, or for ``"off"`` a finite
+    value that no neighbour reaches exactly."""
+    return row[x] + 0.25 if value == "off" else value
 
 
 class TestCorruptCells:
@@ -256,7 +289,7 @@ class TestCorruptCells:
         u, v = bridges[0]
         x = next(x for x in range(network.num_vertices)
                  if x not in (u, v))
-        bad = _patched(oracle, network, bridges, "dist", v, x, value)
+        bad = _patched(oracle, network, bridges, v, x, value)
         with pytest.raises(IndexFormatError,
                            match=rf"idx\.bin: section 'ordist', row of"
                                  rf" endpoint {v}: distance to vertex {x}"):
@@ -266,7 +299,7 @@ class TestCorruptCells:
     def test_bad_single_cell(self, bridged, oracle, value):
         network, bridges = bridged
         hub = bridges[0][1]
-        bad = _patched(oracle, network, bridges, "dist", hub, 3, value)
+        bad = _patched(oracle, network, bridges, hub, 3, value)
         assert oracle.distance(hub, 3) == oracle.dist_row(hub)[3]
         with pytest.raises(IndexFormatError,
                            match=rf"idx\.bin: section 'ordist', row of"
@@ -284,7 +317,7 @@ class TestCorruptCells:
         weight = network.edge_weight(u, v)
         x = next(x for x in range(network.num_vertices)
                  if x not in (u, v))
-        bad = _patched(oracle, network, bridges, "dist", v, x, value)
+        bad = _patched(oracle, network, bridges, v, x, value)
         others = [y for y in range(network.num_vertices) if y != x]
         bad.screen(u, v, weight, others)
         with pytest.raises(IndexFormatError) as reference:
@@ -296,18 +329,35 @@ class TestCorruptCells:
         assert f"row of endpoint {v}: distance to vertex {x}" in str(
             reference.value)
 
-    @pytest.mark.parametrize("value", [-1, -7, 10 ** 6])
-    def test_bad_predecessor(self, bridged, oracle, value):
+    @pytest.mark.parametrize("where", ["member", "inner"])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, "off"])
+    def test_bad_cell_on_a_walk(self, bridged, oracle, value, where):
+        """A corrupt ``dist`` cell on a vertex the tree walk passes
+        through -- the member it starts from, or an inner path vertex
+        whose child has no other tight neighbour -- raises naming the
+        section and the hub, on the first walk and again on the next
+        (never memoised), and never a KeyError or an IndexError."""
         network, bridges = bridged
-        u, v = bridges[0]
+        u = bridges[0][0]
+        row = oracle.dist_row(u)
         x = max(range(network.num_vertices),
-                key=lambda y: (oracle.dist_row(u)[y], y))
-        bad = _patched(oracle, network, bridges, "pred", u, x, value)
-        with pytest.raises(IndexFormatError,
-                           match=rf"section 'orpred', row of endpoint"
-                                 rf" {u}: vertex {x} has predecessor"
-                                 rf" {value}"):
-            bad.collect_paths(u, [x], set())
+                key=lambda y: (row[y] < math.inf, row[y], y))
+        chain = [x]
+        while chain[-1] != u:
+            chain.append(oracle.preds(u)[chain[-1]])
+        if where == "member":
+            y = x
+        else:
+            y = next(y for child, y in zip(chain, chain[1:-1])
+                     if tight_neighbours(network, row, child) == [y])
+        bad = _patched(oracle, network, bridges, u, y,
+                       walk_corruption(value, row, y))
+        for _ in range(2):
+            with pytest.raises(IndexFormatError,
+                               match=rf"idx\.bin: section 'ordist', row of"
+                                     rf" endpoint {u}: vertex"):
+                bad.collect_paths(u, [x], set())
+        assert bad._preds[u][y] == -1
 
     def test_payload_checks(self, bridged, oracle):
         network, bridges = bridged
@@ -320,14 +370,24 @@ class TestCorruptCells:
                 ([n] + hubs[1:], f"endpoint {n} out of range"),
                 ([-1] + hubs[1:], "endpoint -1 out of range")):
             with pytest.raises(IndexFormatError, match=message):
-                oracle_from_payload(dict(payload, hubs=bad_hubs), n,
-                                    bridges)
-        with pytest.raises(IndexFormatError, match="'pred' holds"):
-            oracle_from_payload(dict(payload, pred=payload["pred"][1:]),
-                                n, bridges)
+                oracle_from_payload(dict(payload, hubs=bad_hubs),
+                                    network, bridges)
+        with pytest.raises(IndexFormatError, match="'dist' holds"):
+            oracle_from_payload(dict(payload, dist=payload["dist"][1:]),
+                                network, bridges)
         with pytest.raises(IndexFormatError, match="bad cell"):
-            oracle_from_payload(dict(payload, pred=[2 ** 40] * (
-                len(hubs) * n)), n, bridges)
+            oracle_from_payload(dict(payload, dist=["x"] * (
+                len(hubs) * n)), network, bridges)
+
+    def test_stored_predecessor_rows_rejected(self, bridged, oracle):
+        """A payload from an older build still carries ``pred`` rows:
+        rebuild, as for the retired hub labels."""
+        network, bridges = bridged
+        payload = dict(oracle.to_payload(), pred=[-1] * (
+            oracle.entry_count()))
+        with pytest.raises(IndexFormatError,
+                           match="predecessor rows.*rebuild the index"):
+            oracle_from_payload(payload, network, bridges)
 
 
 class TestPayloadValidation:

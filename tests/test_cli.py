@@ -415,18 +415,47 @@ class TestIndexTools:
         assert main(["index", "info", "--in", str(binary)]) == 0
         out = capsys.readouterr().out
         # build-index defaults to --oracle auto and the generated map has
-        # bridges, so the converted binary carries the table (v3).
-        assert "roadpart-index-bin-v3" in out
+        # bridges, so the converted binary carries the table (v4): dist
+        # rows only, the predecessors are derived from them.
+        assert "roadpart-index-bin-v4" in out
         assert "borders (l): 6" in out
         assert "section regionof" in out
         assert "section ordist" in out
+        assert "orpred" not in out
         assert "oracle:      hub (endpoint tree table:" in out
-        assert "dist rows" in out and "pred rows" in out
+        assert "dist rows" in out and "pred" not in out
         assert main(["index", "info", "--in", str(built_index)]) == 0
         out = capsys.readouterr().out
         assert "roadpart-index-v1" in out
         assert "borders (l): 6" in out
         assert "oracle:      hub (endpoint tree table:" in out
+        assert "dist rows" in out and "pred" not in out
+
+    def test_build_says_why_no_table(self, generated_map, tmp_path,
+                                     capsys):
+        """With a zero-weight edge a relaxation may absorb, --oracle
+        auto attaches no table, and build-index and convert say why."""
+        from repro.graph.io import write_dimacs
+        from repro.graph.network import RoadNetwork
+        net = read_dimacs(f"{generated_map}.gr", f"{generated_map}.co")
+        first = next(net.edges())
+        edges = [(e.u, e.v, 0.0 if e == first else e.weight)
+                 for e in net.edges()]
+        prefix = tmp_path / "zero"
+        write_dimacs(RoadNetwork(net.coords, edges), f"{prefix}.gr",
+                     f"{prefix}.co")
+        files = ["--graph", f"{prefix}.gr", "--coords", f"{prefix}.co"]
+        assert main(["build-index", *files, "--borders", "6",
+                     "--out", str(tmp_path / "zero.json")]) == 0
+        out = capsys.readouterr().out
+        note = (f"oracle: none: edge ({first.u}, {first.v}) of weight"
+                f" 0.0 does not exceed ulp(2W)")
+        assert "oracle=none" in out and note in out
+        assert "RoadPart answers with the dual heap" in out
+        assert main(["index", "convert", *files, "--in",
+                     str(tmp_path / "zero.json"), "--out",
+                     str(tmp_path / "zero.rpix"), "--oracle", "auto"]) == 0
+        assert note in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["build-index", "--out", "x.idx"], ["query"], ["serve"],

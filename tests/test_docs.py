@@ -297,7 +297,7 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("DPSDaemon", "binfmt", "ResultCache",
                        "canonical_key", "mmap", "save_binary",
-                       "load_auto", "roadpart-index-bin-v3"):
+                       "load_auto", "roadpart-index-bin-v4"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "roadpart-index-bin-v1" not in doc
@@ -305,15 +305,34 @@ class TestReadmeLinks:
     def test_architecture_doc_covers_distance_oracles(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("HubOracle", "build_oracle",
-                       "oracle_from_payload", "roadpart-index-bin-v3",
+                       "oracle_from_payload", "roadpart-index-bin-v4",
                        "repro.shortestpath.oracle",
                        "ORACLE_CHECK_RATIO", "endpoint tree table",
                        "collect_path_vertices", "_in_domain",
-                       "Why the `pred` rows equal the dual-heap trees",
-                       "The size trade"):
+                       "Why the derived trees equal the dual-heap trees",
+                       "Derived predecessors", "HubOracle.preds",
+                       "table_obstacle", "ulp(2W)", "The size trade"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "CHOracle" not in doc
+
+    def test_docs_describe_the_dist_only_table(self):
+        """The table stores dist rows only (bin-v4): no doc or docstring
+        may still describe a stored predecessor section."""
+        paths = [REPO_ROOT / "docs" / name for name in (
+            "architecture.md", "serving.md", "observability.md")]
+        paths += [REPO_ROOT / "src" / "repro" / "shortestpath" / "oracle.py",
+                  REPO_ROOT / "src" / "repro" / "core" / "roadpart"
+                  / "binfmt.py",
+                  REPO_ROOT / "src" / "repro" / "core" / "roadpart"
+                  / "index.py"]
+        for path in paths:
+            text = path.read_text()
+            for gone in ("orpred", "pred_row", "pred rows",
+                         "roadpart-index-bin-v3"):
+                assert gone not in text, f"{gone!r} still in {path.name}"
+        serving = (REPO_ROOT / "docs" / "serving.md").read_text()
+        assert "roadpart-index-bin-v4" in serving
 
     def test_architecture_doc_covers_vectorized_engine(self):
         """Two engines: the numpy engine and its backend seam are gone,
