@@ -24,7 +24,13 @@ Two caveats keep this honest:
   answering differently;
 - on a single-core container the ``jobs=2`` row shows fork overhead,
   not speedup, so no ``--check`` gate exists here; the row documents
-  the scaling axis, the gains need real cores.
+  the scaling axis, the gains need real cores;
+- with ``algorithm="blq"`` or ``"hull"`` the ``jobs=1`` row is not
+  single-core either: each big enough query forks its own SSSP rounds
+  over the usable CPUs (:mod:`repro.shortestpath.settle`), while
+  queries in a ``jobs=2`` worker run their rounds serially, since pools
+  never nest.  A live daemon answers them serially too: its threads
+  keep every query from forking.
 
 ``inject=True`` (the CLI's ``bench throughput --inject``) additionally
 pushes the same batch through a deterministic

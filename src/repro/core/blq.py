@@ -42,20 +42,24 @@ def bl_quality(network: RoadNetwork, query: DPSQuery,
     ``deadline`` (optional) bounds the query's wall clock
     across *all* its SSSP rounds (one shared budget); on expiry the
     round's scratch is recycled and
-    :class:`~repro.errors.DeadlineExceeded` propagates.
+    :class:`~repro.errors.DeadlineExceeded` propagates.  The result's
+    ``workers`` stat counts the processes that ran the rounds (they
+    fork over the usable CPUs when there are enough of them; the answer
+    is the same either way).
     """
     query.validate_against(network)
     stats = resolve_stats(stats)
     started = time.perf_counter()
     sources, targets = query.smaller_side()
     collected: set = set()
-    rounds = settle_targets(network, sources, targets, collected,
-                            counters=stats.counters, deadline=deadline,
-                            engine=engine,
-                            phases=(stats.phase("sssp"),
-                                    stats.phase("collect")))
+    run = settle_targets(network, sources, targets, collected,
+                         counters=stats.counters, deadline=deadline,
+                         engine=engine,
+                         phases=(stats.phase("sssp"),
+                                 stats.phase("collect")))
     elapsed = time.perf_counter() - started
     result = DPSResult("BL-Q", query, frozenset(collected), seconds=elapsed,
-                       stats={"sssp_rounds": rounds})
+                       stats={"sssp_rounds": run.rounds,
+                              "workers": run.workers})
     stats.finish(result, network)
     return result

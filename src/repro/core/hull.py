@@ -152,7 +152,10 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
     ``deadline`` (optional) bounds the
     border-connection SSSP rounds (the dominant cost; the geometric
     phases are not deadline-checked) -- see
-    :mod:`repro.shortestpath.deadline`.
+    :mod:`repro.shortestpath.deadline`.  The result's ``workers`` stat
+    counts the processes that ran those rounds (they fork over the
+    usable CPUs when there are enough of them; the answer is the same
+    either way).
     """
     query.validate_against(network)
     stats = resolve_stats(stats)
@@ -174,9 +177,9 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
             border = border_seed | _crossing_border(network, hull, allowed)
         collected |= covered
         with stats.phase("connect-borders"):
-            rounds = settle_targets(network, border, border, collected,
-                                    allowed=allowed, counters=counters,
-                                    deadline=deadline, engine=engine)
+            run = settle_targets(network, border, border, collected,
+                                 allowed=allowed, counters=counters,
+                                 deadline=deadline, engine=engine)
         border_stat = len(border)
     else:
         with stats.phase("hull-membership"):
@@ -192,15 +195,17 @@ def convex_hull_dps(network: RoadNetwork, query: DPSQuery,
         # One SSSP round per vertex of the smaller border.
         small, large = sorted((border_s, border_t), key=len)
         with stats.phase("connect-borders"):
-            rounds = settle_targets(network, small, large, collected,
-                                    allowed=allowed, counters=counters,
-                                    deadline=deadline, engine=engine)
+            run = settle_targets(network, small, large, collected,
+                                 allowed=allowed, counters=counters,
+                                 deadline=deadline, engine=engine)
         border_stat = min(len(border_s), len(border_t))
     collected |= query.combined  # degenerate hulls can miss isolated points
     elapsed = time.perf_counter() - started
     result = DPSResult("ConvexHull", query, frozenset(collected),
                        seconds=elapsed,
-                       stats={"border": border_stat, "sssp_rounds": rounds,
+                       stats={"border": border_stat,
+                              "sssp_rounds": run.rounds,
+                              "workers": run.workers,
                               "refined": float(allowed is not None)})
     stats.finish(result, network)
     return result

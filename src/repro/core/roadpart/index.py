@@ -38,12 +38,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Union
 
 from repro.errors import IndexFormatError
+from repro.forkpool import may_fork
 
 from repro.core.roadpart.border import select_borders
 from repro.core.roadpart.bridges import BridgeLabelBits, EdgeKey, find_bridges
 from repro.core.roadpart.contour import Contour, compute_contour
 from repro.core.roadpart.labeling import CutCache, label_round
-from repro.core.roadpart.parallel import fork_available, run_parallel_labeling
+from repro.core.roadpart.parallel import run_parallel_labeling
 from repro.core.roadpart.regions import RegionBuilder, RegionSet
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
@@ -359,12 +360,15 @@ def build_index(network: RoadNetwork, border_count: int,
 
     border_positions = select_borders(contour, border_count, border_method)
 
-    step = time.perf_counter()
     builder = RegionBuilder(network.num_vertices)
     bridge_set = set(bridges)
-    cut_cache = CutCache(network, forbidden_edges=bridge_set, engine=engine)
+    step = time.perf_counter()
     with trace.span("labeling"):
-        if jobs > 1 and fork_available():
+        # The skeleton copy the cuts run on is labelling work: the span
+        # and the stopwatch both time it.
+        cut_cache = CutCache(network, forbidden_edges=bridge_set,
+                             engine=engine)
+        if jobs > 1 and may_fork():
             rounds = run_parallel_labeling(network, contour,
                                            border_positions, bridge_set,
                                            cut_cache, jobs, trace)

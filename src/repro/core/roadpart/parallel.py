@@ -20,17 +20,15 @@ orientation, same skeleton-with-fallback policy) and rounds are applied
 in order, the built index is **byte-identical** to a serial build --
 pinned by ``tests/core/roadpart/test_parallel_build.py``.
 
-Workers inherit their input through ``fork`` copy-on-write from the
-module-global :data:`_CTX` (no per-task pickling of the network); on
-platforms without ``fork`` the caller falls back to the serial loop
-(:func:`fork_available`).
+Workers inherit their input through ``fork`` copy-on-write, as the
+context of a :func:`repro.forkpool.fork_pool` (no per-task pickling of
+the network); where :func:`repro.forkpool.may_fork` refuses, the caller
+runs the serial loop instead.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from repro.core.roadpart.contour import Contour
 from repro.core.roadpart.labeling import (
@@ -39,18 +37,10 @@ from repro.core.roadpart.labeling import (
     RoundStats,
     label_round,
 )
+from repro.forkpool import fork_available  # noqa: F401 (re-exported)
+from repro.forkpool import fork_pool, inherited
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder
-
-#: Worker input, inherited via fork copy-on-write.  Set by
-#: :func:`run_parallel_labeling` immediately before each executor is
-#: created and cleared when the build is done.
-_CTX: Dict[str, object] = {}
-
-
-def fork_available() -> bool:
-    """True when the ``fork`` start method exists (Linux/macOS)."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _cut_keys(border_ids: Sequence[int]) -> List[Tuple[int, int]]:
@@ -66,7 +56,7 @@ def _cut_keys(border_ids: Sequence[int]) -> List[Tuple[int, int]]:
 def _compute_cuts_worker(chunk: List[Tuple[int, int]]):
     """Phase A: compute one chunk of cut keys; returns
     ``(key, path, astar_expanded, fallback_cuts)`` per key."""
-    cache: CutCache = _CTX["cuts"]  # type: ignore[assignment]
+    cache: CutCache = inherited()["cuts"]  # type: ignore[assignment]
     out = []
     for key in chunk:
         before_e = cache.astar_expanded
@@ -79,12 +69,13 @@ def _compute_cuts_worker(chunk: List[Tuple[int, int]]):
 
 def _label_round_worker(round_index: int):
     """Phase B: run one labelling round against the pre-filled cache."""
+    context = inherited()
     recorder = TraceRecorder()
     with recorder.span(f"round-{round_index}"):
         labels, stats = label_round(
-            _CTX["network"], _CTX["contour"],  # type: ignore[arg-type]
-            _CTX["border_positions"], round_index,  # type: ignore[arg-type]
-            _CTX["bridges"], _CTX["cuts"],  # type: ignore[arg-type]
+            context["network"], context["contour"],  # type: ignore[arg-type]
+            context["border_positions"], round_index,  # type: ignore
+            context["bridges"], context["cuts"],  # type: ignore[arg-type]
             trace=recorder)
     return round_index, labels, stats, recorder.root.children
 
@@ -103,31 +94,25 @@ def run_parallel_labeling(network: RoadNetwork, contour: Contour,
     serial build's ``round-<i>`` children (phase A adds one extra
     parent-level ``cuts`` span for the up-front cut sweep).
     """
-    global _CTX
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]
     cuts.prewarm_for_fork()
-    _CTX = {"network": network, "contour": contour,
-            "border_positions": list(border_positions),
-            "bridges": bridge_set, "cuts": cuts}
-    ctx = multiprocessing.get_context("fork")
-    try:
-        keys = _cut_keys(border_ids)
-        chunks = [c for c in (keys[i::jobs] for i in range(jobs)) if c]
-        with trace.span("cuts"):
-            with ProcessPoolExecutor(max_workers=jobs,
-                                     mp_context=ctx) as pool:
-                for result in pool.map(_compute_cuts_worker, chunks):
-                    for key, path, expanded, fallbacks in result:
-                        cuts.preload(key, path, expanded, fallbacks)
-        # Second executor: phase-B workers must fork *after* the merge
-        # so they inherit the filled cache.
-        rounds: List = [None] * len(border_positions)
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as pool:
-            for round_index, labels, stats, spans in pool.map(
-                    _label_round_worker, range(len(border_positions))):
-                rounds[round_index] = (labels, stats)
-                for span_ in spans:
-                    trace.attach(span_)
-        return rounds
-    finally:
-        _CTX = {}
+    context = {"network": network, "contour": contour,
+               "border_positions": list(border_positions),
+               "bridges": bridge_set, "cuts": cuts}
+    keys = _cut_keys(border_ids)
+    chunks = [c for c in (keys[i::jobs] for i in range(jobs)) if c]
+    with trace.span("cuts"):
+        with fork_pool(jobs, **context) as pool:
+            for result in pool.map(_compute_cuts_worker, chunks):
+                for key, path, expanded, fallbacks in result:
+                    cuts.preload(key, path, expanded, fallbacks)
+    # Second pool: phase-B workers must fork *after* the merge so they
+    # inherit the filled cache.
+    rounds: List = [None] * len(border_positions)
+    with fork_pool(jobs, **context) as pool:
+        for round_index, labels, stats, spans in pool.map(
+                _label_round_worker, range(len(border_positions))):
+            rounds[round_index] = (labels, stats)
+            for span_ in spans:
+                trace.attach(span_)
+    return rounds

@@ -6,8 +6,8 @@ across workers with zero coordination.  :func:`run_queries` answers a
 batch either serially or over a fork-based ``ProcessPoolExecutor``:
 
 - the network, its CSR arrays and the index are inherited copy-on-write
-  (no per-task pickling; the same ``_CTX`` idiom as the parallel index
-  build in :mod:`repro.core.roadpart.parallel`);
+  as the context of a :func:`repro.forkpool.fork_pool` (no per-task
+  pickling; the same helper as the parallel index build);
 - scratch arenas are per-process by construction -- each worker's
   searches acquire from its own (copy-on-write) pool, and
   :class:`repro.graph.csr.CSRGraph` drops the pool when a CSR is
@@ -52,9 +52,7 @@ Exposed on the CLI as ``repro query --batch N --jobs N
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -64,9 +62,9 @@ from repro.core.blq import bl_quality
 from repro.core.dps import DPSQuery, DPSResult
 from repro.core.hull import convex_hull_dps
 from repro.core.roadpart.index import RoadPartIndex
-from repro.core.roadpart.parallel import fork_available
 from repro.core.roadpart.query import roadpart_dps
 from repro.errors import DeadlineExceeded
+from repro.forkpool import fork_pool, inherited, may_fork
 from repro.graph.network import RoadNetwork
 from repro.obs.stats import QueryStats
 from repro.serve.faults import FaultPlan
@@ -131,7 +129,9 @@ class BatchOutcome:
     when stats collection was off) and ``stats`` their merged sum.
     ``jobs`` is the *requested* worker count; ``effective_jobs`` the
     count actually used (1 when the driver fell back to the serial
-    loop: single query, ``jobs=1``, or no ``fork`` start method).
+    loop: single query, ``jobs=1``, or
+    :func:`~repro.forkpool.may_fork` refused: no ``fork`` start method,
+    another thread alive, or already inside a pool worker).
     ``fallbacks`` has one entry per query: None when the primary
     algorithm answered, else the fallback algorithm that did.
     ``retries`` counts chunks re-run serially after a worker crash.
@@ -333,27 +333,22 @@ def _answer_one(algorithm: str, network: RoadNetwork,
             qstats, None)
 
 
-#: Worker input, inherited via fork copy-on-write.  Set by
-#: :func:`run_queries` immediately before the executor is created and
-#: cleared when the batch is done.
-_CTX: Dict[str, object] = {}
-
-
 def _batch_worker(indices: List[int]):
     """Answer one chunk of query indices; returns
     ``(i, result, stats, fallback_used)`` tuples so the parent can
     reassemble in query order."""
-    queries: List[DPSQuery] = _CTX["queries"]  # type: ignore[assignment]
+    context = inherited()
+    queries: List[DPSQuery] = context["queries"]  # type: ignore[assignment]
     out = []
     for i in indices:
         result, qstats, used = _answer_one(
-            _CTX["algorithm"], _CTX["network"],  # type: ignore[arg-type]
-            _CTX["index"], queries[i],  # type: ignore[arg-type]
-            _CTX["engine"], _CTX["want_stats"],  # type: ignore[arg-type]
-            deadline_s=_CTX["deadline_s"],  # type: ignore[arg-type]
-            fallback=_CTX["fallback"],  # type: ignore[arg-type]
-            faults=_CTX["faults"], qindex=i,  # type: ignore[arg-type]
-            oracle=_CTX["oracle"])  # type: ignore[arg-type]
+            context["algorithm"], context["network"],  # type: ignore
+            context["index"], queries[i],  # type: ignore[arg-type]
+            context["engine"], context["want_stats"],  # type: ignore
+            deadline_s=context["deadline_s"],  # type: ignore[arg-type]
+            fallback=context["fallback"],  # type: ignore[arg-type]
+            faults=context["faults"], qindex=i,  # type: ignore[arg-type]
+            oracle=context["oracle"])  # type: ignore[arg-type]
         out.append((i, result, qstats, used))
     return out
 
@@ -374,8 +369,9 @@ def run_queries(algorithm: str, queries: Iterable[DPSQuery],
     ``index`` (its network is used unless ``network`` overrides), the
     rest require ``network``.  ``jobs > 1`` fans the queries over a
     fork-based process pool (round-robin chunks, answers reassembled in
-    query order); with one query, ``jobs=1`` or no ``fork`` start method
-    the serial loop runs instead.  Results are identical either way.
+    query order); with one query, ``jobs=1`` or where
+    :func:`~repro.forkpool.may_fork` refuses, the serial loop runs
+    instead.  Results are identical either way.
 
     ``deadline_ms`` gives every query a wall-clock budget; a query that
     blows it degrades down the ``fallback`` cascade (default
@@ -424,56 +420,46 @@ def run_queries(algorithm: str, queries: Iterable[DPSQuery],
     retries = 0
     effective_jobs = 1
     started = time.perf_counter()
-    if jobs > 1 and n > 1 and fork_available():
-        global _CTX
+    if jobs > 1 and n > 1 and may_fork():
         network.csr()  # build once pre-fork; workers inherit it COW
-        _CTX = {"algorithm": algorithm, "network": network, "index": index,
-                "queries": query_list, "engine": engine,
-                "want_stats": collect_stats, "deadline_s": deadline_s,
-                "fallback": fallback_seq, "faults": faults,
-                "oracle": oracle}
-        ctx = multiprocessing.get_context("fork")
         lost: List[List[int]] = []
-        try:
-            chunks = [c for c in (list(range(n))[i::jobs]
-                                  for i in range(jobs)) if c]
-            effective_jobs = len(chunks)
-            with ProcessPoolExecutor(max_workers=len(chunks),
-                                     mp_context=ctx) as pool:
-                futures = [(chunk, pool.submit(_batch_worker, chunk))
-                           for chunk in chunks]
-                for chunk, future in futures:
-                    try:
-                        chunk_out = future.result()
-                    except (BrokenProcessPool, OSError, EOFError):
-                        # A dead worker breaks the pool: this chunk and
-                        # any still-pending one are lost; completed
-                        # futures keep their results.  Collect the
-                        # losses, retry them serially below.
-                        lost.append(chunk)
-                        continue
-                    for i, result, qstats, used in chunk_out:
-                        results[i] = result
-                        per_query[i] = qstats
-                        fallbacks[i] = used
-            if lost:
-                if len(lost) > max_retries:
-                    raise BrokenProcessPool(
-                        f"{len(lost)} chunks lost to worker crashes,"
-                        f" exceeding max_retries={max_retries}")
-                for chunk in lost:
-                    retries += 1
-                    for i in chunk:
-                        results[i], per_query[i], fallbacks[i] = \
-                            _answer_one(algorithm, network, index,
-                                        query_list[i], engine,
-                                        collect_stats,
-                                        deadline_s=deadline_s,
-                                        fallback=fallback_seq,
-                                        faults=faults, qindex=i,
-                                        oracle=oracle)
-        finally:
-            _CTX = {}
+        chunks = [c for c in (list(range(n))[i::jobs]
+                              for i in range(jobs)) if c]
+        effective_jobs = len(chunks)
+        with fork_pool(len(chunks), algorithm=algorithm, network=network,
+                       index=index, queries=query_list, engine=engine,
+                       want_stats=collect_stats, deadline_s=deadline_s,
+                       fallback=fallback_seq, faults=faults,
+                       oracle=oracle) as pool:
+            futures = [(chunk, pool.submit(_batch_worker, chunk))
+                       for chunk in chunks]
+            for chunk, future in futures:
+                try:
+                    chunk_out = future.result()
+                except (BrokenProcessPool, OSError, EOFError):
+                    # A dead worker breaks the pool: this chunk and any
+                    # still-pending one are lost; completed futures
+                    # keep their results.  Collect the losses, retry
+                    # them serially below.
+                    lost.append(chunk)
+                    continue
+                for i, result, qstats, used in chunk_out:
+                    results[i] = result
+                    per_query[i] = qstats
+                    fallbacks[i] = used
+        if lost:
+            if len(lost) > max_retries:
+                raise BrokenProcessPool(
+                    f"{len(lost)} chunks lost to worker crashes,"
+                    f" exceeding max_retries={max_retries}")
+            for chunk in lost:
+                retries += 1
+                for i in chunk:
+                    results[i], per_query[i], fallbacks[i] = _answer_one(
+                        algorithm, network, index, query_list[i], engine,
+                        collect_stats, deadline_s=deadline_s,
+                        fallback=fallback_seq, faults=faults, qindex=i,
+                        oracle=oracle)
     else:
         for i, query in enumerate(query_list):
             results[i], per_query[i], fallbacks[i] = _answer_one(

@@ -82,13 +82,12 @@ otherwise.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from operator import itemgetter
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.errors import IndexFormatError
+from repro.forkpool import fork_pool, inherited, may_fork
 from repro.graph.csr import CSRGraph
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
@@ -170,11 +169,6 @@ def table_obstacle(network: RoadNetwork) -> Optional[str]:
 # Construction
 # ----------------------------------------------------------------------
 
-#: Worker input, inherited via fork copy-on-write (see
-#: :meth:`HubOracle.build`); cleared when the build is done.
-_CTX: Dict[str, object] = {}
-
-
 def _fill_rows(csr: CSRGraph, hubs: Sequence[int], rows: array) -> None:
     """One full flat Dijkstra per hub, row ``i`` written in place into
     ``rows[i·|V| : (i + 1)·|V|]``."""
@@ -196,9 +190,10 @@ def _empty_rows(cells: int) -> array:
 def _rows_worker(bounds: Tuple[int, int]) -> bytes:
     """Rows of ``hubs[lo:hi]`` in a fork worker, as raw bytes."""
     lo, hi = bounds
-    csr = _CTX["csr"]
+    context = inherited()
+    csr: CSRGraph = context["csr"]  # type: ignore[assignment]
     rows = _empty_rows((hi - lo) * csr.num_vertices)
-    _fill_rows(csr, _CTX["hubs"][lo:hi], rows)
+    _fill_rows(csr, context["hubs"][lo:hi], rows)  # type: ignore[index]
     return rows.tobytes()
 
 
@@ -209,11 +204,9 @@ def _build_rows(csr: CSRGraph, hubs: Sequence[int], jobs: int) -> array:
     written into its own slice, so it is byte-identical to a serial
     build whatever ``jobs`` is.
     """
-    global _CTX
     n = csr.num_vertices
     rows = _empty_rows(len(hubs) * n)
-    if jobs <= 1 or len(hubs) < 2 or (
-            "fork" not in multiprocessing.get_all_start_methods()):
+    if jobs <= 1 or len(hubs) < 2 or not may_fork():
         _fill_rows(csr, hubs, rows)
         return rows
     # A few ranges per worker even out hubs with smaller components.
@@ -222,16 +215,12 @@ def _build_rows(csr: CSRGraph, hubs: Sequence[int], jobs: int) -> array:
               for lo in range(0, len(hubs), step)]
     row_bytes = n * rows.itemsize
     cells = memoryview(rows).cast("B")
-    _CTX = {"csr": csr, "hubs": list(hubs)}
     try:
-        with ProcessPoolExecutor(
-                max_workers=jobs,
-                mp_context=multiprocessing.get_context("fork")) as pool:
+        with fork_pool(jobs, csr=csr, hubs=list(hubs)) as pool:
             for (lo, hi), raw in zip(ranges,
                                      pool.map(_rows_worker, ranges)):
                 cells[lo * row_bytes:hi * row_bytes] = raw
     finally:
-        _CTX = {}
         cells.release()
     return rows
 

@@ -20,9 +20,14 @@ canonical predecessors are hardest to get right:
 
 Diagonals give the grids triangles, hence vertices with several tied
 predecessors.
+
+The same families pin the forked rounds to the serial loop: vertex
+sets, rounds, every counter and the error text must not depend on how
+many processes ran the rounds.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +37,10 @@ from repro.core.ble import bl_efficiency
 from repro.core.blq import bl_quality
 from repro.core.dps import DPSQuery
 from repro.core.hull import convex_hull_dps
+from repro.forkpool import fork_available
 from repro.graph.network import RoadNetwork
+from repro.obs import QueryStats
+from repro.shortestpath import settle
 
 KINDS = ("equal", "euclidean", "below", "twins", "zero")
 
@@ -168,3 +176,40 @@ def test_every_family_has_its_property(kind, data):
         assert 0.0 < scale < 1.0 - 2.0 ** -20
     else:
         assert scale > 0.0
+
+
+def _forked_or_serial(run, network, query, work):
+    """One run with ``FORK_SETTLES = work`` over two processes: its
+    vertices, rounds and counters, or its error text."""
+    stats = QueryStats()
+    with mock.patch.object(settle, "FORK_SETTLES", work), \
+            mock.patch.object(settle, "usable_cpus", lambda: 2):
+        try:
+            result = run(network, query, stats)
+        except ValueError as exc:
+            return "error", str(exc)
+    return (result.vertices, result.stats["sssp_rounds"],
+            stats.counters.as_dict())
+
+
+@pytest.mark.skipif(not fork_available(),
+                    reason="no fork start method on this platform")
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_forked_rounds_match_serial(kind, data):
+    network = data.draw(tie_networks(kind))
+    query = queries(network, data)
+    method = data.draw(st.sampled_from(["blq", "hull", "refined"]))
+    engine = data.draw(st.sampled_from(["flat", "dict"]))
+    base = (bl_efficiency(network, query, engine="dict")
+            if method == "refined" else None)
+
+    def run(net, q, stats):
+        if method == "blq":
+            return bl_quality(net, q, stats=stats, engine=engine)
+        return convex_hull_dps(net, q, base=base, stats=stats,
+                               engine=engine)
+
+    assert (_forked_or_serial(run, network, query, 0)
+            == _forked_or_serial(run, network, query, math.inf))

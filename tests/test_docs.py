@@ -398,3 +398,35 @@ class TestReadmeLinks:
             doc = (REPO_ROOT / "docs" / page).read_text()
             for needle in words:
                 assert needle in doc, f"{needle!r} missing from docs/{page}"
+
+    def test_docs_cover_forked_rounds(self):
+        """The forked BL-Q and hull rounds, when they fork, the
+        ``workers`` extra and the one fork helper stay documented."""
+        needles = {
+            "architecture.md": ("Forked rounds", "One fork helper",
+                                "repro.forkpool", "may_fork",
+                                "usable_cpus", "fork_pool", "inherited",
+                                "FORK_SETTLES", "SettleRun",
+                                "BrokenProcessPool", "copy-on-write",
+                                "HANDOFF_INTERVAL", "peak_rss_mb"),
+            "algorithms.md": ("(the `workers` stat)",),
+            "observability.md": ("workers_min", "workers_max",
+                                 "workers_mean", "phase_total ≤ seconds",
+                                 "pools never nest"),
+            "serving.md": ("The daemon answers BL-Q and the hull serially",
+                           "repro.forkpool.may_fork"),
+        }
+        for page, words in needles.items():
+            doc = (REPO_ROOT / "docs" / page).read_text()
+            for needle in words:
+                assert needle in doc, f"{needle!r} missing from docs/{page}"
+
+    def test_workers_extra_merges_as_a_gauge(self):
+        from repro.obs.stats import QueryStats
+        from repro.serve import (COUNT_EXTRAS, IDENTITY_EXTRAS,
+                                 merge_query_stats)
+        assert "workers" not in COUNT_EXTRAS | IDENTITY_EXTRAS
+        merged = merge_query_stats(
+            [QueryStats(extras={"workers": n}) for n in (1, 2, 2)])
+        assert (merged.extras["workers_min"], merged.extras["workers_max"],
+                merged.extras["workers_mean"]) == (1.0, 2.0, 5 / 3)
