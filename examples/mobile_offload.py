@@ -9,10 +9,10 @@ small subgraph, and answers every subsequent navigation query locally
 route.
 
 This example plays both roles end to end, including the serialisation
-steps: the index round-trips through JSON (server restart survival) and
-the DPS ships to the "device" as a DIMACS file pair, where a standalone
-in-memory graph answers navigation queries with no access to the
-original network.
+steps: the index round-trips through its binary file (server restart
+survival, mmap-loaded) and the DPS ships to the "device" as a DIMACS
+file pair, where a standalone in-memory graph answers navigation
+queries with no access to the original network.
 
 Run:  python examples/mobile_offload.py
 """
@@ -34,14 +34,14 @@ def main() -> None:
         # ---------------- server side ----------------
         network, _ = load_dataset("COL-S")
         index = build_index(network, border_count=8)
-        index_path = workdir / "roadpart_index.json"
-        index.save(index_path)
+        index_path = workdir / "roadpart_index.rpix"
+        index.save_binary(index_path)
         print(f"server: network {network.num_vertices} vertices;"
               f" index saved ({index_path.stat().st_size / 1024:.0f} KB,"
               f" {index.regions.region_count} regions)")
 
         # Server restart: reload the index instead of rebuilding.
-        index = RoadPartIndex.load(index_path, network)
+        index = RoadPartIndex.load_binary(index_path, network)
 
         # A client requests a DPS for its region of interest.
         interest = window_query(network, epsilon=0.35, seed=3)

@@ -49,7 +49,7 @@ from repro.core.roadpart.query import RoadPartQueryProcessor
 from repro.datasets.queries import window_query
 from repro.obs.counters import SearchCounters
 from repro.shortestpath.bidirectional import bridge_domains
-from repro.shortestpath.oracle import oracle_from_payload
+from repro.shortestpath.oracle import HubOracle
 
 #: Table II-scale stand-in whose bridge workload is measured.
 BRIDGES_DATASET = "EAST-S"
@@ -110,8 +110,7 @@ def run_bridges(dataset: str = BRIDGES_DATASET,
     screener = None
     if oracle is not None:
         # Shares the rows, not the memo.
-        screener = oracle_from_payload(oracle.to_payload(), network,
-                                       index.bridges)
+        screener = HubOracle(oracle.hubs, oracle.rows, network)
 
     def one_pass(engine, counters=None):
         if engine == "oracle":

@@ -6,9 +6,9 @@ The server-side workflow of the paper's deployment story, scriptable:
                               --bridges 12 --seed 7 --out map
     python -m repro stats     --graph map.gr --coords map.co
     python -m repro build-index --graph map.gr --coords map.co \\
-                              --borders 8 --out map.index.json
+                              --borders 8 --out map.rpix
     python -m repro query     --graph map.gr --coords map.co \\
-                              --index map.index.json \\
+                              --index map.rpix \\
                               --epsilon 0.2 --seed 1 \\
                               --algorithm roadpart --refine \\
                               --out region --verify --stats
@@ -35,16 +35,18 @@ worker-crash chunk retries.
 ``serve`` starts the long-lived HTTP daemon of
 :mod:`repro.serve.daemon` (endpoints ``/query``, ``/healthz``,
 ``/metrics``; full operations guide in docs/serving.md) and shuts down
-gracefully on SIGTERM/SIGINT.  ``index convert`` translates a RoadPart
-index between the legacy JSON layout and the compact binary layout the
-daemon mmaps (``repro.core.roadpart.binfmt``); ``index info`` describes
-an index file of either format without loading its payload.
+gracefully on SIGTERM/SIGINT.  Every command reads and writes the one
+index layout, ``roadpart-index-bin-v4`` (``repro.core.roadpart.binfmt``):
+``index convert`` attaches (``--oracle auto``) or strips (``--oracle
+none``) an index's endpoint tree table without relabelling, and
+``index info`` describes an index file without loading its payload.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -69,7 +71,7 @@ from repro.graph.io import read_dimacs, write_dimacs
 from repro.graph.network import RoadNetwork
 from repro.obs import QueryStats, TraceRecorder
 from repro.shortestpath.flat import ENGINES
-from repro.shortestpath.oracle import ORACLE_POLICIES
+from repro.shortestpath.oracle import ORACLE_POLICIES, build_oracle
 
 
 def _version_line() -> str:
@@ -82,15 +84,30 @@ def _load_network(args) -> RoadNetwork:
     return read_dimacs(args.graph, args.coords)
 
 
-def _epsilon(text: str) -> float:
-    """argparse type of ``--epsilon``: a window fraction in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not 0.0 < value <= 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text}")
-    return value
+def _checked(convert, accept, rule: str):
+    """An argparse type: ``convert`` the text (``int`` or ``float``),
+    then require ``accept`` of the value; ``rule`` says what it must
+    be."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not {'an integer' if convert is int else 'a number'}:"
+                f" {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+    return parse
+
+
+# The comparisons also reject nan.
+_epsilon = _checked(float, lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]")
+_border_count = _checked(int, lambda v: v >= 2,
+                         "need at least 2 border vertices")
+_deadline_ms = _checked(float, lambda v: 0.0 < v < math.inf,
+                        "must be a positive, finite number of"
+                        " milliseconds")
 
 
 def _vertex_ids(text: str) -> List[int]:
@@ -160,7 +177,7 @@ def _cmd_build_index(args) -> int:
                         contour_strategy=args.contour, trace=trace,
                         jobs=args.jobs, engine=args.engine,
                         oracle=args.oracle)
-    index.save(args.out)
+    index.save_binary(args.out)
     print(f"index built in {time.perf_counter() - started:.2f}s:"
           f" l={index.border_count}, |R|={index.regions.region_count},"
           f" bridges={len(index.bridges)},"
@@ -213,7 +230,7 @@ def _cmd_query_batch(args, network: RoadNetwork) -> int:
             print("error: --algorithm roadpart requires --index",
                   file=sys.stderr)
             return 2
-        index = RoadPartIndex.load_auto(args.index, network)
+        index = RoadPartIndex.load_binary(args.index, network)
     want_stats = args.stats or args.stats_json
     fallback = None
     if args.fallback is not None:
@@ -274,7 +291,7 @@ def _cmd_query(args) -> int:
             print("error: --algorithm roadpart requires --index",
                   file=sys.stderr)
             return 2
-        index = RoadPartIndex.load_auto(args.index, network)
+        index = RoadPartIndex.load_binary(args.index, network)
         result = roadpart_dps(index, query, stats=qstats,
                               engine=args.engine, oracle=args.oracle)
     elif args.algorithm == "blq":
@@ -322,7 +339,7 @@ def _cmd_serve(args) -> int:
     network = _load_network(args)
     index = None
     if args.index:
-        index = RoadPartIndex.load_auto(args.index, network)
+        index = RoadPartIndex.load_binary(args.index, network)
     elif args.algorithm == "roadpart":
         print("error: --algorithm roadpart requires --index",
               file=sys.stderr)
@@ -364,21 +381,13 @@ def _cmd_serve(args) -> int:
 
 def _cmd_index_convert(args) -> int:
     network = _load_network(args)
-    index = RoadPartIndex.load_auto(getattr(args, "in"), network)
-    if args.oracle != "keep":
-        # "none" strips the oracle; "auto" (re)builds it from the loaded
-        # bridges without a full index rebuild.
-        from repro.shortestpath.oracle import build_oracle
-        index.oracle = build_oracle(network, args.oracle, index.bridges)
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "json" if args.out.endswith(".json") else "bin"
-    if fmt == "bin":
-        index.save_binary(args.out)
-    else:
-        index.save(args.out)
+    index = RoadPartIndex.load_binary(getattr(args, "in"), network)
+    # "none" strips the table; "auto" (re)builds it from the loaded
+    # bridges without relabelling.
+    index.oracle = build_oracle(network, args.oracle, index.bridges)
+    index.save_binary(args.out)
     oracle_kind = "none" if index.oracle is None else index.oracle.kind
-    print(f"wrote {args.out} ({fmt}: l={index.border_count},"
+    print(f"wrote {args.out} (l={index.border_count},"
           f" |R|={index.regions.region_count},"
           f" bridges={len(index.bridges)}, oracle={oracle_kind})")
     _note_refused_table(network, index, args.oracle, sys.stdout)
@@ -398,46 +407,27 @@ def _note_refused_table(network, index, policy: str, stream) -> None:
               f" heap", file=stream)
 
 
-def _table_line(endpoints: int, dist_bytes: int) -> None:
-    """The ``index info`` oracle line: the endpoint count and the row
-    bytes, so the |endpoints| x |V| size trade stays visible."""
-    print(f"oracle:      hub (endpoint tree table: {endpoints} endpoints;"
-          f" dist rows {dist_bytes} bytes)")
-
-
 def _cmd_index_info(args) -> int:
     from repro.core.roadpart import binfmt
-    from repro.core.roadpart.index import read_index_json
 
     path = getattr(args, "in")
-    if binfmt.sniff_binary(path):
-        header = binfmt.read_header(path)
-        print(f"format:      {binfmt.FORMAT_NAME}"
-              f" (version {header.version})")
-        print(f"vertices:    {header.num_vertices}")
-        print(f"borders (l): {header.border_count}")
-        print(f"regions:     {header.region_count}")
-        print(f"bridges:     {header.bridge_count}")
-        count = binfmt.read_oracle_meta(path, header)
-        if count is None:
-            print("oracle:      none")
-        else:
-            _table_line(count, header.sections[b"ordist"][1])
-        for tag, (offset, length) in header.sections.items():
-            print(f"section {tag.decode('ascii'):<9}"
-                  f" offset={offset} bytes={length}")
-        return 0
-    payload = read_index_json(path)
-    print(f"format:      {payload.get('format', '?')}")
-    print(f"vertices:    {payload.get('num_vertices', '?')}")
-    print(f"borders (l): {len(payload.get('border_vertex_ids', []))}")
-    print(f"regions:     {len(payload.get('region_vectors', []))}")
-    print(f"bridges:     {len(payload.get('bridges', []))}")
-    oracle = payload.get("oracle")
-    if isinstance(oracle, dict) and isinstance(oracle.get("dist"), list):
-        _table_line(len(oracle.get("hubs", [])), 8 * len(oracle["dist"]))
+    header = binfmt.read_header(path)
+    print(f"format:      {binfmt.FORMAT_NAME} (version {header.version})")
+    print(f"vertices:    {header.num_vertices}")
+    print(f"borders (l): {header.border_count}")
+    print(f"regions:     {header.region_count}")
+    print(f"bridges:     {header.bridge_count}")
+    count = binfmt.read_oracle_meta(path, header)
+    if count is None:
+        print("oracle:      none")
     else:
-        print(f"oracle:      {oracle.get('kind') if oracle else 'none'}")
+        # The endpoint count and the row bytes keep the |endpoints| x
+        # |V| size trade visible.
+        print(f"oracle:      hub (endpoint tree table: {count} endpoints;"
+              f" dist rows {header.sections[b'ordist'][1]} bytes)")
+    for tag, (offset, length) in header.sections.items():
+        print(f"section {tag.decode('ascii'):<9}"
+              f" offset={offset} bytes={length}")
     return 0
 
 
@@ -469,11 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build-index", help="build a RoadPart index")
     build.add_argument("--graph", required=True)
     build.add_argument("--coords", required=True)
-    build.add_argument("--borders", type=int, default=10,
-                       help="number of border vertices (l)")
+    build.add_argument("--borders", type=_border_count, default=10,
+                       help="number of border vertices (l), at least 2")
     build.add_argument("--contour", choices=["walk", "walk-planar",
                                              "hull"], default="walk")
-    build.add_argument("--out", required=True)
+    build.add_argument("--out", required=True,
+                       help="index file to write"
+                            " (roadpart-index-bin-v4, whatever the"
+                            " extension)")
     build.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the labelling rounds"
                             " and the oracle table (fork-based; the"
@@ -497,7 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="answer a DPS query")
     query.add_argument("--graph", required=True)
     query.add_argument("--coords", required=True)
-    query.add_argument("--index", help="RoadPart index JSON")
+    query.add_argument("--index",
+                       help="RoadPart index file (roadpart-index-bin-v4,"
+                            " written by build-index)")
     query.add_argument("--algorithm", choices=["roadpart", "blq", "ble",
                                                "hull"],
                        default="roadpart")
@@ -534,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--jobs", type=int, default=1,
                        help="worker processes for --batch (fork-based;"
                             " answers are byte-identical to --jobs 1)")
-    query.add_argument("--deadline-ms", type=float, default=None,
+    query.add_argument("--deadline-ms", type=_deadline_ms, default=None,
                        help="per-query wall-clock budget in ms; a blown"
                             " budget degrades down the fallback cascade"
                             " (routes through the batch driver)")
@@ -555,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--graph", required=True)
     serve.add_argument("--coords", required=True)
     serve.add_argument("--index",
-                       help="RoadPart index file (JSON or binary,"
-                            " sniffed by magic bytes)")
+                       help="RoadPart index file (roadpart-index-bin-v4,"
+                            " mmap-loaded)")
     serve.add_argument("--algorithm", choices=["roadpart", "blq", "ble",
                                                "hull"],
                        default="roadpart",
@@ -577,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-size", type=int, default=256,
                        help="LRU result-cache entries (0 disables"
                             " caching)")
-    serve.add_argument("--deadline-ms", type=float, default=None,
+    serve.add_argument("--deadline-ms", type=_deadline_ms, default=None,
                        help="default per-request budget; requests may"
                             " override")
     serve.add_argument("--fallback", default=None,
@@ -588,28 +583,21 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     index_cmd = sub.add_parser("index",
-                               help="inspect and convert RoadPart index"
-                                    " files")
+                               help="inspect RoadPart index files and"
+                                    " attach or strip their table")
     index_sub = index_cmd.add_subparsers(dest="index_command",
                                          required=True)
     convert = index_sub.add_parser(
-        "convert", help="translate between the JSON and binary (mmap)"
-                        " index layouts")
+        "convert", help="attach or strip an index's endpoint tree table"
+                        " without relabelling")
     convert.add_argument("--graph", required=True)
     convert.add_argument("--coords", required=True)
-    convert.add_argument("--in", required=True,
-                         help="source index (either format)")
+    convert.add_argument("--in", required=True, help="source index")
     convert.add_argument("--out", required=True)
-    convert.add_argument("--format", choices=["auto", "bin", "json"],
-                         default="auto",
-                         help="target layout (auto: json when --out"
-                              " ends in .json, else bin)")
-    convert.add_argument("--oracle",
-                         choices=["keep"] + list(ORACLE_POLICIES),
-                         default="keep",
-                         help="oracle handling: keep the source's,"
-                              " strip it (none), or (re)build it from"
-                              " the index's bridges (auto)")
+    convert.add_argument("--oracle", choices=list(ORACLE_POLICIES),
+                         required=True,
+                         help="auto: (re)build the table from the"
+                              " index's bridges; none: strip it")
     convert.set_defaults(func=_cmd_index_convert)
     info = index_sub.add_parser(
         "info", help="describe an index file without loading payloads")

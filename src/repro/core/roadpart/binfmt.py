@@ -1,10 +1,8 @@
-"""Compact binary RoadPart index layout, loadable zero-copy via mmap.
+"""The RoadPart index on disk: ``roadpart-index-bin-v4``, loaded via mmap.
 
-The legacy on-disk index is JSON (``roadpart-index-v1``): simple, but a
-load parses and materialises every ``O(|V|)`` structure as Python
-objects, and every daemon worker or fork pool pays that again.  This
-module defines ``roadpart-index-bin-v4``, a sectioned little-endian
-binary layout whose large arrays are read through :mod:`mmap`:
+This module is the one place that knows the index's bytes: it writes
+them and checks them on load.  It is a sectioned little-endian layout
+whose large arrays are read through :mod:`mmap`:
 
 - the file's pages are shared by every process that maps it (the OS
   page cache holds one copy per host, however many daemons serve it);
@@ -38,7 +36,7 @@ Sections (tags are 8 bytes, NUL-padded), in file order:
     ``vectors``   region_count × ℓ × 2 u32 zone numbers, region-major,
                   ``(lo, hi)`` per dimension
     ``bridges``   bridge_count × 2 u32 endpoints, pairs sorted
-                  ascending (the same order ``to_dict`` emits)
+                  ascending
 
 An index carrying the endpoint tree table (see
 :mod:`repro.shortestpath.oracle`) appends three more sections; an
@@ -59,16 +57,15 @@ straight from its buffer, so saving an index copies no table row, and
 writes a sibling file that then replaces the target.
 
 Every structural defect raises :class:`~repro.errors.IndexFormatError`
-naming the path and the problem, mirroring the JSON loader's contract:
-another version (version 1 to 3 files from older builds included,
-with a rebuild note), an unknown section tag or oracle kind
-code, sections out of layout order, counts that disagree with section
-lengths, and vertex ids (border vertices, bridge endpoints, table
-endpoints) or region ids out of range.  The table endpoints must be
-sorted, unique and exactly the bridge endpoints
-(:func:`repro.shortestpath.oracle.oracle_from_payload`); the row cells
-are checked where a query reads them, so a load stays ``O(|V| +
-|endpoints|)``.
+naming the path and the problem: a file that is not this layout (a
+JSON index or a version 1 to 3 file from an older build gets a
+rebuild note), an unknown section tag or oracle kind code, sections
+out of layout order, counts that disagree with section lengths,
+vertex ids (border vertices, bridge endpoints, table endpoints) or
+region ids out of range, a label that is not a zone interval ``1 ≤ lo
+≤ hi ≤ ℓ``, and table endpoints that are not exactly the bridge
+endpoints, sorted and unique.  The row cells are checked where a
+query reads them, so a load stays ``O(|V| + ℓ|R| + |endpoints|)``.
 Binding to the wrong network is the caller's check (``num_vertices``
 is in the header).
 """
@@ -81,9 +78,13 @@ import os
 import struct
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import gt
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import IndexFormatError
+
+if TYPE_CHECKING:
+    from repro.shortestpath.oracle import HubOracle
 
 MAGIC = b"RPIX"
 VERSION = 4
@@ -147,14 +148,13 @@ def write_index_binary(path, num_vertices: int,
                        region_of: Sequence[int],
                        vectors: Sequence[Tuple[Tuple[int, int], ...]],
                        bridges: Sequence[Tuple[int, int]],
-                       oracle: Optional[Dict[str, object]] = None) -> None:
+                       oracle: Optional["HubOracle"] = None) -> None:
     """Serialise one index's parts as a binary RoadPart index file.
 
-    ``bridges`` must already be the canonical sorted pair list (the
-    writer sorts defensively so binary and JSON agree byte-for-byte on
-    bridge order).  ``oracle`` is an endpoint tree table payload dict
-    (the ``to_payload`` form); without one the oracle sections are
-    omitted.
+    The writer sorts ``bridges`` into the canonical pair order.  An
+    ``oracle`` (endpoint tree table) adds the oracle sections, its
+    ``dist`` rows written straight from their buffer; without one they
+    are omitted.
     """
     dims = len(vectors[0]) if vectors else len(border_vertex_ids)
     flat_vectors: List[int] = []
@@ -175,9 +175,9 @@ def write_index_binary(path, num_vertices: int,
     if oracle is not None:
         payloads.update({
             ORACLE_META_TAG: _le_bytes((TABLE_KIND_CODE,
-                                        len(oracle["hubs"]))),
-            b"orends": _le_bytes(oracle["hubs"]),
-            b"ordist": _le_bytes(oracle["dist"], "d"),
+                                        len(oracle.hubs))),
+            b"orends": _le_bytes(oracle.hubs),
+            b"ordist": _le_bytes(oracle.rows, "d"),
         })
         tags = SECTION_TAGS + ORACLE_SECTION_TAGS
     table_offset = _HEADER.size
@@ -240,18 +240,11 @@ class BinaryIndexPayload:
     vectors: List[Tuple[Tuple[int, int], ...]]
     bridges: List[Tuple[int, int]]
     mapping: object
-    #: Oracle payload dict (``to_payload`` form, arrays as mmap views),
-    #: or ``None`` when the file carries no oracle sections.
-    oracle: Optional[Dict[str, object]] = None
-
-
-def sniff_binary(path) -> bool:
-    """True when ``path`` starts with the binary index magic."""
-    try:
-        with open(path, "rb") as stream:
-            return stream.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
+    #: The endpoint tree table, or ``None`` when the file carries no
+    #: oracle sections: the endpoint ids (checked to be the bridge
+    #: endpoints) and the ``dist`` rows as a view over the mapping.
+    hubs: Optional[List[int]] = None
+    dist: Optional[Sequence[float]] = None
 
 
 def read_header(path,
@@ -270,16 +263,22 @@ def read_header(path,
     else:
         raw = bytes(data[:table_max])
         size = len(data)
+    if raw.startswith(b"{"):
+        raise IndexFormatError(
+            f"{path}: JSON indexes (roadpart-index-v1) are no longer"
+            f" read (this build reads only {FORMAT_NAME}); rebuild the"
+            f" index with repro build-index")
+    if raw[:len(MAGIC)] != MAGIC:
+        raise IndexFormatError(
+            f"{path}: not a binary RoadPart index (magic"
+            f" {raw[:len(MAGIC)]!r}, expected {MAGIC!r}); build one with"
+            f" repro build-index")
     if len(raw) < _HEADER.size:
         raise IndexFormatError(
             f"{path}: truncated header ({len(raw)} bytes, need"
             f" {_HEADER.size})")
-    (magic, version, flags, num_vertices, border_count, region_count,
+    (_, version, flags, num_vertices, border_count, region_count,
      bridge_count, section_count) = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise IndexFormatError(
-            f"{path}: not a binary RoadPart index (magic {magic!r},"
-            f" expected {MAGIC!r})")
     if version != VERSION:
         raise IndexFormatError(
             f"{path}: unsupported binary index version {version}"
@@ -395,19 +394,43 @@ def read_oracle_meta(path, header: BinaryIndexHeader) -> Optional[int]:
     return _endpoint_count(path, struct.unpack("<II", raw))
 
 
-def _read_oracle(path, data: memoryview,
-                 header: BinaryIndexHeader) -> Dict[str, object]:
-    """Decode the oracle sections into the payload-dict form
-    :func:`repro.shortestpath.oracle.oracle_from_payload` accepts, with
-    the row section as a zero-copy view over the mapping (``O(E)``
-    work: only the endpoint ids are read)."""
+def _check_labels(path, lows: Sequence[int], highs: Sequence[int],
+                  zones: int) -> None:
+    """Every label must be a zone interval ``1 ≤ lo ≤ hi ≤ ℓ``:
+    :func:`~repro.core.roadpart.labeling.label_round` numbers the zones
+    ``1..ℓ``, and :class:`~repro.core.roadpart.window.LabelBits` sizes
+    its prefix lists by the span of the stored zones.  Three C-level
+    passes; only a failure walks the labels to name the first bad
+    one."""
+    if (min(lows, default=1) >= 1 and max(highs, default=zones) <= zones
+            and not any(map(gt, lows, highs))):
+        return
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        if not 1 <= lo <= hi <= zones:
+            raise IndexFormatError(
+                f"{path}: region {i // zones}, dimension {i % zones}:"
+                f" label ({lo}, {hi}) is not a zone interval"
+                f" 1 <= low <= high <= {zones}")
+
+
+def _read_table(path, data: memoryview, header: BinaryIndexHeader,
+                bridge_ends: Sequence[int],
+                ) -> Tuple[List[int], Sequence[float]]:
+    """The table's endpoint ids and its ``dist`` rows, a zero-copy view
+    over the mapping (``O(E)`` work: only the endpoint ids are read).
+    The ids must be exactly ``bridge_ends``' distinct values, sorted: a
+    row keyed by the wrong vertex would answer for the wrong bridge."""
     n = header.num_vertices
     count = _endpoint_count(
         path, _view(path, data, header, ORACLE_META_TAG, 2))
     ends = list(_view(path, data, header, b"orends", count))
     _check_ids(path, "oracle endpoint", ends, n)
-    return {"kind": "hub", "hubs": ends,
-            "dist": _view(path, data, header, b"ordist", count * n, "d")}
+    expected = sorted(set(bridge_ends))
+    if ends != expected:
+        raise IndexFormatError(
+            f"{path}: oracle endpoints ({len(ends)}) are not the bridge"
+            f" endpoints ({len(expected)}), sorted and unique")
+    return ends, _view(path, data, header, b"ordist", count * n, "d")
 
 
 def read_index_binary(path) -> BinaryIndexPayload:
@@ -432,18 +455,19 @@ def read_index_binary(path) -> BinaryIndexPayload:
                "region_count")
     flat = _view(path, data, header, b"vectors",
                  header.region_count * dims * 2)
-    vectors: List[Tuple[Tuple[int, int], ...]] = []
-    for r in range(header.region_count):
-        base = r * dims * 2
-        vectors.append(tuple((flat[base + 2 * d], flat[base + 2 * d + 1])
-                             for d in range(dims)))
+    lows, highs = flat[0::2], flat[1::2]
+    _check_labels(path, lows, highs, dims)
+    labels = zip(lows, highs)
+    vectors: List[Tuple[Tuple[int, int], ...]] = (
+        list(zip(*[labels] * dims)) if dims
+        else [()] * header.region_count)
     flat_bridges = _view(path, data, header, b"bridges",
                          header.bridge_count * 2)
     _check_ids(path, "bridge endpoint", flat_bridges, n)
-    bridges = [(flat_bridges[2 * i], flat_bridges[2 * i + 1])
-               for i in range(header.bridge_count)]
-    oracle = None
+    bridges = list(zip(flat_bridges[0::2], flat_bridges[1::2]))
+    payload = BinaryIndexPayload(header, borders, region_of, vectors,
+                                 bridges, mapped)
     if ORACLE_META_TAG in header.sections:
-        oracle = _read_oracle(path, data, header)
-    return BinaryIndexPayload(header, borders, region_of, vectors,
-                              bridges, mapped, oracle)
+        payload.hubs, payload.dist = _read_table(path, data, header,
+                                                 flat_bridges)
+    return payload

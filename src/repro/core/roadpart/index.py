@@ -10,36 +10,28 @@ Construction (Section IV-B + V-A), ``O(ℓ²|V|log|V|)`` total:
 5. keep, per vertex, only its region id and, per region, its full label
    vector.
 
-The index is independent of any query; it can be serialised and
-reloaded against the same network (the server-side artefact of the
-paper's deployment story).  Two on-disk formats coexist:
-
-- the legacy JSON layout (``roadpart-index-v1``, :meth:`save` /
-  :meth:`load`) -- human-inspectable, parsed in full on load;
-- the compact binary layout (``roadpart-index-bin-v4``,
-  :meth:`save_binary` / :meth:`load_binary`, spec in
-  :mod:`repro.core.roadpart.binfmt`) -- mmap-loaded so the ``O(|V|)``
-  ``region_of`` array is a zero-copy view over shared pages; the
-  serving daemon and fork workers all read the same physical memory.
-
-:meth:`load_auto` sniffs the magic bytes and dispatches, so every
-consumer (CLI, daemon, benches) accepts either file; ``repro index
-convert`` translates between them.  Loads of both formats produce
-indexes whose query answers are byte-identical (pinned by
+The index is independent of any query; it is saved once and reloaded
+against the same network (the server-side artefact of the paper's
+deployment story).  It has one on-disk layout,
+``roadpart-index-bin-v4`` (:meth:`save_binary` / :meth:`load_binary`,
+spec and validation in :mod:`repro.core.roadpart.binfmt`): mmap-loaded,
+so the ``O(|V|)`` ``region_of`` array and the table rows are zero-copy
+views over shared pages, and the serving daemon and fork workers all
+read the same physical memory.  A loaded index answers every query
+exactly as the built one does (pinned by
 ``tests/core/roadpart/test_binary_index.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Union
+from typing import FrozenSet, List, Optional, Union
 
-from repro.errors import IndexFormatError
 from repro.forkpool import may_fork
 
+from repro.core.roadpart import binfmt
 from repro.core.roadpart.border import select_borders
 from repro.core.roadpart.bridges import BridgeLabelBits, EdgeKey, find_bridges
 from repro.core.roadpart.contour import Contour, compute_contour
@@ -51,30 +43,8 @@ from repro.obs.trace import TraceRecorder, resolve_trace
 from repro.shortestpath.oracle import (
     HubOracle,
     build_oracle,
-    oracle_from_payload,
     resolve_oracle_kind,
 )
-
-
-def read_index_json(path: Union[str, os.PathLike]) -> Dict:
-    """Parse a JSON index file into its top-level object.
-
-    The one JSON entry point of :meth:`RoadPartIndex.load` and ``repro
-    index info``: a file that is not ASCII JSON, or whose top level is
-    not an object, raises :class:`~repro.errors.IndexFormatError`
-    naming the path.
-    """
-    with open(path, "rb") as stream:
-        raw = stream.read()
-    try:
-        payload = json.loads(raw.decode("ascii"))
-    except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
-        raise IndexFormatError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise IndexFormatError(
-            f"{path}: expected a JSON object, got"
-            f" {type(payload).__name__}")
-    return payload
 
 
 @dataclass
@@ -150,93 +120,10 @@ class RoadPartIndex:
     # Serialisation
     # ------------------------------------------------------------------
 
-    def to_dict(self) -> Dict:
-        # list() also materialises the memoryview-backed region_of of an
-        # mmap-loaded index, so binary -> JSON conversion round-trips.
-        out = {
-            "format": "roadpart-index-v1",
-            "num_vertices": self.network.num_vertices,
-            "border_vertex_ids": list(self.border_vertex_ids),
-            "region_of": list(self.regions.region_of),
-            "region_vectors": [[list(label) for label in vector]
-                               for vector in self.regions.vectors],
-            "bridges": sorted(list(k) for k in self.bridges),
-        }
-        if self.oracle is not None:
-            # The rows as one plain list, from either storage (an
-            # array or an mmap view); float distances survive JSON via
-            # repr round-tripping (``Infinity`` where unreachable).
-            # Absent for oracle-less indexes, so their JSON stays
-            # byte-identical to pre-oracle builds.
-            payload = self.oracle.to_payload()
-            out["oracle"] = {k: (v.tolist() if isinstance(v, memoryview)
-                                 else v)
-                             for k, v in payload.items()}
-        return out
-
-    def save(self, path: Union[str, os.PathLike]) -> None:
-        # One-shot dumps runs the C encoder (json.dump streams through
-        # the pure-Python one): same text, 2-3x faster on table rows.
-        with open(path, "w", encoding="ascii") as stream:
-            stream.write(json.dumps(self.to_dict()))
-
-    #: Every key :meth:`load` needs; validated up front so a truncated
-    #: or hand-edited file fails with the missing names, not a KeyError.
-    REQUIRED_KEYS = ("format", "num_vertices", "border_vertex_ids",
-                     "region_of", "region_vectors", "bridges")
-
-    @classmethod
-    def load(cls, path: Union[str, os.PathLike],
-             network: RoadNetwork) -> "RoadPartIndex":
-        """Load a saved index and bind it to ``network``.
-
-        Raises :class:`~repro.errors.IndexFormatError` (naming the path
-        and what is wrong) for anything that is not a well-formed
-        ``roadpart-index-v1`` file, and a plain :class:`ValueError` when
-        the file is fine but was built for a different network.
-        """
-        payload = read_index_json(path)
-        missing = [k for k in cls.REQUIRED_KEYS if k not in payload]
-        if missing:
-            raise IndexFormatError(
-                f"{path}: missing required keys: {', '.join(missing)}")
-        if payload["format"] != "roadpart-index-v1":
-            raise IndexFormatError(
-                f"{path}: not a RoadPart index file (format"
-                f" {payload['format']!r}, expected 'roadpart-index-v1')")
-        if payload["num_vertices"] != network.num_vertices:
-            raise ValueError(
-                f"index built for {payload['num_vertices']} vertices,"
-                f" network has {network.num_vertices}")
-        try:
-            vectors = [tuple((label[0], label[1]) for label in vector)
-                       for vector in payload["region_vectors"]]
-            regions = RegionSet(payload["region_of"], vectors)
-            bridges = frozenset((k[0], k[1]) for k in payload["bridges"])
-            index = cls(network, list(payload["border_vertex_ids"]),
-                        regions, bridges)
-        except (IndexError, TypeError) as exc:
-            raise IndexFormatError(
-                f"{path}: malformed index payload ({exc})") from exc
-        if "oracle" in payload:
-            try:
-                index._attach(oracle_from_payload(
-                    payload["oracle"], network, bridges, source=str(path),
-                    section="oracle.dist"))
-            except IndexFormatError:
-                raise
-            except (AttributeError, KeyError, TypeError,
-                    ValueError) as exc:
-                raise IndexFormatError(
-                    f"{path}: malformed oracle payload ({exc})") from exc
-        return index
-
     def _attach(self, oracle: HubOracle) -> None:
         self.oracle = oracle
         self.stats.oracle_kind = oracle.kind
         self.stats.oracle_entries = oracle.entry_count()
-
-    # -- binary (mmap) format ------------------------------------------
 
     def save_binary(self, path: Union[str, os.PathLike]) -> None:
         """Write the compact binary layout (see
@@ -246,15 +133,10 @@ class RoadPartIndex:
         straight from their buffer, never copied); an oracle-less index
         is the same layout without them.
         """
-        from repro.core.roadpart import binfmt
         binfmt.write_index_binary(
-            path, self.network.num_vertices,
-            list(self.border_vertex_ids),
-            list(self.regions.region_of),
-            list(self.regions.vectors),
-            sorted(tuple(k) for k in self.bridges),
-            oracle=(None if self.oracle is None
-                    else self.oracle.to_payload()))
+            path, self.network.num_vertices, self.border_vertex_ids,
+            self.regions.region_of, self.regions.vectors, self.bridges,
+            oracle=self.oracle)
 
     @classmethod
     def load_binary(cls, path: Union[str, os.PathLike],
@@ -263,40 +145,31 @@ class RoadPartIndex:
 
         The vertex→region array is a zero-copy view over the mapping
         (shared pages across processes); answers are byte-identical to
-        a legacy JSON load of the same index.  Raises
-        :class:`~repro.errors.IndexFormatError` for structural defects
-        and :class:`ValueError` for a network mismatch, exactly like
-        :meth:`load`.
+        those of the index that was saved.  Raises
+        :class:`~repro.errors.IndexFormatError` naming the path for a
+        file that is not a well-formed ``roadpart-index-bin-v4`` index
+        (a JSON index from an older build included), and a plain
+        :class:`ValueError` when the file is fine but was built for a
+        different network.
         """
-        from repro.core.roadpart import binfmt
         payload = binfmt.read_index_binary(path)
         if payload.header.num_vertices != network.num_vertices:
             raise ValueError(
                 f"index built for {payload.header.num_vertices}"
                 f" vertices, network has {network.num_vertices}")
         regions = RegionSet(payload.region_of, payload.vectors)
-        bridges = frozenset((u, v) for u, v in payload.bridges)
-        index = cls(network, payload.border_vertex_ids, regions, bridges)
-        if payload.oracle is not None:
+        index = cls(network, payload.border_vertex_ids, regions,
+                    frozenset(payload.bridges))
+        if payload.hubs is not None:
             # The rows are a view over the same mapping -- queries read
-            # the page cache directly, and only the O(endpoints) facts
-            # are checked here.
-            index._attach(oracle_from_payload(
-                payload.oracle, network, bridges, source=str(path),
-                section="ordist"))
+            # the page cache directly; binfmt checked the O(endpoints)
+            # facts.
+            index._attach(HubOracle(payload.hubs, payload.dist, network,
+                                    source=str(path), section="ordist"))
         # The memoryviews above alias the mapping; keep it alive for
         # exactly as long as the index is.
         index._mmap_keepalive = payload.mapping
         return index
-
-    @classmethod
-    def load_auto(cls, path: Union[str, os.PathLike],
-                  network: RoadNetwork) -> "RoadPartIndex":
-        """Load either on-disk format, sniffed by magic bytes."""
-        from repro.core.roadpart import binfmt
-        if binfmt.sniff_binary(path):
-            return cls.load_binary(path, network)
-        return cls.load(path, network)
 
 
 def build_index(network: RoadNetwork, border_count: int,

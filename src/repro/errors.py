@@ -10,11 +10,10 @@ rather than pattern-match message strings:
   this as *degradable*: it retries the query down a fallback cascade of
   cheaper algorithms before reporting a failure.
 - :class:`IndexFormatError` -- a RoadPart index file on disk is corrupt,
-  stale, or not an index file at all.  Raised by
-  :meth:`repro.core.roadpart.index.RoadPartIndex.load` (JSON) and the
-  binary/mmap loader in :mod:`repro.core.roadpart.binfmt` with the path
-  and the specific defect, instead of leaking a raw
-  ``json.JSONDecodeError``, ``struct.error`` or ``KeyError``.
+  stale, or not an index file at all.  Raised by the binary/mmap
+  loader in :mod:`repro.core.roadpart.binfmt` with the path and the
+  specific defect, instead of leaking a raw ``struct.error`` or
+  ``IndexError``.
 - :class:`RequestValidationError` -- a serving-daemon request is
   malformed (bad JSON, unknown algorithm, vertex ids outside the
   network).  The daemon maps it to HTTP 400 with a structured error
@@ -46,8 +45,7 @@ class IndexFormatError(ValueError):
 
     Subclasses :class:`ValueError` so pre-existing callers that caught
     the old untyped errors keep working; the message always names the
-    offending path and what is wrong with it.  Raised for both on-disk
-    layouts (legacy JSON and the binary mmap format).
+    offending path and what is wrong with it.
     """
 
 

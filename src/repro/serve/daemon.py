@@ -58,6 +58,7 @@ sharing one mmap-loaded index.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from bisect import bisect_left
@@ -131,6 +132,15 @@ _METRIC_TYPES = {
 }
 
 
+def _bad_deadline(value) -> bool:
+    """True unless ``value`` is a positive, finite number of ms.
+    ``json`` reads ``NaN`` and ``Infinity``, and a NaN budget never
+    expires; the float-max bound also keeps a huge JSON integer from
+    overflowing the conversion to seconds."""
+    return (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max)
+
+
 @dataclass
 class _Request:
     """One validated /query request."""
@@ -196,6 +206,9 @@ class DPSDaemon:
                 f" {ALGORITHMS}")
         if algorithm == "roadpart" and index is None:
             raise ValueError("algorithm 'roadpart' needs index=")
+        if deadline_ms is not None and _bad_deadline(deadline_ms):
+            raise ValueError(f"deadline_ms must be a positive, finite"
+                             f" number, got {deadline_ms!r}")
         self.network = network
         self.index = index
         self.algorithm = algorithm
@@ -326,13 +339,10 @@ class DPSDaemon:
         except ValueError as exc:
             raise RequestValidationError(str(exc)) from exc
         deadline_ms = payload.get("deadline_ms", self.deadline_ms)
-        if deadline_ms is not None:
-            if (isinstance(deadline_ms, bool)
-                    or not isinstance(deadline_ms, (int, float))
-                    or deadline_ms <= 0):
-                raise RequestValidationError(
-                    f"deadline_ms must be a positive number, got"
-                    f" {deadline_ms!r}")
+        if deadline_ms is not None and _bad_deadline(deadline_ms):
+            raise RequestValidationError(
+                f"deadline_ms must be a positive, finite number, got"
+                f" {deadline_ms!r}")
         raw_fallback = payload.get("fallback")
         if raw_fallback is None:
             if self.default_fallback is not None:

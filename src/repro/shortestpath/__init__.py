@@ -64,7 +64,6 @@ from repro.shortestpath.oracle import (
     ORACLE_POLICIES,
     HubOracle,
     build_oracle,
-    oracle_from_payload,
     resolve_oracle_kind,
 )
 from repro.shortestpath.paths import collect_path_vertices, reconstruct_path
@@ -87,7 +86,6 @@ __all__ = [
     "collect_path_vertices",
     "flat_bidirectional_ppsp",
     "flat_bridge_domains",
-    "oracle_from_payload",
     "reconstruct_path",
     "resolve_oracle_kind",
     "settle_targets",

@@ -70,9 +70,9 @@ finite or that has no neighbour strictly below it on a shortest path,
 raises :class:`~repro.errors.IndexFormatError` naming the file, the
 section and the hub.  A corrupt read is never memoised, so it raises
 on every read, and every walk step strictly lowers the cell, so a walk
-ends.  Loading checks only ``O(|hubs|)`` facts
-(:func:`oracle_from_payload`), so an mmap-loaded table is never
-scanned.
+ends.  Loading checks only ``O(|hubs|)`` facts (the hub ids and the row
+count, in :mod:`repro.core.roadpart.binfmt`), so an mmap-loaded table
+is never scanned.
 
 ``resolve_oracle_kind`` implements the build-time policy behind
 ``oracle="auto"``: a table when the network has bridges, no oracle
@@ -271,7 +271,8 @@ class HubOracle:
     ``network`` is the network the rows were built on; its adjacency
     is what :meth:`preds` derives the trees from.  ``source`` and
     ``section`` name the file and the row section in corrupt-cell
-    errors.
+    errors.  The constructor trusts its inputs: the binary loader
+    checks the hub ids and the row count before it builds one.
     """
 
     kind = "hub"
@@ -321,6 +322,12 @@ class HubOracle:
     @property
     def hubs(self) -> Tuple[int, ...]:
         return self._hubs
+
+    @property
+    def rows(self) -> memoryview:
+        """Every ``dist`` row, hub-major: the stored buffer, not a
+        copy."""
+        return self._dist
 
     def dist_row(self, hub: int) -> memoryview:
         """Distances from ``hub``, vertex-indexed (unchecked)."""
@@ -453,7 +460,7 @@ class HubOracle:
         the hub's tree (:meth:`preds`; members must be reachable)."""
         collect_path_vertices(self.preds(hub), hub, members, into)
 
-    # -- size and serialisation -----------------------------------------
+    # -- size ------------------------------------------------------------
 
     def entry_count(self) -> int:
         """Table cells, ``|hubs| x |V|`` -- the size driver."""
@@ -469,15 +476,9 @@ class HubOracle:
                 f" {self._n} vertices (dist rows"
                 f" {self.row_bytes() / 2 ** 20:.1f} MiB)")
 
-    def to_payload(self) -> Dict[str, object]:
-        """The serialisers' form: hub ids plus the flat row buffer (the
-        stored one, not a copy)."""
-        return {"kind": "hub", "hubs": list(self._hubs),
-                "dist": self._dist}
-
 
 # ----------------------------------------------------------------------
-# Construction / serialisation entry points
+# Construction entry point
 # ----------------------------------------------------------------------
 
 
@@ -499,60 +500,3 @@ def build_oracle(network: RoadNetwork, kind: str,
     if table_obstacle(network) is not None:
         return None
     return HubOracle.build(network, bridges, trace=trace, jobs=jobs)
-
-
-def oracle_from_payload(payload: Dict[str, object], network: RoadNetwork,
-                        bridges: Iterable[Tuple[int, int]],
-                        source: str = "<memory>", section: str = "dist",
-                        ) -> HubOracle:
-    """Rehydrate a table over ``network`` from its payload (a JSON list
-    or a zero-copy binary view -- both index loaders funnel through
-    here).
-
-    Checks only ``O(|hubs|)`` facts: the hub ids are sorted, unique,
-    below ``|V|`` and exactly the endpoints of ``bridges``, and the row
-    buffer holds ``|hubs| x |V|`` cells.  An unknown ``kind`` raises
-    :class:`ValueError`; the rest, and a payload from an older build
-    (hub labels, or stored predecessor rows), raise
-    :class:`~repro.errors.IndexFormatError` naming ``source``.
-    """
-    kind = payload.get("kind")
-    if kind != "hub":
-        raise ValueError(f"unknown oracle payload kind {kind!r}")
-    if "label_hubs" in payload:
-        raise IndexFormatError(
-            f"{source}: the oracle holds hub labels from an older build"
-            f" instead of an endpoint tree table; rebuild the index")
-    if "pred" in payload:
-        raise IndexFormatError(
-            f"{source}: the oracle stores predecessor rows from an older"
-            f" build (this build derives them from the dist rows);"
-            f" rebuild the index")
-    num_vertices = network.num_vertices
-    hubs = list(payload["hubs"])
-    bad = [h for h in hubs if not 0 <= h < num_vertices]
-    if bad:
-        raise IndexFormatError(
-            f"{source}: oracle endpoint {bad[0]} out of range"
-            f" (num_vertices {num_vertices})")
-    if any(a >= b for a, b in zip(hubs, hubs[1:])):
-        raise IndexFormatError(
-            f"{source}: oracle endpoint ids are not sorted and unique")
-    expected = sorted({e for bridge in bridges for e in bridge})
-    if hubs != expected:
-        raise IndexFormatError(
-            f"{source}: oracle endpoints ({len(hubs)}) are not the"
-            f" bridge endpoints ({len(expected)})")
-    cells = payload["dist"]
-    if isinstance(cells, list):  # a JSON payload
-        try:
-            cells = array("d", cells)
-        except (TypeError, OverflowError) as exc:
-            raise IndexFormatError(
-                f"{source}: section {section!r} holds a bad cell"
-                f" ({exc})") from exc
-    if len(cells) != len(hubs) * num_vertices:
-        raise IndexFormatError(
-            f"{source}: section {section!r} holds {len(cells)} cells,"
-            f" expected {len(hubs)} endpoints x {num_vertices}")
-    return HubOracle(hubs, cells, network, source=source, section=section)

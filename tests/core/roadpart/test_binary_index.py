@@ -1,8 +1,8 @@
 """The binary (mmap) index layout: round-trip fidelity, query
-byte-identity against the legacy JSON loader, and format validation.
+byte-identity against the built index, and format validation.
 
-The contract under test is the serving tier's foundation: a binary
-load must be indistinguishable from a JSON load in every answer it
+The contract under test is the serving tier's foundation: a loaded
+index must be indistinguishable from the built one in every answer it
 produces, and any structural defect in the file must surface as an
 :class:`~repro.errors.IndexFormatError` naming the path."""
 
@@ -28,81 +28,50 @@ from tests.shortestpath.test_oracle import tight_neighbours, walk_corruption
 
 
 @pytest.fixture(scope="module")
-def saved_pair(medium_index, tmp_path_factory):
-    """The medium index saved in both formats."""
-    root = tmp_path_factory.mktemp("binidx")
-    json_path = root / "index.json"
-    bin_path = root / "index.bin"
-    medium_index.save(json_path)
-    medium_index.save_binary(bin_path)
-    return json_path, bin_path
+def bin_path(medium_index, tmp_path_factory):
+    """The medium index (no table), saved."""
+    path = tmp_path_factory.mktemp("binidx") / "index.bin"
+    medium_index.save_binary(path)
+    return path
 
 
 @pytest.fixture(scope="module")
-def loaded_pair(saved_pair, medium_network):
-    json_path, bin_path = saved_pair
-    return (RoadPartIndex.load(json_path, medium_network),
-            RoadPartIndex.load_binary(bin_path, medium_network))
+def loaded(bin_path, medium_network):
+    return RoadPartIndex.load_binary(bin_path, medium_network)
 
 
 class TestRoundTrip:
-    def test_structures_identical(self, loaded_pair):
-        legacy, binary = loaded_pair
-        assert list(binary.regions.region_of) \
-            == list(legacy.regions.region_of)
-        assert binary.regions.vectors == legacy.regions.vectors
-        assert binary.bridges == legacy.bridges
-        assert binary.border_vertex_ids == legacy.border_vertex_ids
+    def test_structures_identical(self, loaded, medium_index):
+        assert list(loaded.regions.region_of) \
+            == list(medium_index.regions.region_of)
+        assert loaded.regions.vectors == medium_index.regions.vectors
+        assert loaded.bridges == medium_index.bridges
+        assert loaded.border_vertex_ids == medium_index.border_vertex_ids
 
-    def test_region_of_is_zero_copy_view(self, loaded_pair):
-        _, binary = loaded_pair
+    def test_region_of_is_zero_copy_view(self, loaded):
         # The O(|V|) array must be a view over the mapping, not a
         # parsed Python list -- that is the whole point of the format.
-        assert isinstance(binary.regions.region_of, memoryview)
+        assert isinstance(loaded.regions.region_of, memoryview)
 
-    def test_query_answers_byte_identical(self, loaded_pair,
+    def test_query_answers_byte_identical(self, loaded, medium_index,
                                           medium_network):
-        legacy, binary = loaded_pair
         for seed in (5, 17, 29):
             query = DPSQuery.q_query(
                 window_query(medium_network, 0.2, seed=seed))
-            a = roadpart_dps(legacy, query)
-            b = roadpart_dps(binary, query)
+            a = roadpart_dps(medium_index, query)
+            b = roadpart_dps(loaded, query)
             assert a.vertices == b.vertices
             assert a.stats == b.stats
 
-    def test_binary_to_json_round_trip(self, loaded_pair, saved_pair,
-                                       tmp_path):
-        _, binary = loaded_pair
-        json_path, _ = saved_pair
-        out = tmp_path / "back.json"
-        binary.save(out)
-        assert out.read_text() == json_path.read_text()
-
-    def test_load_auto_dispatches_both(self, saved_pair, medium_network):
-        json_path, bin_path = saved_pair
-        via_json = RoadPartIndex.load_auto(json_path, medium_network)
-        via_bin = RoadPartIndex.load_auto(bin_path, medium_network)
-        assert via_json.bridges == via_bin.bridges
-        assert list(via_json.regions.region_of) \
-            == list(via_bin.regions.region_of)
-
 
 class TestHeader:
-    def test_info_header_matches_index(self, saved_pair, medium_index):
-        _, bin_path = saved_pair
+    def test_info_header_matches_index(self, bin_path, medium_index):
         header = binfmt.read_header(bin_path)
         assert header.num_vertices == medium_index.network.num_vertices
         assert header.border_count == medium_index.border_count
         assert header.region_count == medium_index.regions.region_count
         assert header.bridge_count == len(medium_index.bridges)
         assert set(header.sections) == set(binfmt.SECTION_TAGS)
-
-    def test_sniff(self, saved_pair, tmp_path):
-        json_path, bin_path = saved_pair
-        assert binfmt.sniff_binary(bin_path)
-        assert not binfmt.sniff_binary(json_path)
-        assert not binfmt.sniff_binary(tmp_path / "missing.bin")
 
 
 def _corrupt(path, tmp_path, offset, payload):
@@ -122,27 +91,23 @@ class TestValidation:
         with pytest.raises(IndexFormatError, match="empty"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_bad_magic(self, saved_pair, tmp_path, medium_network):
-        _, bin_path = saved_pair
+    def test_bad_magic(self, bin_path, tmp_path, medium_network):
         bad = _corrupt(bin_path, tmp_path, 0, b"NOPE")
         with pytest.raises(IndexFormatError, match="magic"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_unsupported_version(self, saved_pair, tmp_path,
+    def test_unsupported_version(self, bin_path, tmp_path,
                                  medium_network):
-        _, bin_path = saved_pair
         bad = _corrupt(bin_path, tmp_path, 4, struct.pack("<I", 99))
         with pytest.raises(IndexFormatError, match="version 99"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_nonzero_flags(self, saved_pair, tmp_path, medium_network):
-        _, bin_path = saved_pair
+    def test_nonzero_flags(self, bin_path, tmp_path, medium_network):
         bad = _corrupt(bin_path, tmp_path, 8, struct.pack("<I", 7))
         with pytest.raises(IndexFormatError, match="flags"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_truncated_file(self, saved_pair, tmp_path, medium_network):
-        _, bin_path = saved_pair
+    def test_truncated_file(self, bin_path, tmp_path, medium_network):
         data = bin_path.read_bytes()
         bad = tmp_path / "short.bin"
         bad.write_bytes(data[:len(data) // 2])
@@ -156,11 +121,10 @@ class TestValidation:
         with pytest.raises(IndexFormatError, match="truncated header"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_shifted_section_offset(self, saved_pair, tmp_path,
+    def test_shifted_section_offset(self, bin_path, tmp_path,
                                     medium_network):
         """Sections are packed in table order; a shifted one used to
         load and reinterpret its neighbour's bytes."""
-        _, bin_path = saved_pair
         offset, _ = binfmt.read_header(bin_path).sections[b"regionof"]
         entry = 32 + 24 * binfmt.SECTION_TAGS.index(b"regionof")
         bad = _corrupt(bin_path, tmp_path, entry + 8,
@@ -168,9 +132,8 @@ class TestValidation:
         with pytest.raises(IndexFormatError, match="layout puts it at"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_duplicate_section(self, saved_pair, tmp_path,
+    def test_duplicate_section(self, bin_path, tmp_path,
                                medium_network):
-        _, bin_path = saved_pair
         entry = 32 + 24 * binfmt.SECTION_TAGS.index(b"vectors")
         bad = _corrupt(bin_path, tmp_path, entry, b"regionof")
         with pytest.raises(IndexFormatError,
@@ -185,18 +148,16 @@ class TestValidation:
             RoadPartIndex.load_binary(bad, medium_network)
 
     @pytest.mark.parametrize("count", [10, 17, 64])
-    def test_section_count_bounded_by_known_tags(self, saved_pair,
+    def test_section_count_bounded_by_known_tags(self, bin_path,
                                                  tmp_path, count):
         """More sections than the layout has tags is implausible, not a
         'truncated section table'."""
-        _, bin_path = saved_pair
         bad = _corrupt(bin_path, tmp_path, 28, struct.pack("<I", count))
         with pytest.raises(IndexFormatError,
                            match=f"implausible section count {count}"):
             binfmt.read_header(bad)
 
-    def test_wrong_network(self, saved_pair, grid5):
-        _, bin_path = saved_pair
+    def test_wrong_network(self, bin_path, grid5):
         with pytest.raises(ValueError, match="vertices"):
             RoadPartIndex.load_binary(bin_path, grid5)
 
@@ -233,17 +194,15 @@ class TestIdChecks:
     """Payload ids that query code indexes by are range-checked at load
     time, so a corrupt file fails there instead of in the first query."""
 
-    def test_bridge_endpoint_out_of_range(self, saved_pair, tmp_path,
+    def test_bridge_endpoint_out_of_range(self, bin_path, tmp_path,
                                           medium_network):
-        _, bin_path = saved_pair
         bad = _patch_section(bin_path, tmp_path, b"bridges", 0, 10 ** 7)
         with pytest.raises(IndexFormatError,
                            match="bridge endpoint 10000000 out of range"):
             RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_border_vertex_out_of_range(self, saved_pair, tmp_path,
+    def test_border_vertex_out_of_range(self, bin_path, tmp_path,
                                         medium_network):
-        _, bin_path = saved_pair
         n = medium_network.num_vertices
         bad = _patch_section(bin_path, tmp_path, b"borders", 0, n)
         with pytest.raises(IndexFormatError,
@@ -279,6 +238,41 @@ class TestIdChecks:
         bad = _patch_section(oracle_bin, tmp_path, b"oracle", 1, 3)
         with pytest.raises(IndexFormatError, match="'orends' holds"):
             RoadPartIndex.load_binary(bad, medium_network)
+
+    def test_row_count_checked(self, oracle_bin, tmp_path, medium_network):
+        """The ``dist`` rows hold endpoints x |V| cells."""
+        header = binfmt.read_header(oracle_bin)
+        _, length = header.sections[b"ordist"]
+        entry = 32 + 24 * list(header.sections).index(b"ordist")
+        bad = _corrupt(oracle_bin, tmp_path, entry + 16,
+                       struct.pack("<Q", length - 8))
+        with pytest.raises(IndexFormatError, match="'ordist' holds"):
+            RoadPartIndex.load_binary(bad, medium_network)
+
+    @pytest.mark.parametrize("case", ["above-l", "zero", "swapped"])
+    def test_label_outside_the_zones(self, bin_path, tmp_path,
+                                     medium_index, medium_network, case):
+        """Every stored label is a zone interval ``1 <= lo <= hi <= l``,
+        checked at load: a label outside the zones would otherwise load
+        silently or raise a stray IndexError, and a huge zone number
+        would make the label bitsets ask for gigabytes."""
+        dims = medium_index.border_count
+        labels = [label for vector in medium_index.regions.vectors
+                  for label in vector]
+        i = next(k for k, (lo, hi) in enumerate(labels) if lo < hi)
+        lo, hi = labels[i]
+        label = {"above-l": (lo, dims + 1), "zero": (0, hi),
+                 "swapped": (hi, lo)}[case]
+        bad = _corrupt(bin_path, tmp_path,
+                       _word_at(bin_path, b"vectors", 2 * i),
+                       struct.pack("<II", *label))
+        with pytest.raises(IndexFormatError,
+                           match=rf"region {i // dims}, dimension"
+                                 rf" {i % dims}: label \({label[0]},"
+                                 rf" {label[1]}\) is not a zone"
+                                 rf" interval") as excinfo:
+            RoadPartIndex.load_binary(bad, medium_network)
+        assert str(bad) in str(excinfo.value)
 
     def test_intact_oracle_file_loads(self, oracle_bin, medium_network,
                                       medium_query):
@@ -432,8 +426,8 @@ class TestCorruptionSweep:
     nothing -- never a stray IndexError, struct.error or the like."""
 
     @pytest.fixture(params=["plain", "oracle"])
-    def source(self, request, saved_pair, oracle_bin):
-        return saved_pair[1] if request.param == "plain" else oracle_bin
+    def source(self, request, bin_path, oracle_bin):
+        return bin_path if request.param == "plain" else oracle_bin
 
     @staticmethod
     def _load_or_reject(blob, tmp_path, network, query):

@@ -58,11 +58,12 @@ class TestBuild:
 
 class TestSerialisation:
     def test_round_trip(self, medium_network, medium_index, tmp_path):
-        path = tmp_path / "index.json"
-        medium_index.save(path)
-        loaded = RoadPartIndex.load(path, medium_network)
+        path = tmp_path / "index.rpix"
+        medium_index.save_binary(path)
+        loaded = RoadPartIndex.load_binary(path, medium_network)
         assert loaded.border_vertex_ids == medium_index.border_vertex_ids
-        assert loaded.regions.region_of == medium_index.regions.region_of
+        assert (list(loaded.regions.region_of)
+                == medium_index.regions.region_of)
         assert loaded.regions.vectors == medium_index.regions.vectors
         assert loaded.bridges == medium_index.bridges
 
@@ -70,21 +71,21 @@ class TestSerialisation:
                                           medium_index, medium_query,
                                           tmp_path):
         from repro.core.roadpart.query import roadpart_dps
-        path = tmp_path / "index.json"
-        medium_index.save(path)
-        loaded = RoadPartIndex.load(path, medium_network)
+        path = tmp_path / "index.rpix"
+        medium_index.save_binary(path)
+        loaded = RoadPartIndex.load_binary(path, medium_network)
         original = roadpart_dps(medium_index, medium_query)
         reloaded = roadpart_dps(loaded, medium_query)
         assert original.vertices == reloaded.vertices
 
     def test_wrong_network_rejected(self, medium_index, grid5, tmp_path):
-        path = tmp_path / "index.json"
-        medium_index.save(path)
-        with pytest.raises(ValueError):
-            RoadPartIndex.load(path, grid5)
+        path = tmp_path / "index.rpix"
+        medium_index.save_binary(path)
+        with pytest.raises(ValueError, match="index built for"):
+            RoadPartIndex.load_binary(path, grid5)
 
     def test_wrong_format_rejected(self, grid5, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}')
-        with pytest.raises(ValueError):
-            RoadPartIndex.load(path, grid5)
+        with pytest.raises(ValueError, match="rebuild the index"):
+            RoadPartIndex.load_binary(path, grid5)

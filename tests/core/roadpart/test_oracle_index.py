@@ -1,5 +1,5 @@
-"""Oracle-carrying indexes end to end: build, serialise (JSON and the
-binary layout), reload, and answer queries.
+"""Oracle-carrying indexes end to end: build, save, reload, and answer
+queries.
 
 The load-bearing contracts:
 
@@ -9,13 +9,14 @@ The load-bearing contracts:
 * There is one binary layout: ``oracle="none"`` builds write the same
   version-4 header with the oracle sections left out.
 * Files from older layouts -- version 1, version 2 (hub labels),
-  version 3 (stored predecessor rows), a JSON payload that still
-  carries ``pred`` rows, or a file carrying a contraction-hierarchy
-  oracle -- are rejected; the fix is a rebuild.
+  version 3 (stored predecessor rows), a JSON index (stored ``pred``
+  rows or a contraction-hierarchy payload included), or a file
+  carrying a contraction-hierarchy oracle -- are rejected; the fix is
+  a rebuild.
 * Saving streams every section from its buffer: no copy of the rows.
 * A network where a relaxation could absorb an edge gets no table under
   ``oracle="auto"``, and RoadPart answers with the dual heap.
-* Structural defects (unknown section tags, malformed oracle payloads)
+* Structural defects (unknown section tags, a bad oracle kind code)
   surface as :class:`~repro.errors.IndexFormatError` naming the path.
 """
 
@@ -44,7 +45,7 @@ from repro.obs.counters import SearchCounters
 from repro.obs.stats import QueryStats
 from repro.obs.trace import TraceRecorder
 from repro.shortestpath.flat import release_search
-from repro.shortestpath.oracle import HubOracle, oracle_from_payload
+from repro.shortestpath.oracle import HubOracle
 
 needs_fork = pytest.mark.skipif(not fork_available(),
                                 reason="fork start method unavailable")
@@ -65,13 +66,21 @@ def hub_index(medium_network):
 
 
 @pytest.fixture(scope="module")
-def saved_files(hub_index, tmp_path_factory):
-    root = tmp_path_factory.mktemp("oracleidx")
-    json_path = root / "index.json"
-    bin_path = root / "index.bin"
-    hub_index.save(json_path)
-    hub_index.save_binary(bin_path)
-    return json_path, bin_path
+def bin_path(hub_index, tmp_path_factory):
+    path = tmp_path_factory.mktemp("oracleidx") / "index.bin"
+    hub_index.save_binary(path)
+    return path
+
+
+def _old_json_index(path, oracle):
+    """A JSON index as older builds wrote it (``roadpart-index-v1``),
+    carrying ``oracle`` as its oracle payload."""
+    path.write_text(json.dumps({
+        "format": "roadpart-index-v1", "num_vertices": 3,
+        "border_vertex_ids": [0, 2], "region_of": [0, 0, 0],
+        "region_vectors": [[[1, 1], [1, 2]]], "bridges": [[0, 1]],
+        "oracle": oracle}))
+    return path
 
 
 class TestQueryByteIdentity:
@@ -179,8 +188,8 @@ class TestTheorem5FromVerdicts:
 
     def test_memo_holds_one_vertex_buffer_per_examined_bridge(
             self, medium_network, hub_index):
-        fresh = oracle_from_payload(hub_index.oracle.to_payload(),
-                                    medium_network, hub_index.bridges)
+        fresh = HubOracle(hub_index.oracle.hubs, hub_index.oracle.rows,
+                          medium_network)
         index = dataclasses.replace(hub_index, oracle=fresh)
         processor = RoadPartQueryProcessor(index)
         examined = set()
@@ -211,9 +220,8 @@ class TestSerialisation:
         assert binfmt.FORMAT_NAME == "roadpart-index-bin-v4"
         assert tuple(header.sections) == binfmt.SECTION_TAGS
 
-    def test_oracle_build_writes_version_4(self, saved_files, hub_index,
+    def test_oracle_build_writes_version_4(self, bin_path, hub_index,
                                            medium_network):
-        _, bin_path = saved_files
         header = binfmt.read_header(bin_path)
         assert header.version == binfmt.VERSION
         assert tuple(header.sections) == (binfmt.SECTION_TAGS
@@ -240,32 +248,21 @@ class TestSerialisation:
         assert ((tmp_path / "index.bin").read_bytes()
                 == (tmp_path / "warm.bin").read_bytes())
 
-    def test_binary_round_trip_preserves_answers(self, saved_files,
+    def test_binary_round_trip_preserves_answers(self, bin_path,
                                                  medium_network,
                                                  hub_index,
                                                  medium_query):
-        _, bin_path = saved_files
         loaded = RoadPartIndex.load_binary(bin_path, medium_network)
         assert loaded.oracle is not None
         assert loaded.oracle.kind == "hub"
         assert loaded.stats.oracle_entries == hub_index.oracle.entry_count()
         # The rows stay views over the mapping: nothing is materialised.
-        assert isinstance(loaded.oracle.to_payload()["dist"], memoryview)
+        assert isinstance(loaded.oracle.rows, memoryview)
+        assert loaded.oracle.rows.obj is loaded._mmap_keepalive
         fresh = roadpart_dps(hub_index, medium_query)
         reloaded = roadpart_dps(loaded, medium_query)
         assert reloaded.vertices == fresh.vertices
         assert reloaded.stats == fresh.stats
-
-    def test_json_round_trip_preserves_oracle(self, saved_files,
-                                              medium_network, hub_index):
-        json_path, _ = saved_files
-        loaded = RoadPartIndex.load(json_path, medium_network)
-        assert loaded.oracle is not None
-        assert (loaded.oracle.to_payload()
-                == hub_index.oracle.to_payload())
-
-    def test_json_omits_oracle_key_when_absent(self, medium_index):
-        assert "oracle" not in medium_index.to_dict()
 
     def test_version_1_file_rejected(self, medium_index, medium_network,
                                      tmp_path):
@@ -282,12 +279,11 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="version 1"):
             binfmt.read_header(path)
 
-    def test_save_in_place_over_the_mapped_file(self, saved_files,
+    def test_save_in_place_over_the_mapped_file(self, bin_path,
                                                 medium_network, tmp_path):
         """An mmap-loaded index saved over its own file: its rows are a
         view over that file, so the writer must not truncate the file
         before it has written them."""
-        _, bin_path = saved_files
         path = tmp_path / "inplace.bin"
         path.write_bytes(bin_path.read_bytes())
         loaded = RoadPartIndex.load_binary(path, medium_network)
@@ -299,12 +295,11 @@ class TestSerialisation:
                     path, medium_network), DPSQuery.q_query([0, 400])
                 ).vertices)
 
-    def test_version_3_stored_pred_file_rejected(self, saved_files,
+    def test_version_3_stored_pred_file_rejected(self, bin_path,
                                                   medium_network,
                                                   tmp_path):
         """A version-3 file (stored ``orpred`` rows) asks for a
         rebuild."""
-        _, bin_path = saved_files
         blob = bytearray(bin_path.read_bytes())
         blob[4:8] = struct.pack("<I", 3)
         path = tmp_path / "v3.bin"
@@ -315,22 +310,23 @@ class TestSerialisation:
                                match="version 3.*rebuild the index"):
                 load(path)
 
-    def test_json_stored_pred_rows_rejected(self, saved_files,
-                                            medium_network, tmp_path):
-        json_path, _ = saved_files
-        doc = json.loads(json_path.read_text())
-        doc["oracle"]["pred"] = [-1] * len(doc["oracle"]["dist"])
-        bad = tmp_path / "pred.json"
-        bad.write_text(json.dumps(doc))
+    def test_json_stored_pred_rows_rejected(self, medium_network,
+                                            tmp_path):
+        """A JSON index whose table still stores ``pred`` rows (an
+        older build's) asks for a rebuild."""
+        bad = _old_json_index(tmp_path / "pred.json", {
+            "kind": "hub", "hubs": [0, 1], "dist": [0.0] * 6,
+            "pred": [-1] * 6})
         with pytest.raises(IndexFormatError,
-                           match="predecessor rows.*rebuild the index"):
-            RoadPartIndex.load(bad, medium_network)
+                           match="pred.json: JSON indexes"
+                                 r" \(roadpart-index-v1\) are no longer"
+                                 " read.*rebuild the index"):
+            RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_version_2_hub_label_file_rejected(self, saved_files,
+    def test_version_2_hub_label_file_rejected(self, bin_path,
                                                medium_network, tmp_path):
         """A version-2 file (the retired hub-label oracle) asks for a
         rebuild instead of being misread."""
-        _, bin_path = saved_files
         blob = bytearray(bin_path.read_bytes())
         blob[4:8] = struct.pack("<I", 2)
         path = tmp_path / "v2.bin"
@@ -339,10 +335,9 @@ class TestSerialisation:
                            match="version 2.*rebuild the index"):
             RoadPartIndex.load_binary(path, medium_network)
 
-    def test_oracle_kind_code_2_rejected(self, saved_files, medium_network,
+    def test_oracle_kind_code_2_rejected(self, bin_path, medium_network,
                                          tmp_path):
         """Kind code 2 was the contraction-hierarchy oracle."""
-        _, bin_path = saved_files
         header = binfmt.read_header(bin_path)
         meta_offset, _ = header.sections[binfmt.ORACLE_META_TAG]
         blob = bytearray(bin_path.read_bytes())
@@ -354,12 +349,11 @@ class TestSerialisation:
         with pytest.raises(IndexFormatError, match="kind code 2"):
             binfmt.read_oracle_meta(path, binfmt.read_header(path))
 
-    def test_contraction_hierarchy_sections_rejected(self, saved_files,
+    def test_contraction_hierarchy_sections_rejected(self, bin_path,
                                                      medium_network,
                                                      tmp_path):
         """A file laid out the way older builds wrote a CH oracle names
         the section this build does not know."""
-        _, bin_path = saved_files
         blob = bin_path.read_bytes()
         for old, new in zip(binfmt.TABLE_SECTION_TAGS,
                             (b"orchrk", b"orchof", b"orchtg")):
@@ -370,20 +364,20 @@ class TestSerialisation:
             RoadPartIndex.load_binary(path, medium_network)
         assert "rebuild" in str(excinfo.value)
 
-    def test_json_ch_oracle_payload_rejected(self, saved_files,
-                                             medium_network, tmp_path):
-        json_path, _ = saved_files
-        doc = json.loads(json_path.read_text())
-        doc["oracle"] = {"kind": "ch", "rank": [], "offsets": [0],
-                         "up_targets": [], "up_weights": []}
-        bad = tmp_path / "ch.json"
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(IndexFormatError, match="'ch'"):
-            RoadPartIndex.load(bad, medium_network)
+    def test_json_ch_oracle_payload_rejected(self, medium_network,
+                                             tmp_path):
+        """A JSON index carrying a contraction-hierarchy oracle asks
+        for a rebuild."""
+        bad = _old_json_index(tmp_path / "ch.json", {
+            "kind": "ch", "rank": [], "offsets": [0], "up_targets": [],
+            "up_weights": []})
+        with pytest.raises(IndexFormatError,
+                           match="ch.json: JSON indexes.*rebuild the"
+                                 " index"):
+            RoadPartIndex.load_binary(bad, medium_network)
 
-    def test_unknown_section_tag_names_path_and_section(self, saved_files,
+    def test_unknown_section_tag_names_path_and_section(self, bin_path,
                                                         tmp_path):
-        _, bin_path = saved_files
         blob = bin_path.read_bytes()
         assert blob.count(b"orends") == 1  # only the section table
         mangled = tmp_path / "mangled.bin"
@@ -393,16 +387,6 @@ class TestSerialisation:
         assert "zzends" in str(excinfo.value)
         assert "mangled.bin" in str(excinfo.value)
 
-    def test_malformed_json_oracle_payload_raises(self, saved_files,
-                                                  medium_network,
-                                                  tmp_path):
-        json_path, _ = saved_files
-        doc = json.loads(json_path.read_text())
-        del doc["oracle"]["dist"]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(IndexFormatError, match="oracle"):
-            RoadPartIndex.load(bad, medium_network)
 
 
 class TestBuildDeterminism:
@@ -417,17 +401,6 @@ class TestBuildDeterminism:
         parallel.save_binary(parallel_path)
         assert (parallel_path.read_bytes()
                 == serial_path.read_bytes())
-
-    @needs_fork
-    def test_parallel_json_matches_serial(self, medium_network, hub_index,
-                                          tmp_path):
-        """The fork-parallel table rows reach the JSON payload too."""
-        parallel = build_index(medium_network, border_count=8, jobs=3,
-                               oracle="auto")
-        parallel.save(tmp_path / "parallel.json")
-        hub_index.save(tmp_path / "serial.json")
-        assert ((tmp_path / "parallel.json").read_bytes()
-                == (tmp_path / "serial.json").read_bytes())
 
     def test_build_stats_record_oracle_phase(self, hub_index,
                                              medium_index, medium_network):
@@ -444,26 +417,22 @@ class TestBuildDeterminism:
         table on a bridged network."""
         network, bridges = _bridged_fixture(seed)
         tables = [build_index(network, 6, bridges=bridges, engine=engine,
-                              oracle="auto").oracle.to_payload()
+                              oracle="auto").oracle
                   for engine in ("flat", "dict")]
-        assert tables[0] == tables[1]
+        assert tables[0].hubs == tables[1].hubs
+        assert tables[0].rows.tobytes() == tables[1].rows.tobytes()
 
-    @pytest.mark.parametrize("fmt", ["json", "bin"])
-    def test_oracle_index_files_byte_identical(self, tmp_path, fmt):
+    def test_oracle_index_files_byte_identical(self, tmp_path):
         """--oracle auto index files compare equal, byte for byte,
-        across engine=dict|flat, serial and --jobs 2, in both on-disk
-        formats."""
+        across engine=dict|flat, serial and --jobs 2."""
         network, bridges = _bridged_fixture(9)
         paths = []
         for engine in ("dict", "flat"):
             for jobs in (1, 2):
                 index = build_index(network, 6, bridges=bridges, jobs=jobs,
                                     engine=engine, oracle="auto")
-                path = tmp_path / f"{engine}-{jobs}.{fmt}"
-                if fmt == "json":
-                    index.save(str(path))
-                else:
-                    index.save_binary(str(path))
+                path = tmp_path / f"{engine}-{jobs}.rpix"
+                index.save_binary(str(path))
                 paths.append(path)
         for path in paths[1:]:
             assert filecmp.cmp(paths[0], path, shallow=False), (

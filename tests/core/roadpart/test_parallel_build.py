@@ -7,8 +7,6 @@ either.  Wall-clock speedup is deliberately not asserted -- CI boxes
 may have a single core.
 """
 
-import json
-
 import pytest
 
 from repro.core.roadpart.index import build_index
@@ -32,14 +30,20 @@ def serial_index(small_network):
     return build_index(small_network, border_count=5)
 
 
+def _saved_bytes(index, tmp_path, name):
+    path = tmp_path / f"{name}.rpix"
+    index.save_binary(path)
+    return path.read_bytes()
+
+
 class TestByteIdentity:
     @needs_fork
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_parallel_build_matches_serial(self, small_network,
-                                           serial_index, jobs):
+                                           serial_index, jobs, tmp_path):
         parallel = build_index(small_network, border_count=5, jobs=jobs)
-        assert (json.dumps(parallel.to_dict(), sort_keys=True)
-                == json.dumps(serial_index.to_dict(), sort_keys=True))
+        assert (_saved_bytes(parallel, tmp_path, "parallel")
+                == _saved_bytes(serial_index, tmp_path, "serial"))
         # The search-effort stats agree too: same cuts were computed.
         assert (parallel.stats.astar_expanded
                 == serial_index.stats.astar_expanded)
@@ -48,19 +52,21 @@ class TestByteIdentity:
         assert (parallel.stats.widened_labels
                 == serial_index.stats.widened_labels)
 
-    def test_dict_engine_matches_flat(self, small_network, serial_index):
+    def test_dict_engine_matches_flat(self, small_network, serial_index,
+                                      tmp_path):
         dict_index = build_index(small_network, border_count=5,
                                  engine="dict")
-        assert (json.dumps(dict_index.to_dict(), sort_keys=True)
-                == json.dumps(serial_index.to_dict(), sort_keys=True))
+        assert (_saved_bytes(dict_index, tmp_path, "dict")
+                == _saved_bytes(serial_index, tmp_path, "flat"))
         assert (dict_index.stats.astar_expanded
                 == serial_index.stats.astar_expanded)
 
     @needs_fork
     def test_jobs_exceeding_rounds_is_fine(self, small_network,
-                                           serial_index):
+                                           serial_index, tmp_path):
         parallel = build_index(small_network, border_count=5, jobs=16)
-        assert parallel.to_dict() == serial_index.to_dict()
+        assert (_saved_bytes(parallel, tmp_path, "parallel")
+                == _saved_bytes(serial_index, tmp_path, "serial"))
 
 
 class TestTrace:
@@ -97,8 +103,8 @@ class TestCLI:
         write_dimacs(network, str(tmp_path / "m.gr"), str(tmp_path / "m.co"))
         common = ["build-index", "--graph", str(tmp_path / "m.gr"),
                   "--coords", str(tmp_path / "m.co"), "--borders", "4"]
-        assert main(common + ["--out", str(tmp_path / "serial.json")]) == 0
+        assert main(common + ["--out", str(tmp_path / "serial.rpix")]) == 0
         assert main(common + ["--jobs", "2",
-                              "--out", str(tmp_path / "par.json")]) == 0
-        assert ((tmp_path / "serial.json").read_bytes()
-                == (tmp_path / "par.json").read_bytes())
+                              "--out", str(tmp_path / "par.rpix")]) == 0
+        assert ((tmp_path / "serial.rpix").read_bytes()
+                == (tmp_path / "par.rpix").read_bytes())

@@ -3,8 +3,9 @@
 The contract under test: the table's rows are the exact shortest-path
 distances of the bridge endpoints and the predecessors derived from
 them are the flat kernel's trees, its domains and path patches equal
-the dual-heap search's, its payload round-trips through the flat-row
-form the serialisers use, corrupt cells raise ``IndexFormatError``
+the dual-heap search's, a table rebuilt from its hubs and flat rows
+(what an index file stores) answers the same, corrupt cells raise
+``IndexFormatError``
 where a query reads them (tree walks included), and the policy
 resolution behind ``oracle="auto"`` matches its documentation.
 """
@@ -21,7 +22,6 @@ from repro.shortestpath import (
     HubOracle,
     ORACLE_POLICIES,
     build_oracle,
-    oracle_from_payload,
     resolve_oracle_kind,
 )
 from repro.shortestpath.bidirectional import bridge_domains
@@ -109,7 +109,7 @@ class TestPolicyResolution:
         from_gen = build_oracle(network, "auto", (b for b in bridges))
         assert from_gen is not None
         assert from_gen.hubs == from_list.hubs
-        assert from_gen.to_payload() == from_list.to_payload()
+        assert from_gen.rows.tobytes() == from_list.rows.tobytes()
 
 
 class TestHubOracle:
@@ -181,16 +181,14 @@ class TestHubOracle:
                 assert got == want
 
     def test_payload_round_trip(self, bridged, oracle, targets):
+        """A table rebuilt from a copy of its hubs and flat rows -- the
+        payload an index file stores -- answers the same."""
         network, bridges = bridged
-        payload = oracle.to_payload()
-        back = oracle_from_payload(
-            {k: (v.tolist() if isinstance(v, memoryview) else v)
-             for k, v in payload.items()},
-            network, bridges)
-        assert isinstance(back, HubOracle)
+        back = HubOracle(list(oracle.hubs), array("d", oracle.rows),
+                         network)
         assert back.hubs == oracle.hubs
         assert back.entry_count() == oracle.entry_count()
-        assert back.to_payload() == payload
+        assert back.rows.tobytes() == oracle.rows.tobytes()
         u, v = bridges[0]
         weight = network.edge_weight(u, v)
         assert (back.domains(u, v, weight, targets)
@@ -209,7 +207,8 @@ class TestHubOracle:
     def test_parallel_build_identical(self, bridged, oracle):
         network, bridges = bridged
         parallel = HubOracle.build(network, bridges, jobs=3)
-        assert parallel.to_payload() == oracle.to_payload()
+        assert parallel.hubs == oracle.hubs
+        assert parallel.rows.tobytes() == oracle.rows.tobytes()
 
 
 class TestScreen:
@@ -249,15 +248,13 @@ class TestScreen:
                    for memo in oracle._verdicts.values())
 
 
-def _patched(oracle, network, bridges, hub, vertex, value):
+def _patched(oracle, network, hub, vertex, value):
     """A copy of ``oracle`` with one ``dist`` cell of one row
     overwritten."""
-    payload = oracle.to_payload()
-    cells = array("d", payload["dist"])
+    cells = array("d", oracle.rows)
     cells[oracle.hubs.index(hub) * network.num_vertices + vertex] = value
-    payload["dist"] = cells
-    return oracle_from_payload(payload, network, bridges,
-                               source="idx.bin", section="ordist")
+    return HubOracle(oracle.hubs, cells, network, source="idx.bin",
+                     section="ordist")
 
 
 def tight_neighbours(network, row, x):
@@ -289,7 +286,7 @@ class TestCorruptCells:
         u, v = bridges[0]
         x = next(x for x in range(network.num_vertices)
                  if x not in (u, v))
-        bad = _patched(oracle, network, bridges, v, x, value)
+        bad = _patched(oracle, network, v, x, value)
         with pytest.raises(IndexFormatError,
                            match=rf"idx\.bin: section 'ordist', row of"
                                  rf" endpoint {v}: distance to vertex {x}"):
@@ -299,7 +296,7 @@ class TestCorruptCells:
     def test_bad_single_cell(self, bridged, oracle, value):
         network, bridges = bridged
         hub = bridges[0][1]
-        bad = _patched(oracle, network, bridges, hub, 3, value)
+        bad = _patched(oracle, network, hub, 3, value)
         assert oracle.distance(hub, 3) == oracle.dist_row(hub)[3]
         with pytest.raises(IndexFormatError,
                            match=rf"idx\.bin: section 'ordist', row of"
@@ -317,7 +314,7 @@ class TestCorruptCells:
         weight = network.edge_weight(u, v)
         x = next(x for x in range(network.num_vertices)
                  if x not in (u, v))
-        bad = _patched(oracle, network, bridges, v, x, value)
+        bad = _patched(oracle, network, v, x, value)
         others = [y for y in range(network.num_vertices) if y != x]
         bad.screen(u, v, weight, others)
         with pytest.raises(IndexFormatError) as reference:
@@ -350,7 +347,7 @@ class TestCorruptCells:
         else:
             y = next(y for child, y in zip(chain, chain[1:-1])
                      if tight_neighbours(network, row, child) == [y])
-        bad = _patched(oracle, network, bridges, u, y,
+        bad = _patched(oracle, network, u, y,
                        walk_corruption(value, row, y))
         for _ in range(2):
             with pytest.raises(IndexFormatError,
@@ -358,40 +355,3 @@ class TestCorruptCells:
                                      rf" endpoint {u}: vertex"):
                 bad.collect_paths(u, [x], set())
         assert bad._preds[u][y] == -1
-
-    def test_payload_checks(self, bridged, oracle):
-        network, bridges = bridged
-        n = network.num_vertices
-        payload = oracle.to_payload()
-        hubs = list(payload["hubs"])
-        for bad_hubs, message in (
-                (hubs[:-1], "not the bridge endpoints"),
-                (hubs[::-1], "not sorted"),
-                ([n] + hubs[1:], f"endpoint {n} out of range"),
-                ([-1] + hubs[1:], "endpoint -1 out of range")):
-            with pytest.raises(IndexFormatError, match=message):
-                oracle_from_payload(dict(payload, hubs=bad_hubs),
-                                    network, bridges)
-        with pytest.raises(IndexFormatError, match="'dist' holds"):
-            oracle_from_payload(dict(payload, dist=payload["dist"][1:]),
-                                network, bridges)
-        with pytest.raises(IndexFormatError, match="bad cell"):
-            oracle_from_payload(dict(payload, dist=["x"] * (
-                len(hubs) * n)), network, bridges)
-
-    def test_stored_predecessor_rows_rejected(self, bridged, oracle):
-        """A payload from an older build still carries ``pred`` rows:
-        rebuild, as for the retired hub labels."""
-        network, bridges = bridged
-        payload = dict(oracle.to_payload(), pred=[-1] * (
-            oracle.entry_count()))
-        with pytest.raises(IndexFormatError,
-                           match="predecessor rows.*rebuild the index"):
-            oracle_from_payload(payload, network, bridges)
-
-
-class TestPayloadValidation:
-    def test_unknown_kind_raises(self):
-        for kind in ("plateau", "ch"):
-            with pytest.raises(ValueError, match="unknown oracle payload"):
-                oracle_from_payload({"kind": kind}, 1, [])

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.errors import IndexFormatError
 from repro.graph.io import read_dimacs
 
 
@@ -57,7 +58,7 @@ class TestStats:
 class TestBuildAndQuery:
     @pytest.fixture()
     def built_index(self, generated_map, tmp_path):
-        out = tmp_path / "map.index.json"
+        out = tmp_path / "map.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "6", "--out", str(out)])
@@ -110,14 +111,40 @@ class TestQueryFlagValidation:
 
     @pytest.mark.parametrize("flag", [
         ["--epsilon", "0"], ["--epsilon", "1.5"], ["--epsilon", "nan"],
-        ["--vertices", "1,x"], ["--vertices", ""]],
+        ["--vertices", "1,x"], ["--vertices", ""],
+        ["--deadline-ms", "0"], ["--deadline-ms", "-5"],
+        ["--deadline-ms", "nan"], ["--deadline-ms", "inf"]],
         ids=["epsilon-0", "epsilon-1.5", "epsilon-nan", "vertices-not-int",
-             "vertices-empty"])
+             "vertices-empty", "deadline-0", "deadline-negative",
+             "deadline-nan", "deadline-inf"])
     def test_rejected_by_the_parser(self, generated_map, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["query", "--graph", f"{generated_map}.gr",
                   "--coords", f"{generated_map}.co",
                   "--algorithm", "blq"] + flag)
+        assert excinfo.value.code == 2
+        assert f"argument {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["build-index", "--out", "x.rpix"], ["--borders", "1"]),
+        (["build-index", "--out", "x.rpix"], ["--borders", "0"]),
+        (["build-index", "--out", "x.rpix"], ["--borders", "-3"]),
+        (["build-index", "--out", "x.rpix"], ["--borders", "2.5"]),
+        (["serve"], ["--deadline-ms", "0"]),
+        (["serve"], ["--deadline-ms", "-5"]),
+        (["serve"], ["--deadline-ms", "nan"])],
+        ids=["borders-1", "borders-0", "borders-negative",
+             "borders-not-int", "serve-deadline-0",
+             "serve-deadline-negative", "serve-deadline-nan"])
+    def test_build_and_serve_flags_rejected_by_the_parser(
+            self, generated_map, capsys, argv, flag):
+        """A border count below 2 would otherwise die in the build with
+        a ValueError traceback, and a non-positive serve budget would
+        start a daemon that answers 400 to every request without its
+        own ``deadline_ms``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--graph", f"{generated_map}.gr",
+                         "--coords", f"{generated_map}.co"] + flag)
         assert excinfo.value.code == 2
         assert f"argument {flag[0]}" in capsys.readouterr().err
 
@@ -135,7 +162,7 @@ class TestQueryFlagValidation:
 class TestStatsFlags:
     @pytest.fixture()
     def built_index(self, generated_map, tmp_path):
-        out = tmp_path / "map.index.json"
+        out = tmp_path / "map.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "6", "--out", str(out)])
@@ -178,7 +205,7 @@ class TestStatsFlags:
 
     def test_build_index_stats_json(self, generated_map, tmp_path,
                                     capsys):
-        out = tmp_path / "traced.index.json"
+        out = tmp_path / "traced.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "5", "--out", str(out),
@@ -192,7 +219,7 @@ class TestStatsFlags:
 
     def test_build_index_stats_render(self, generated_map, tmp_path,
                                       capsys):
-        out = tmp_path / "traced.index.json"
+        out = tmp_path / "traced.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "5", "--out", str(out), "--stats"])
@@ -218,7 +245,7 @@ class TestModuleEntryPoint:
 
 class TestContourOptions:
     def test_hull_contour_build(self, generated_map, tmp_path, capsys):
-        out = tmp_path / "hull.index.json"
+        out = tmp_path / "hull.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "5", "--contour", "hull",
@@ -231,7 +258,7 @@ class TestContourOptions:
 class TestBatchQuery:
     @pytest.fixture()
     def built_index(self, generated_map, tmp_path):
-        out = tmp_path / "map.index.json"
+        out = tmp_path / "map.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "6", "--out", str(out)])
@@ -326,7 +353,7 @@ class TestBatchQuery:
 class TestDeadlineFlags:
     @pytest.fixture()
     def built_index(self, generated_map, tmp_path):
-        out = tmp_path / "map.index.json"
+        out = tmp_path / "map.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "6", "--out", str(out)])
@@ -371,7 +398,7 @@ class TestDeadlineFlags:
 class TestIndexTools:
     @pytest.fixture()
     def built_index(self, generated_map, tmp_path):
-        out = tmp_path / "map.index.json"
+        out = tmp_path / "map.rpix"
         code = main(["build-index", "--graph", f"{generated_map}.gr",
                      "--coords", f"{generated_map}.co",
                      "--borders", "6", "--out", str(out)])
@@ -380,43 +407,55 @@ class TestIndexTools:
 
     def test_convert_round_trip(self, generated_map, built_index,
                                 tmp_path, capsys):
-        """JSON -> binary -> JSON reproduces the original file, and the
-        converted index answers queries."""
-        binary = tmp_path / "map.rpix"
-        code = main(["index", "convert", "--graph",
-                     f"{generated_map}.gr", "--coords",
-                     f"{generated_map}.co", "--in", str(built_index),
-                     "--out", str(binary)])
-        assert code == 0
-        assert "(bin:" in capsys.readouterr().out
-        back = tmp_path / "back.json"
-        code = main(["index", "convert", "--graph",
-                     f"{generated_map}.gr", "--coords",
-                     f"{generated_map}.co", "--in", str(binary),
-                     "--out", str(back)])
-        assert code == 0
-        assert "(json:" in capsys.readouterr().out
-        assert back.read_text() == built_index.read_text()
-        code = main(["query", "--graph", f"{generated_map}.gr",
-                     "--coords", f"{generated_map}.co",
-                     "--index", str(binary),
+        """Stripping the table and attaching it again reproduces the
+        built file byte for byte, the stripped file equals an --oracle
+        none build, and the converted index answers queries."""
+        files = ["--graph", f"{generated_map}.gr", "--coords",
+                 f"{generated_map}.co"]
+        plain = tmp_path / "plain.rpix"
+        assert main(["build-index", *files, "--borders", "6",
+                     "--oracle", "none", "--out", str(plain)]) == 0
+        stripped = tmp_path / "stripped.rpix"
+        capsys.readouterr()
+        assert main(["index", "convert", *files, "--in", str(built_index),
+                     "--out", str(stripped), "--oracle", "none"]) == 0
+        assert "oracle=none)" in capsys.readouterr().out
+        assert stripped.read_bytes() == plain.read_bytes()
+        lifted = tmp_path / "lifted.rpix"
+        assert main(["index", "convert", *files, "--in", str(stripped),
+                     "--out", str(lifted), "--oracle", "auto"]) == 0
+        assert "oracle=hub)" in capsys.readouterr().out
+        assert lifted.read_bytes() == built_index.read_bytes()
+        code = main(["query", *files, "--index", str(lifted),
                      "--algorithm", "roadpart", "--epsilon", "0.25",
                      "--seed", "2", "--verify"])
         assert code == 0
 
-    def test_info_both_formats(self, generated_map, built_index,
-                               tmp_path, capsys):
-        binary = tmp_path / "map.rpix"
-        assert main(["index", "convert", "--graph",
-                     f"{generated_map}.gr", "--coords",
-                     f"{generated_map}.co", "--in", str(built_index),
-                     "--out", str(binary)]) == 0
-        capsys.readouterr()
-        assert main(["index", "info", "--in", str(binary)]) == 0
+    def test_convert_needs_an_oracle_policy(self, generated_map,
+                                            built_index, capsys):
+        """``convert`` only attaches or strips the table: without
+        --oracle it has nothing to do, and --format is gone."""
+        files = ["--graph", f"{generated_map}.gr", "--coords",
+                 f"{generated_map}.co", "--in", str(built_index),
+                 "--out", "y.rpix"]
+        for extra in ([], ["--oracle", "keep"],
+                      ["--oracle", "none", "--format", "json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["index", "convert", *files, *extra])
+            assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "the following arguments are required: --oracle" in err
+        assert "invalid choice: 'keep'" in err
+        assert "unrecognized arguments: --format json" in err
+
+    def test_info_both_formats(self, built_index, tmp_path, capsys):
+        """``index info`` describes a bin-v4 file and refuses a JSON
+        index from an older build with the rebuild note."""
+        assert main(["index", "info", "--in", str(built_index)]) == 0
         out = capsys.readouterr().out
         # build-index defaults to --oracle auto and the generated map has
-        # bridges, so the converted binary carries the table (v4): dist
-        # rows only, the predecessors are derived from them.
+        # bridges, so the file carries the table (v4): dist rows only,
+        # the predecessors are derived from them.
         assert "roadpart-index-bin-v4" in out
         assert "borders (l): 6" in out
         assert "section regionof" in out
@@ -424,12 +463,11 @@ class TestIndexTools:
         assert "orpred" not in out
         assert "oracle:      hub (endpoint tree table:" in out
         assert "dist rows" in out and "pred" not in out
-        assert main(["index", "info", "--in", str(built_index)]) == 0
-        out = capsys.readouterr().out
-        assert "roadpart-index-v1" in out
-        assert "borders (l): 6" in out
-        assert "oracle:      hub (endpoint tree table:" in out
-        assert "dist rows" in out and "pred" not in out
+        old = tmp_path / "old.json"
+        old.write_text('{"format": "roadpart-index-v1"}')
+        with pytest.raises(IndexFormatError,
+                           match="roadpart-index-v1.*rebuild the index"):
+            main(["index", "info", "--in", str(old)])
 
     def test_build_says_why_no_table(self, generated_map, tmp_path,
                                      capsys):
@@ -446,15 +484,15 @@ class TestIndexTools:
                      f"{prefix}.co")
         files = ["--graph", f"{prefix}.gr", "--coords", f"{prefix}.co"]
         assert main(["build-index", *files, "--borders", "6",
-                     "--out", str(tmp_path / "zero.json")]) == 0
+                     "--out", str(tmp_path / "zero.rpix")]) == 0
         out = capsys.readouterr().out
         note = (f"oracle: none: edge ({first.u}, {first.v}) of weight"
                 f" 0.0 does not exceed ulp(2W)")
         assert "oracle=none" in out and note in out
         assert "RoadPart answers with the dual heap" in out
         assert main(["index", "convert", *files, "--in",
-                     str(tmp_path / "zero.json"), "--out",
-                     str(tmp_path / "zero.rpix"), "--oracle", "auto"]) == 0
+                     str(tmp_path / "zero.rpix"), "--out",
+                     str(tmp_path / "lifted.rpix"), "--oracle", "auto"]) == 0
         assert note in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
@@ -462,8 +500,8 @@ class TestIndexTools:
         ["index", "convert", "--in", "x.idx", "--out", "y.rpix"]])
     @pytest.mark.parametrize("policy", ["hub", "ch"])
     def test_retired_oracle_policies_rejected(self, argv, policy, capsys):
-        """--oracle takes auto|none (convert also keep); the per-kind
-        policies are argparse errors."""
+        """--oracle takes auto|none; the per-kind policies are argparse
+        errors."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv + ["--graph", "g.gr", "--coords", "g.co",
                          "--oracle", policy])

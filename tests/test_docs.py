@@ -31,6 +31,13 @@ RETIRED_ENGINE_NEEDLES = ("REPRO_VEC_DISABLE", "repro.shortestpath.vec",
                           "VecDijkstraSearch", "FloodEngine",
                           "vec_backend", "repro[vec]", "{flat,dict,numpy}")
 
+# Surfaces of the retired JSON index layout that no doc may still
+# describe: the sniffing loader and convert's target-layout option.
+RETIRED_FORMAT_NEEDLES = ("load_auto", "sniff_binary", "--format")
+
+# The refusal a JSON index file gets (repro.core.roadpart.binfmt).
+JSON_REBUILD_NOTE = "JSON indexes (roadpart-index-v1) are no longer read"
+
 
 @pytest.fixture(scope="module")
 def observability_doc():
@@ -218,8 +225,26 @@ class TestServingDoc:
             assert f"`{tag.decode('ascii')}`" in serving_doc, (
                 f"section {tag!r} missing from docs/serving.md")
         for needle in ("mmap", "IndexFormatError", "save_binary",
-                       "load_binary", "load_auto", "memoryview"):
+                       "load_binary", "memoryview"):
             assert needle in serving_doc
+        # One layout: no loader sniffs between formats, and convert no
+        # longer translates to another one.
+        for gone in RETIRED_FORMAT_NEEDLES:
+            assert gone not in serving_doc, (
+                f"{gone!r} still in docs/serving.md")
+
+    def test_documents_the_json_rebuild_note(self, serving_doc, tmp_path):
+        """The doc quotes the refusal a JSON index gets; it must track
+        the real message."""
+        from repro.core.roadpart import binfmt
+        from repro.errors import IndexFormatError
+        old = tmp_path / "old.idx"
+        old.write_text('{"format": "roadpart-index-v1"}')
+        with pytest.raises(IndexFormatError) as excinfo:
+            binfmt.read_header(old)
+        note = str(excinfo.value).split(": ", 1)[1]
+        assert note.startswith(JSON_REBUILD_NOTE)
+        assert " ".join(note.split()) in " ".join(serving_doc.split())
 
     def test_documents_cli_surface(self, serving_doc):
         for needle in ("repro serve", "index convert", "index info",
@@ -254,11 +279,14 @@ class TestReadmeLinks:
 
     def test_readme_serving_quickstart(self):
         readme = (REPO_ROOT / "README.md").read_text()
-        for needle in ("build-index", "index convert", "repro serve",
+        for needle in ("build-index", "repro serve",
                        "/query", "/healthz", "/metrics",
                        "X-Repro-Cache"):
             assert needle in readme, (
                 f"{needle!r} missing from the README quickstart")
+        # build-index writes the served file: no convert step.
+        for gone in RETIRED_FORMAT_NEEDLES:
+            assert gone not in readme, f"{gone!r} still in README.md"
 
     def test_architecture_doc_names_all_subsystems(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
@@ -297,15 +325,17 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("DPSDaemon", "binfmt", "ResultCache",
                        "canonical_key", "mmap", "save_binary",
-                       "load_auto", "roadpart-index-bin-v4"):
+                       "load_binary", "roadpart-index-bin-v4"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "roadpart-index-bin-v1" not in doc
+        for gone in RETIRED_FORMAT_NEEDLES + ("map.index.json",):
+            assert gone not in doc, f"{gone!r} still in architecture.md"
 
     def test_architecture_doc_covers_distance_oracles(self):
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("HubOracle", "build_oracle",
-                       "oracle_from_payload", "roadpart-index-bin-v4",
+                       "read_index_binary", "roadpart-index-bin-v4",
                        "repro.shortestpath.oracle",
                        "ORACLE_CHECK_RATIO", "endpoint tree table",
                        "collect_path_vertices", "_in_domain",
@@ -315,6 +345,7 @@ class TestReadmeLinks:
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "CHOracle" not in doc
+        assert "oracle_from_payload" not in doc
 
     def test_docs_describe_the_dist_only_table(self):
         """The table stores dist rows only (bin-v4): no doc or docstring

@@ -9,6 +9,7 @@ signal shutdown only exists at the process level."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import subprocess
@@ -113,6 +114,15 @@ class TestLifecycleAndRouting:
             with pytest.raises(ValueError, match="unknown engine"):
                 DPSDaemon(medium_network, algorithm="ble", engine=engine)
 
+    def test_daemon_rejects_a_bad_default_deadline(self, medium_network):
+        """A default budget that is not a positive, finite number is
+        refused at construction: such a daemon would answer 400 to
+        every request that carries no ``deadline_ms`` of its own."""
+        for deadline in (0, -5, math.nan, math.inf, True, "100"):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                DPSDaemon(medium_network, algorithm="ble",
+                          deadline_ms=deadline)
+
 
 class TestQueryEndpoint:
     def test_answer_matches_direct_call(self, base, daemon, window,
@@ -179,6 +189,10 @@ class TestRequestValidation:
         ({"Q": [1], "fallback": "ble"}, "list of algorithm names"),
         ({"Q": [1], "fallback": ["warp"]}, "unknown fallback"),
         ({"Q": [10 ** 9]}, "outside the network"),
+        # json reads NaN and Infinity; a NaN budget would never expire.
+        ({"Q": [1], "deadline_ms": math.nan}, "deadline_ms"),
+        ({"Q": [1], "deadline_ms": math.inf}, "deadline_ms"),
+        ({"Q": [1], "deadline_ms": 10 ** 400}, "deadline_ms"),
     ])
     def test_bad_requests_are_400(self, base, payload, fragment):
         status, body, headers = _post(base, payload)

@@ -72,12 +72,12 @@ class TestRenderers:
 class TestLoadedIndexRendering:
     def test_partition_render_without_contour(self, medium_network,
                                               medium_index, tmp_path):
-        """An index loaded from JSON has no contour object; the renderer
-        must cope (no polyline, everything else drawn)."""
+        """A loaded index has no contour object; the renderer must cope
+        (no polyline, everything else drawn)."""
         from repro.core.roadpart.index import RoadPartIndex
-        path = tmp_path / "index.json"
-        medium_index.save(path)
-        loaded = RoadPartIndex.load(path, medium_network)
+        path = tmp_path / "index.rpix"
+        medium_index.save_binary(path)
+        loaded = RoadPartIndex.load_binary(path, medium_network)
         assert loaded.contour is None
         root = _parse(render_partition(loaded))
         assert not root.findall(f"{SVG_NS}polyline")
