@@ -7,11 +7,13 @@ labelling over the same endpoints, which dominated the build.  This
 experiment times both over the same network and the same endpoints:
 
 - ``table``: :meth:`~repro.shortestpath.oracle.HubOracle.build`, what
-  ``build_index`` runs;
+  ``build_index`` runs, on every usable CPU (its rows fork once they
+  add up to :data:`~repro.shortestpath.oracle.FORK_ROW_SETTLES`
+  settles; ``taskset -c 0`` times it on one);
 - ``pll``: the scalar
   :class:`~repro.shortestpath.hub_labels.HubLabelIndex` with the
   endpoints as its hubs, by descending degree -- one pruned Dijkstra
-  per hub.
+  per hub, serially.
 
 A warm-up builds both once and doubles as a correctness cross-check:
 on a fixed sample of ``(vertex, endpoint)`` pairs the labelling's

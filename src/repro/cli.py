@@ -40,6 +40,13 @@ index layout, ``roadpart-index-bin-v4`` (``repro.core.roadpart.binfmt``):
 ``index convert`` attaches (``--oracle auto``) or strips (``--oracle
 none``) an index's endpoint tree table without relabelling, and
 ``index info`` describes an index file without loading its payload.
+
+``build-index`` (and ``index convert --oracle auto``) forks over every
+usable CPU once a phase's work is large enough; the summary line's
+``workers=`` says how many processes ran, and ``taskset -c 0`` keeps
+a build to one, with the same bytes.  A bad input file -- not a
+well-formed index, or a path that cannot be read or written -- exits 2
+with one ``error:`` line on stderr, as a bad flag does.
 """
 
 from __future__ import annotations
@@ -66,6 +73,7 @@ from repro.datasets.synthetic import (
     multi_city_network,
     ring_radial_network,
 )
+from repro.errors import IndexFormatError
 from repro.graph.builder import validate_network
 from repro.graph.io import read_dimacs, write_dimacs
 from repro.graph.network import RoadNetwork
@@ -175,14 +183,14 @@ def _cmd_build_index(args) -> int:
     started = time.perf_counter()
     index = build_index(network, args.borders,
                         contour_strategy=args.contour, trace=trace,
-                        jobs=args.jobs, engine=args.engine,
-                        oracle=args.oracle)
+                        engine=args.engine, oracle=args.oracle)
     index.save_binary(args.out)
     print(f"index built in {time.perf_counter() - started:.2f}s:"
           f" l={index.border_count}, |R|={index.regions.region_count},"
           f" bridges={len(index.bridges)},"
           f" contour={index.stats.contour_strategy_used},"
-          f" oracle={index.stats.oracle_kind}", file=chat)
+          f" oracle={index.stats.oracle_kind},"
+          f" workers={index.stats.workers}", file=chat)
     if index.oracle is not None:
         print(f"oracle: {index.oracle.describe()}, built in"
               f" {index.stats.oracle_seconds:.2f}s", file=chat)
@@ -467,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="index file to write"
                             " (roadpart-index-bin-v4, whatever the"
                             " extension)")
-    build.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the labelling rounds"
-                            " and the oracle table (fork-based; the"
-                            " index is byte-identical to --jobs 1)")
     build.add_argument("--engine", choices=list(ENGINES),
                        default="flat",
                        help="A* kernel for the cuts (byte-identical"
@@ -608,8 +612,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command; a bad input file (not a well-formed index, or
+    a path that cannot be read or written) exits 2 with one ``error:``
+    line on stderr, as a bad flag does."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except IndexFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests

@@ -38,9 +38,22 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.roadpart.regions import RegionSet
 from repro.core.roadpart.window import Label, LabelBits, comp, set_bits
-from repro.graph.network import RoadNetwork
+from repro.forkpool import fork_pool, inherited, pool_size
+from repro.graph.network import Edge, RoadNetwork
 
 EdgeKey = Tuple[int, int]
+
+#: Edges the join must probe before it forks (:func:`bridge_join`).
+#: Measured on grids of 1,440–6,239 edges with two CPUs and a warm
+#: ``Rtree(E)``: a probe costs 16–19 µs and a forked join about 15–34 ms
+#: more than half the serial one (opening and joining the pool, copy-on-
+#: write faults in the inherited tree), so forking pays from about
+#: 2 × 22 ms / 17.5 µs ≈ 2,500 edges.  It measured 0.84–1.02× at
+#: 2,105–2,897 edges and 1.31× at 4,150.  Below 5,000 edges a fork
+#: saves under 25 ms a build, so the threshold sits there and the test
+#: suite's networks (at most 4,145 edges, COL-S) keep the serial join;
+#: EAST-S (21,128 edges) forks at 1.49×.
+FORK_EDGES = 5_000
 
 #: Orders of the cut pairs ``L`` for Theorem 7 (:func:`theorem7_survivors`).
 CUT_PAIR_ORDERS = ("load", "dimension")
@@ -53,12 +66,46 @@ def find_bridges(network: RoadNetwork) -> FrozenSet[EdgeKey]:
     marking shortcut: an edge already marked as a bridge skips its own
     probe (its crossing partners marked it, and they were marked with it).
     ``O(|E| · d log |E|)`` for the small crossing fan-out ``d`` of road
-    networks.
+    networks.  A large network's join runs on every usable CPU (see
+    :func:`bridge_join`).
     """
+    return bridge_join(network)[0]
+
+
+def bridge_join(network: RoadNetwork) -> Tuple[FrozenSet[EdgeKey], int]:
+    """:func:`find_bridges` and how many processes ran the join.
+
+    The caller builds ``Rtree(E)`` first, so fork workers inherit it
+    and it stays cached for the contour walk and later builds.  When
+    :func:`~repro.forkpool.pool_size` grants ``k > 1`` processes for
+    the edge count (see :data:`FORK_EDGES`), edge ``i`` of
+    ``network.edges()`` goes to share ``i mod k``; each share probes
+    its own edges with its own marking shortcut, and the result is the
+    union of the shares' marked sets.  That is the serial set: the
+    crossing predicate is symmetric and marking only skips probes, so
+    every crossing pair is still found by one of its two edges, and
+    every marked edge crosses another.
+    """
+    network.edge_rtree()
+    edges = list(network.edges())
+    shares = pool_size(len(edges), FORK_EDGES, len(edges))
+    if shares == 1:
+        return frozenset(_probe(network, edges)), 1
+    marked: Set[EdgeKey] = set()
+    with fork_pool(shares, network=network, edges=edges) as pool:
+        for found in pool.map(_probe_share, [(share, shares) for share
+                                             in range(shares)]):
+            marked |= found
+    return frozenset(marked), shares
+
+
+def _probe(network: RoadNetwork, edges: Iterable[Edge]) -> Set[EdgeKey]:
+    """The join over ``edges``: each unmarked edge probes ``Rtree(E)``
+    and marks itself and its proper crossings."""
     marked: Set[EdgeKey] = set()
     edge_tree = network.edge_rtree()
     coords = network.coords
-    for edge in network.edges():
+    for edge in edges:
         key = (edge.u, edge.v)
         if key in marked:
             continue
@@ -67,7 +114,15 @@ def find_bridges(network: RoadNetwork) -> FrozenSet[EdgeKey]:
         if crossings:
             marked.add(key)
             marked.update(crossings)
-    return frozenset(marked)
+    return marked
+
+
+def _probe_share(share: Tuple[int, int]) -> Set[EdgeKey]:
+    """Share ``i`` of ``k`` of the join, in a fork worker."""
+    i, k = share
+    context = inherited()
+    return _probe(context["network"],  # type: ignore[arg-type]
+                  context["edges"][i::k])  # type: ignore[index]
 
 
 @dataclass(frozen=True)

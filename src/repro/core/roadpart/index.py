@@ -29,14 +29,12 @@ import time
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Union
 
-from repro.forkpool import may_fork
-
 from repro.core.roadpart import binfmt
 from repro.core.roadpart.border import select_borders
-from repro.core.roadpart.bridges import BridgeLabelBits, EdgeKey, find_bridges
+from repro.core.roadpart.bridges import BridgeLabelBits, EdgeKey, bridge_join
 from repro.core.roadpart.contour import Contour, compute_contour
-from repro.core.roadpart.labeling import CutCache, label_round
-from repro.core.roadpart.parallel import run_parallel_labeling
+from repro.core.roadpart.labeling import CutCache
+from repro.core.roadpart.parallel import run_labeling
 from repro.core.roadpart.regions import RegionBuilder, RegionSet
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
@@ -70,6 +68,9 @@ class IndexBuildStats:
     oracle_kind: str = "none"
     #: table cells, endpoints x |V| (0 without a table).
     oracle_entries: int = 0
+    #: the most processes any phase ran on (1: the whole build was
+    #: serial; see :func:`build_index`).
+    workers: int = 1
 
 
 @dataclass
@@ -177,7 +178,6 @@ def build_index(network: RoadNetwork, border_count: int,
                 border_method: str = "equi-length",
                 bridges: Optional[FrozenSet[EdgeKey]] = None,
                 trace: Optional[TraceRecorder] = None,
-                jobs: int = 1,
                 engine: str = "flat",
                 oracle: str = "none",
                 ) -> RoadPartIndex:
@@ -188,31 +188,37 @@ def build_index(network: RoadNetwork, border_count: int,
     the spatial self-join runs here.  ``contour_strategy`` is passed to
     :func:`repro.core.roadpart.contour.compute_contour`; a failed walk
     falls back to the hull contour and records the fact in the stats.
-
-    ``jobs > 1`` runs the cut computation and the labelling rounds
-    across that many fork workers (see
-    :mod:`repro.core.roadpart.parallel`); the resulting index is
-    byte-identical to a serial build.  Platforms without ``fork`` fall
-    back to the serial loop silently.  ``engine`` selects the A* kernel
-    for the cuts (``'flat'``/``'dict'``; identical cuts either way, see
-    :mod:`repro.shortestpath.flat`), so any ``jobs``/``engine``
-    combination produces a **byte-identical index**.
+    ``engine`` selects the A* kernel for the cuts (``'flat'``/``'dict'``;
+    identical cuts either way, see :mod:`repro.shortestpath.flat`).
 
     ``oracle`` (``"none"``/``"auto"``, see
     :mod:`repro.shortestpath.oracle`) adds the endpoint tree table
     after labelling when ``auto`` finds bridges: one full Dijkstra per
-    bridge endpoint, always with the flat kernel, spread over ``jobs``
-    fork workers with the same byte-identity guarantee.  A network
-    where a relaxation could absorb an edge
+    bridge endpoint, always with the flat kernel.  A network where a
+    relaxation could absorb an edge
     (:func:`~repro.shortestpath.oracle.table_obstacle`) gets no table:
     ``stats.oracle_kind`` stays ``"none"`` and RoadPart answers with
     the dual heap.
 
+    The build uses every usable CPU by itself.  The bridge join, the
+    cut sweep with the labelling rounds, and the table rows each fork
+    over the usable CPUs once their estimated work reaches the phase's
+    threshold (:data:`~repro.core.roadpart.bridges.FORK_EDGES`,
+    :data:`~repro.core.roadpart.parallel.FORK_LABEL_WORK`,
+    :data:`~repro.shortestpath.oracle.FORK_ROW_SETTLES`) and
+    :func:`~repro.forkpool.may_fork` allows it; otherwise each runs its
+    serial loop.  ``stats.workers`` is the most processes any phase
+    ran on; ``taskset -c 0`` restricts a build to one.  Any worker
+    count and either engine write a **byte-identical index** with the
+    same stats counts, and no worker outlives the call.
+
     ``trace`` (optional, see :mod:`repro.obs.trace`) records a nested
     span tree of the build: ``bridges`` / ``contour`` / ``labeling`` with
     one ``round-<i>`` child per labelling round, itself broken into
-    ``cuts`` / ``flood`` / ``pockets``; a table build adds an ``oracle``
-    span with one ``trees`` child (the per-endpoint Dijkstras).
+    ``cuts`` / ``flood`` / ``pockets`` (forked rounds add one
+    ``cuts`` span before them, the up-front cut sweep); a table build
+    adds an ``oracle`` span with one ``trees`` child (the per-endpoint
+    Dijkstras).
     """
     trace = resolve_trace(trace)
     stats = IndexBuildStats()
@@ -221,7 +227,7 @@ def build_index(network: RoadNetwork, border_count: int,
     step = time.perf_counter()
     with trace.span("bridges"):
         if bridges is None:
-            bridges = find_bridges(network)
+            bridges, stats.workers = bridge_join(network)
     stats.bridge_find_seconds = time.perf_counter() - step
 
     step = time.perf_counter()
@@ -241,18 +247,9 @@ def build_index(network: RoadNetwork, border_count: int,
         # and the stopwatch both time it.
         cut_cache = CutCache(network, forbidden_edges=bridge_set,
                              engine=engine)
-        if jobs > 1 and may_fork():
-            rounds = run_parallel_labeling(network, contour,
-                                           border_positions, bridge_set,
-                                           cut_cache, jobs, trace)
-        else:
-            rounds = []
-            for round_index in range(len(border_positions)):
-                with trace.span(f"round-{round_index}"):
-                    rounds.append(label_round(network, contour,
-                                              border_positions,
-                                              round_index, bridge_set,
-                                              cut_cache, trace=trace))
+        rounds, workers = run_labeling(network, contour, border_positions,
+                                       bridge_set, cut_cache, trace)
+        stats.workers = max(stats.workers, workers)
         for labels, round_stats in rounds:
             builder.apply_round(labels)
             stats.raycast_calls += round_stats.raycast_calls
@@ -269,11 +266,12 @@ def build_index(network: RoadNetwork, border_count: int,
         step = time.perf_counter()
         with trace.span("oracle"):
             built_oracle = build_oracle(network, oracle, bridges,
-                                        trace=trace, jobs=jobs)
+                                        trace=trace)
         if built_oracle is not None:
             stats.oracle_seconds = time.perf_counter() - step
             stats.oracle_kind = built_oracle.kind
             stats.oracle_entries = built_oracle.entry_count()
+            stats.workers = max(stats.workers, built_oracle.workers)
 
     stats.build_seconds = time.perf_counter() - started
     border_ids = [contour.vertex_ids[pos] for pos in border_positions]

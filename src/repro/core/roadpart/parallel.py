@@ -1,9 +1,13 @@
-"""Parallel RoadPart index build (fork-based labelling rounds).
+"""Forked RoadPart labelling: the cut sweep and the labelling rounds.
 
 The ``ℓ`` labelling rounds of the index build are embarrassingly
 parallel once their one shared *mutable* input -- the cut cache -- is
-filled: a round only reads the network, the contour and the cuts.  The
-build therefore splits into two fork-based phases:
+filled: a round only reads the network, the contour and the cuts.
+:func:`run_labeling` runs the serial loop unless
+:func:`repro.forkpool.pool_size` grants more than one process for the
+work (``rounds × |V|`` against :data:`FORK_LABEL_WORK`: fork exists, no
+other thread is alive, not inside a pool worker, two usable CPUs or
+more).  A forked labelling runs two fork-based phases:
 
 A. **cuts** -- the border-pair shortest paths (``ℓ(ℓ-1)/2`` of them)
    are computed across workers, each pair in the canonical
@@ -17,13 +21,13 @@ B. **rounds** -- each labelling round runs in a worker against the
 
 Because the cut paths are identical to the serial ones (same A*, same
 orientation, same skeleton-with-fallback policy) and rounds are applied
-in order, the built index is **byte-identical** to a serial build --
-pinned by ``tests/core/roadpart/test_parallel_build.py``.
+in order, the built index is **byte-identical** to a serial build, with
+the same ``astar_expanded``/``fallback_cuts`` counts -- pinned by
+``tests/core/roadpart/test_parallel_build.py``.
 
 Workers inherit their input through ``fork`` copy-on-write, as the
 context of a :func:`repro.forkpool.fork_pool` (no per-task pickling of
-the network); where :func:`repro.forkpool.may_fork` refuses, the caller
-runs the serial loop instead.
+the network).
 """
 
 from __future__ import annotations
@@ -38,9 +42,18 @@ from repro.core.roadpart.labeling import (
     label_round,
 )
 from repro.forkpool import fork_available  # noqa: F401 (re-exported)
-from repro.forkpool import fork_pool, inherited
+from repro.forkpool import fork_pool, inherited, pool_size
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder
+
+#: Labelling work, rounds × |V|, before the cut sweep and the rounds
+#: fork (:func:`run_labeling`).  Measured on grids of 840–3,600 vertices
+#: with two CPUs: a unit costs 2.7–4.5 µs serially, and the two pools of
+#: a forked labelling cost about 35 ms more than half the serial rounds,
+#: so forking pays from about 2 × 35 ms / 3.4 µs ≈ 21,000 units.  It
+#: measured 0.83–0.94× at 13,440–21,600 units and 1.14× at 28,800;
+#: EAST-S (12 rounds × 12,099 vertices) forks at 1.59×.
+FORK_LABEL_WORK = 25_000
 
 
 def _cut_keys(border_ids: Sequence[int]) -> List[Tuple[int, int]]:
@@ -80,14 +93,44 @@ def _label_round_worker(round_index: int):
     return round_index, labels, stats, recorder.root.children
 
 
-def run_parallel_labeling(network: RoadNetwork, contour: Contour,
-                          border_positions: Sequence[int],
-                          bridge_set: Set[Tuple[int, int]],
-                          cuts: CutCache, jobs: int,
-                          trace: TraceRecorder,
-                          ) -> List[Tuple[List[Label], RoundStats]]:
-    """Fill ``cuts`` and run every labelling round across ``jobs`` fork
-    workers; returns the per-round ``(labels, stats)`` in round order.
+def run_labeling(network: RoadNetwork, contour: Contour,
+                 border_positions: Sequence[int],
+                 bridge_set: Set[Tuple[int, int]], cuts: CutCache,
+                 trace: TraceRecorder,
+                 ) -> Tuple[List[Tuple[List[Label], RoundStats]], int]:
+    """Run every labelling round; returns the per-round ``(labels,
+    stats)`` in round order and how many processes ran them.
+
+    The rounds fork when :func:`~repro.forkpool.pool_size` grants more
+    than one process for ``rounds × |V|`` (see
+    :data:`FORK_LABEL_WORK`); otherwise the serial loop runs, with one
+    ``round-<i>`` span per round under the active span of ``trace``.
+    """
+    count = len(border_positions)
+    processes = pool_size(count * network.num_vertices, FORK_LABEL_WORK,
+                          count)
+    if processes > 1:
+        return _forked_labeling(network, contour, border_positions,
+                                bridge_set, cuts, processes,
+                                trace), processes
+    rounds = []
+    for round_index in range(count):
+        with trace.span(f"round-{round_index}"):
+            rounds.append(label_round(network, contour, border_positions,
+                                      round_index, bridge_set, cuts,
+                                      trace=trace))
+    return rounds, 1
+
+
+def _forked_labeling(network: RoadNetwork, contour: Contour,
+                     border_positions: Sequence[int],
+                     bridge_set: Set[Tuple[int, int]],
+                     cuts: CutCache, processes: int,
+                     trace: TraceRecorder,
+                     ) -> List[Tuple[List[Label], RoundStats]]:
+    """Fill ``cuts`` and run every labelling round across
+    ``processes`` fork workers; returns the per-round ``(labels,
+    stats)`` in round order.
 
     The rounds' worker-recorded trace spans are attached under the
     active span of ``trace`` in round order, so the span tree matches a
@@ -100,16 +143,17 @@ def run_parallel_labeling(network: RoadNetwork, contour: Contour,
                "border_positions": list(border_positions),
                "bridges": bridge_set, "cuts": cuts}
     keys = _cut_keys(border_ids)
-    chunks = [c for c in (keys[i::jobs] for i in range(jobs)) if c]
+    chunks = [c for c in (keys[i::processes] for i in range(processes))
+              if c]
     with trace.span("cuts"):
-        with fork_pool(jobs, **context) as pool:
+        with fork_pool(processes, **context) as pool:
             for result in pool.map(_compute_cuts_worker, chunks):
                 for key, path, expanded, fallbacks in result:
                     cuts.preload(key, path, expanded, fallbacks)
     # Second pool: phase-B workers must fork *after* the merge so they
     # inherit the filled cache.
     rounds: List = [None] * len(border_positions)
-    with fork_pool(jobs, **context) as pool:
+    with fork_pool(processes, **context) as pool:
         for round_index, labels, stats, spans in pool.map(
                 _label_round_worker, range(len(border_positions))):
             rounds[round_index] = (labels, stats)

@@ -1,8 +1,9 @@
 """Fork workers: the one helper behind every process pool in repro.
 
-Four callers spread read-only work over processes: the labelling rounds
-of the parallel index build (:mod:`repro.core.roadpart.parallel`), the
-endpoint tree table rows (:mod:`repro.shortestpath.oracle`), the
+Five callers spread read-only work over processes: the bridge join
+(:mod:`repro.core.roadpart.bridges`), the cut sweep and labelling rounds
+(:mod:`repro.core.roadpart.parallel`) and the endpoint tree table rows
+(:mod:`repro.shortestpath.oracle`) of the index build, the
 batched-query driver (:mod:`repro.serve`) and the SSSP rounds of BL-Q
 and the hull (:mod:`repro.shortestpath.settle`).  Their inputs are
 large (the network, its CSR arrays, an index) and never written, so the
@@ -23,6 +24,11 @@ Whether a pool may fork here at all is decided in one place,
   in the child forever.  The threaded serving daemon therefore never
   forks, and every pool forks its processes before it starts its own
   manager thread.
+
+The forked SSSP rounds and the index build's phases size their pools
+with :func:`pool_size`: a phase forks only when its estimated work
+reaches the phase's threshold, more than one CPU is usable and
+:func:`may_fork` allows it.
 
 Every pool is a ``ProcessPoolExecutor`` on the fork context, opened and
 joined within one ``with`` block: no worker outlives the call that
@@ -75,6 +81,17 @@ def may_fork() -> bool:
     not itself a pool worker and it runs no other thread."""
     return (_CTX is None and threading.active_count() == 1
             and fork_available())
+
+
+def pool_size(work: float, threshold: float, tasks: int) -> int:
+    """How many processes should share ``tasks`` independent tasks of
+    ``work`` estimated units: 1 (the caller's serial loop) unless there
+    are two tasks or more, the work reaches ``threshold`` and
+    :func:`may_fork` allows it; otherwise the usable CPUs, at most one
+    per task (so one usable CPU also reads 1)."""
+    if tasks < 2 or work < threshold or not may_fork():
+        return 1
+    return min(usable_cpus(), tasks)
 
 
 def inherited() -> Dict[str, object]:

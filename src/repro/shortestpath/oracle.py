@@ -82,12 +82,13 @@ otherwise.
 from __future__ import annotations
 
 import math
+import mmap
 from array import array
 from operator import itemgetter
 from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.errors import IndexFormatError
-from repro.forkpool import fork_pool, inherited, may_fork
+from repro.forkpool import fork_pool, inherited, pool_size
 from repro.graph.csr import CSRGraph
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
@@ -98,6 +99,16 @@ from repro.shortestpath.paths import collect_path_vertices
 #: Build/query policies: ``auto`` (a table when there are bridges,
 #: resolved by :func:`resolve_oracle_kind`) and ``none`` (no oracle).
 ORACLE_POLICIES = ("auto", "none")
+
+#: Settles, hubs × |V|, the table rows must add up to before they fork
+#: (:func:`_build_rows`).  Measured on grids of 840–3,600 vertices with
+#: two CPUs: a settle costs 0.9 µs and a forked table about 15–29 ms
+#: more than half the serial one, so forking pays from about
+#: 2 × 20 ms / 0.9 µs ≈ 45,000 settles, and it measured 1.3× at
+#: 66,000–91,000.  Below 100,000 that saves under 25 ms a build, so the
+#: threshold sits there and the test suite's networks (at most 66,360
+#: settles) keep the serial rows; EAST-S (1.7 million) forks at 1.74×.
+FORK_ROW_SETTLES = 100_000
 
 #: A target's verdict byte in a bridge's memo (:meth:`HubOracle.screen`):
 #: not read yet, in neither domain, in ``UD*``, in ``VD*``.
@@ -169,12 +180,13 @@ def table_obstacle(network: RoadNetwork) -> Optional[str]:
 # Construction
 # ----------------------------------------------------------------------
 
-def _fill_rows(csr: CSRGraph, hubs: Sequence[int], rows: array) -> None:
-    """One full flat Dijkstra per hub, row ``i`` written in place into
-    ``rows[i·|V| : (i + 1)·|V|]``."""
+def _fill_rows(csr: CSRGraph, hubs: Sequence[int], rows: memoryview,
+               lo: int, hi: int) -> None:
+    """One full flat Dijkstra per hub of ``hubs[lo:hi]``, row ``i``
+    written in place into ``rows[i·|V| : (i + 1)·|V|]``."""
     n = csr.num_vertices
-    for i, hub in enumerate(hubs):
-        search = FlatDijkstraSearch(csr, hub)
+    for i in range(lo, hi):
+        search = FlatDijkstraSearch(csr, hubs[i])
         try:
             search.run_to_exhaustion()
             rows[i * n:(i + 1) * n] = search.dense_dist()
@@ -182,47 +194,46 @@ def _fill_rows(csr: CSRGraph, hubs: Sequence[int], rows: array) -> None:
             search.release()
 
 
-def _empty_rows(cells: int) -> array:
-    """A float64 array of ``cells`` cells, allocated once."""
-    return array("d", [0.0]) * cells
-
-
-def _rows_worker(bounds: Tuple[int, int]) -> bytes:
-    """Rows of ``hubs[lo:hi]`` in a fork worker, as raw bytes."""
-    lo, hi = bounds
+def _rows_worker(bounds: Tuple[int, int]) -> Tuple[int, int]:
+    """Fill the rows of ``hubs[lo:hi]`` in a fork worker, straight into
+    the caller's shared pages; returns the range."""
     context = inherited()
-    csr: CSRGraph = context["csr"]  # type: ignore[assignment]
-    rows = _empty_rows((hi - lo) * csr.num_vertices)
-    _fill_rows(csr, context["hubs"][lo:hi], rows)  # type: ignore[index]
-    return rows.tobytes()
+    _fill_rows(context["csr"], context["hubs"],  # type: ignore[arg-type]
+               context["rows"], *bounds)  # type: ignore[arg-type]
+    return bounds
 
 
-def _build_rows(csr: CSRGraph, hubs: Sequence[int], jobs: int) -> array:
-    """The ``dist`` rows, serially or across ``jobs`` fork workers.
+def _build_rows(csr: CSRGraph, hubs: Sequence[int]
+                ) -> Tuple[memoryview, int]:
+    """The ``dist`` rows as a read-only float64 view, and how many
+    processes built them.
 
-    The array is allocated once and every row (or worker range) is
-    written into its own slice, so it is byte-identical to a serial
-    build whatever ``jobs`` is.
+    The rows live in one anonymous shared mapping, allocated once
+    whoever fills it.  When :func:`~repro.forkpool.pool_size` grants
+    more than one process (see :data:`FORK_ROW_SETTLES`), fork workers
+    fill ranges of a few rows each straight into it and hand back only
+    the range.  Every row is written into its own slice, so the bytes
+    equal a serial build's whatever the process count.  The view is
+    read-only once built: later forks (BL-Q and hull rounds,
+    :func:`~repro.serve.run_queries`) share the mapping, and none of
+    them may write into the caller's table.
     """
     n = csr.num_vertices
-    rows = _empty_rows(len(hubs) * n)
-    if jobs <= 1 or len(hubs) < 2 or not may_fork():
-        _fill_rows(csr, hubs, rows)
-        return rows
+    cells = len(hubs) * n
+    rows = memoryview(mmap.mmap(-1, 8 * max(cells, 1))).cast("d")[:cells]
+    processes = pool_size(cells, FORK_ROW_SETTLES, len(hubs))
+    if processes == 1:
+        _fill_rows(csr, hubs, rows, 0, len(hubs))
+        return rows.toreadonly(), 1
     # A few ranges per worker even out hubs with smaller components.
-    step = max(1, -(-len(hubs) // (4 * jobs)))
+    step = max(1, -(-len(hubs) // (4 * processes)))
     ranges = [(lo, min(lo + step, len(hubs)))
               for lo in range(0, len(hubs), step)]
-    row_bytes = n * rows.itemsize
-    cells = memoryview(rows).cast("B")
-    try:
-        with fork_pool(jobs, csr=csr, hubs=list(hubs)) as pool:
-            for (lo, hi), raw in zip(ranges,
-                                     pool.map(_rows_worker, ranges)):
-                cells[lo * row_bytes:hi * row_bytes] = raw
-    finally:
-        cells.release()
-    return rows
+    with fork_pool(processes, csr=csr, hubs=list(hubs),
+                   rows=rows) as pool:
+        # Reading every range back raises the first worker error.
+        list(pool.map(_rows_worker, ranges))
+    return rows.toreadonly(), processes
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +276,10 @@ class HubOracle:
     """The endpoint tree table: a full ``dist`` row per hub.
 
     ``hubs`` are the distinct bridge endpoints, ascending; ``dist``
-    holds one row of ``|V|`` cells per hub, hub-major -- an ``array``
-    after a build, a zero-copy view over the file after a binary load,
-    which no query materialises (rows are ``memoryview`` slices).
+    holds one row of ``|V|`` cells per hub, hub-major -- a read-only
+    view over an anonymous shared mapping after a build, a zero-copy
+    view over the file after a binary load, which no query materialises
+    (rows are ``memoryview`` slices).
     ``network`` is the network the rows were built on; its adjacency
     is what :meth:`preds` derives the trees from.  ``source`` and
     ``section`` name the file and the row section in corrupt-cell
@@ -293,20 +305,25 @@ class HubOracle:
         #: Derived predecessors per walked hub, ``-1`` where not derived
         #: yet (see :meth:`preds`).
         self._preds: Dict[int, array] = {}
+        #: Processes that filled the rows (:meth:`build`); 1 for a
+        #: loaded table.
+        self.workers = 1
 
     @classmethod
     def build(cls, network: RoadNetwork,
               bridges: Iterable[Tuple[int, int]],
-              trace: Optional[TraceRecorder] = None,
-              jobs: int = 1) -> "HubOracle":
+              trace: Optional[TraceRecorder] = None) -> "HubOracle":
         """Run one full flat Dijkstra per distinct bridge endpoint.
 
         Always the flat kernel, whatever engine the rest of a build
-        uses; ``jobs > 1`` spreads the hubs over fork workers with a
-        byte-identical result.  The work is recorded as one ``trees``
-        span under the caller's active span.  A network that
-        :func:`table_obstacle` refuses raises :class:`ValueError`
-        naming the edge.
+        uses.  The rows are written in place into one shared mapping,
+        on every usable CPU once they add up to
+        :data:`FORK_ROW_SETTLES` settles, with the serial build's bytes
+        either way; :attr:`rows` is then a read-only view of it and
+        :attr:`workers` says how many processes filled it.  The work is
+        recorded as one ``trees`` span under the caller's active span.
+        A network that :func:`table_obstacle` refuses raises
+        :class:`ValueError` naming the edge, before any row work.
         """
         obstacle = table_obstacle(network)
         if obstacle is not None:
@@ -314,8 +331,10 @@ class HubOracle:
         trace = resolve_trace(trace)
         hubs = sorted({e for bridge in bridges for e in bridge})
         with trace.span("trees"):
-            dist = _build_rows(network.csr(), hubs, jobs)
-        return cls(hubs, dist, network)
+            dist, workers = _build_rows(network.csr(), hubs)
+        table = cls(hubs, dist, network)
+        table.workers = workers
+        return table
 
     # -- rows ------------------------------------------------------------
 
@@ -484,8 +503,8 @@ class HubOracle:
 
 def build_oracle(network: RoadNetwork, kind: str,
                  bridges: Iterable[Tuple[int, int]],
-                 trace: Optional[TraceRecorder] = None,
-                 jobs: int = 1) -> Optional[HubOracle]:
+                 trace: Optional[TraceRecorder] = None
+                 ) -> Optional[HubOracle]:
     """Build the oracle a policy resolves to (``None`` for none, and
     under ``auto`` for a network that :func:`table_obstacle` refuses:
     RoadPart then answers with the dual heap).
@@ -499,4 +518,4 @@ def build_oracle(network: RoadNetwork, kind: str,
         return None
     if table_obstacle(network) is not None:
         return None
-    return HubOracle.build(network, bridges, trace=trace, jobs=jobs)
+    return HubOracle.build(network, bridges, trace=trace)

@@ -77,7 +77,8 @@ sum; neither depends on the order the rounds ran in, so both equal the
 serial loop's at any ``k``.
 
 - *When.*  The caller runs the first round, then forks only when
-  (rounds − 1) × that round's settles reach :data:`FORK_SETTLES` and
+  :func:`~repro.forkpool.pool_size` grants it: (rounds − 1) × that
+  round's settles reach :data:`FORK_SETTLES` and
   :func:`~repro.forkpool.may_fork` allows it (``fork`` exists, no other
   thread is alive, not already inside a pool worker), with ``k`` the
   usable CPUs, at most one per round.  The rule is a count, so whether
@@ -109,7 +110,7 @@ from typing import (ContextManager, Dict, Iterable, List, NamedTuple,
                     Optional, Set, Tuple)
 
 from repro.errors import DeadlineExceeded
-from repro.forkpool import fork_pool, inherited, may_fork, usable_cpus
+from repro.forkpool import fork_pool, inherited, pool_size
 from repro.graph.network import RoadNetwork
 from repro.obs.counters import NULL_COUNTERS, SearchCounters
 from repro.shortestpath.deadline import DEADLINE_CHECK_INTERVAL, Deadline
@@ -186,7 +187,9 @@ def settle_targets(network: RoadNetwork, sources: Iterable[int],
     rounds = _Rounds(network, target_list, allowed, deadline, resolved)
     try:
         first = rounds.run(source_list[0], into, tally, sssp, collect)
-        shares = _share_count(len(source_list), first)
+        # Fork when the rounds after the first are worth it (and safe).
+        shares = pool_size((len(source_list) - 1) * first, FORK_SETTLES,
+                           len(source_list))
         if shares == 1:
             for s in source_list[1:]:
                 rounds.run(s, into, tally, sssp, collect)
@@ -196,15 +199,6 @@ def settle_targets(network: RoadNetwork, sources: Iterable[int],
     finally:
         rounds.close()
     return SettleRun(len(source_list), shares)
-
-
-def _share_count(rounds: int, first_settles: int) -> int:
-    """How many processes run the rounds: 1 (the serial loop) unless
-    the rounds after the first are worth a fork and forking is safe."""
-    if (rounds < 2 or (rounds - 1) * first_settles < FORK_SETTLES
-            or not may_fork()):
-        return 1
-    return min(usable_cpus(), rounds)
 
 
 def _run_forked(rounds: "_Rounds", sources: List[int], shares: int,

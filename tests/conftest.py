@@ -12,11 +12,31 @@ import math
 
 import pytest
 
+from repro import forkpool
 from repro.core.dps import DPSQuery
+from repro.core.roadpart import bridges, parallel
 from repro.core.roadpart.index import build_index
 from repro.datasets.queries import window_query
 from repro.datasets.synthetic import add_bridges, grid_network
 from repro.graph.network import RoadNetwork
+from repro.shortestpath import oracle
+
+#: Each index-build phase's fork threshold: the bridge join, the
+#: labelling, the table rows.
+BUILD_THRESHOLDS = ((bridges, "FORK_EDGES"), (parallel, "FORK_LABEL_WORK"),
+                    (oracle, "FORK_ROW_SETTLES"))
+
+
+@pytest.fixture
+def force_build_forks(monkeypatch):
+    """``force_build_forks(cpus)`` makes every index-build phase fork
+    over ``cpus`` processes, small inputs included, wherever
+    :func:`repro.forkpool.may_fork` allows it."""
+    def force(cpus: int = 2) -> None:
+        monkeypatch.setattr(forkpool, "usable_cpus", lambda: cpus)
+        for module, name in BUILD_THRESHOLDS:
+            monkeypatch.setattr(module, name, 0)
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -392,9 +392,13 @@ class TestSerialisation:
 class TestBuildDeterminism:
     @needs_fork
     def test_parallel_build_matches_serial_with_oracle(
-            self, medium_network, hub_index, tmp_path):
-        parallel = build_index(medium_network, border_count=8, jobs=2,
+            self, medium_network, hub_index, tmp_path, force_build_forks):
+        force_build_forks(2)
+        parallel = build_index(medium_network, border_count=8,
                                oracle="auto")
+        assert parallel.stats.workers >= 2
+        assert parallel.oracle.workers >= 2
+        assert hub_index.stats.workers == 1
         serial_path = tmp_path / "serial.bin"
         parallel_path = tmp_path / "parallel.bin"
         hub_index.save_binary(serial_path)
@@ -422,16 +426,23 @@ class TestBuildDeterminism:
         assert tables[0].hubs == tables[1].hubs
         assert tables[0].rows.tobytes() == tables[1].rows.tobytes()
 
-    def test_oracle_index_files_byte_identical(self, tmp_path):
+    def test_oracle_index_files_byte_identical(self, tmp_path,
+                                               force_build_forks):
         """--oracle auto index files compare equal, byte for byte,
-        across engine=dict|flat, serial and --jobs 2."""
+        across engine=dict|flat, serial and forked over two
+        processes."""
         network, bridges = _bridged_fixture(9)
         paths = []
-        for engine in ("dict", "flat"):
-            for jobs in (1, 2):
-                index = build_index(network, 6, bridges=bridges, jobs=jobs,
+        for processes in (1, 2):
+            if processes == 2:
+                if not fork_available():
+                    break
+                force_build_forks(2)
+            for engine in ("dict", "flat"):
+                index = build_index(network, 6, bridges=bridges,
                                     engine=engine, oracle="auto")
-                path = tmp_path / f"{engine}-{jobs}.rpix"
+                assert index.stats.workers == processes
+                path = tmp_path / f"{engine}-{processes}.rpix"
                 index.save_binary(str(path))
                 paths.append(path)
         for path in paths[1:]:

@@ -37,6 +37,7 @@ from repro.core.ble import bl_efficiency
 from repro.core.blq import bl_quality
 from repro.core.dps import DPSQuery
 from repro.core.hull import convex_hull_dps
+from repro import forkpool
 from repro.forkpool import fork_available
 from repro.graph.network import RoadNetwork
 from repro.obs import QueryStats
@@ -183,7 +184,7 @@ def _forked_or_serial(run, network, query, work):
     vertices, rounds and counters, or its error text."""
     stats = QueryStats()
     with mock.patch.object(settle, "FORK_SETTLES", work), \
-            mock.patch.object(settle, "usable_cpus", lambda: 2):
+            mock.patch.object(forkpool, "usable_cpus", lambda: 2):
         try:
             result = run(network, query, stats)
         except ValueError as exc:

@@ -18,6 +18,7 @@ import pytest
 from repro.core.roadpart.bridges import find_bridges
 from repro.datasets.synthetic import add_bridges, grid_network
 from repro.errors import IndexFormatError
+from repro.forkpool import fork_available
 from repro.shortestpath import (
     HubOracle,
     ORACLE_POLICIES,
@@ -204,11 +205,29 @@ class TestHubOracle:
                                         * network.num_vertices)
         assert oracle.row_bytes() == 8 * oracle.entry_count()
 
-    def test_parallel_build_identical(self, bridged, oracle):
+    @pytest.mark.skipif(not fork_available(),
+                        reason="fork start method unavailable")
+    def test_parallel_build_identical(self, bridged, oracle,
+                                      force_build_forks):
         network, bridges = bridged
-        parallel = HubOracle.build(network, bridges, jobs=3)
-        assert parallel.hubs == oracle.hubs
-        assert parallel.rows.tobytes() == oracle.rows.tobytes()
+        assert oracle.workers == 1
+        for cpus in (2, 3):
+            force_build_forks(cpus)
+            parallel = HubOracle.build(network, bridges)
+            assert parallel.workers == cpus
+            assert parallel.hubs == oracle.hubs
+            assert parallel.rows.tobytes() == oracle.rows.tobytes()
+            assert parallel.rows.readonly
+
+    def test_built_rows_are_a_read_only_view(self, oracle):
+        rows = oracle.rows
+        assert rows.readonly and rows.format == "d"
+        with pytest.raises(TypeError):
+            rows[0] = 1.0
+        hub = oracle.hubs[0]
+        with pytest.raises(TypeError):
+            oracle.dist_row(hub)[hub] = 1.0
+        assert oracle.distance(hub, hub) == 0.0
 
 
 class TestScreen:

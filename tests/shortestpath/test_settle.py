@@ -19,6 +19,7 @@ from repro.core.hull import convex_hull_dps
 from repro.core.roadpart.query import roadpart_dps
 from repro.datasets.queries import window_query
 from repro.errors import DeadlineExceeded
+from repro import forkpool
 from repro.forkpool import fork_available
 from repro.graph.network import RoadNetwork
 from repro.obs import QueryStats
@@ -141,7 +142,7 @@ needs_fork = pytest.mark.skipif(
 def fork_always(monkeypatch):
     """Every call of two or more rounds forks, over two processes."""
     monkeypatch.setattr(settle, "FORK_SETTLES", 0)
-    monkeypatch.setattr(settle, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkpool, "usable_cpus", lambda: 2)
 
 
 class _ExpiresInWorkers(Deadline):
@@ -170,7 +171,7 @@ def _no_worker_left():
 def _serial_and_forked(monkeypatch, call, cpus=2):
     """``call(stats)`` run serially, then with every round forked over
     ``cpus`` processes; returns both ``(result, stats)`` pairs."""
-    monkeypatch.setattr(settle, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forkpool, "usable_cpus", lambda: cpus)
     runs = []
     for work in (math.inf, 0):
         monkeypatch.setattr(settle, "FORK_SETTLES", work)
@@ -240,7 +241,7 @@ class TestForkedRounds:
                                                    engine, off_map):
         # Two shares: with {1, 2} the lowest failing source lies in the
         # worker's share, with {2, 3} in the caller's.
-        monkeypatch.setattr(settle, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(forkpool, "usable_cpus", lambda: 2)
         serial = _unreachable_from(off_map, engine, monkeypatch, math.inf)
         forked = _unreachable_from(off_map, engine, monkeypatch, 0)
         assert forked == serial

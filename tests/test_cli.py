@@ -2,13 +2,14 @@
 ``repro.cli.main`` for speed; one smoke test through ``python -m``)."""
 
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repro.cli import main
-from repro.errors import IndexFormatError
 from repro.graph.io import read_dimacs
 
 
@@ -465,9 +466,10 @@ class TestIndexTools:
         assert "dist rows" in out and "pred" not in out
         old = tmp_path / "old.json"
         old.write_text('{"format": "roadpart-index-v1"}')
-        with pytest.raises(IndexFormatError,
-                           match="roadpart-index-v1.*rebuild the index"):
-            main(["index", "info", "--in", str(old)])
+        assert main(["index", "info", "--in", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {old}: ")
+        assert re.search("roadpart-index-v1.*rebuild the index", err)
 
     def test_build_says_why_no_table(self, generated_map, tmp_path,
                                      capsys):
@@ -523,3 +525,75 @@ class TestIndexTools:
                      "--coords", f"{generated_map}.co"])
         assert code == 2
         assert "--index" in capsys.readouterr().err
+
+
+class TestInputFileErrors:
+    """A bad input file -- not a well-formed index, or a path that
+    cannot be read or written -- exits 2 with one ``error:`` line that
+    names it, through every command that reads one."""
+
+    @pytest.fixture()
+    def files(self, generated_map, tmp_path):
+        old = tmp_path / "old.idx"
+        old.write_text('{"format": "roadpart-index-v1"}')
+        return {"gr": f"{generated_map}.gr", "co": f"{generated_map}.co",
+                "old": str(old), "missing": str(tmp_path / "missing.rpix"),
+                "out": str(tmp_path / "out.rpix")}
+
+    CASES = {
+        "query-json-index": (["query", "--graph", "{gr}", "--coords",
+                              "{co}", "--index", "{old}"], "old"),
+        "query-missing-index": (["query", "--graph", "{gr}", "--coords",
+                                 "{co}", "--index", "{missing}"],
+                                "missing"),
+        "query-missing-graph": (["query", "--graph", "{missing}",
+                                 "--coords", "{co}", "--algorithm",
+                                 "ble"], "missing"),
+        "serve-json-index": (["serve", "--graph", "{gr}", "--coords",
+                              "{co}", "--index", "{old}", "--port", "0"],
+                             "old"),
+        "serve-missing-index": (["serve", "--graph", "{gr}", "--coords",
+                                 "{co}", "--index", "{missing}",
+                                 "--port", "0"], "missing"),
+        "build-index-missing-graph": (["build-index", "--graph",
+                                       "{missing}", "--coords", "{co}",
+                                       "--out", "{out}"], "missing"),
+        "build-index-unwritable-out": (["build-index", "--graph", "{gr}",
+                                        "--coords", "{co}", "--borders",
+                                        "4", "--out",
+                                        "{missing}/x.rpix"], "missing"),
+        "index-info-json": (["index", "info", "--in", "{old}"], "old"),
+        "index-info-missing": (["index", "info", "--in", "{missing}"],
+                               "missing"),
+        "index-convert-json": (["index", "convert", "--graph", "{gr}",
+                                "--coords", "{co}", "--in", "{old}",
+                                "--out", "{out}", "--oracle", "none"],
+                               "old"),
+        "index-convert-missing": (["index", "convert", "--graph", "{gr}",
+                                   "--coords", "{co}", "--in",
+                                   "{missing}", "--out", "{out}",
+                                   "--oracle", "auto"], "missing"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_error_line(self, files, case, capsys):
+        argv, named = self.CASES[case]
+        code = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert files[named] in captured.err
+        if named == "old":
+            assert "rebuild the index" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not os.path.exists(files["out"])
+
+    def test_through_python_dash_m(self, files):
+        """No traceback reaches a shell either."""
+        run = subprocess.run(
+            [sys.executable, "-m", "repro", "index", "info", "--in",
+             files["old"]], capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2
+        assert run.stderr.startswith(f"error: {files['old']}: ")
+        assert "Traceback" not in run.stderr

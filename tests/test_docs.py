@@ -5,6 +5,7 @@ These are deliberately shallow greps — they catch renames that would
 silently strand the documentation, not prose quality."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -451,6 +452,50 @@ class TestReadmeLinks:
             doc = (REPO_ROOT / "docs" / page).read_text()
             for needle in words:
                 assert needle in doc, f"{needle!r} missing from docs/{page}"
+
+    def test_docs_cover_forked_index_build(self):
+        """The index build forks on every usable CPU by default: when
+        each phase forks (its documented threshold equals the code's),
+        the shared-page rows and their read-only view, the ``workers``
+        stat, and ``taskset`` as the way to restrict a build."""
+        from repro.core.roadpart.bridges import FORK_EDGES
+        from repro.core.roadpart.parallel import FORK_LABEL_WORK
+        from repro.shortestpath.oracle import FORK_ROW_SETTLES
+        needles = {
+            "docs/architecture.md": (
+                "pool_size", "bridge_join", "run_labeling",
+                f"`FORK_EDGES` ({FORK_EDGES:,} edges)",
+                f"`FORK_LABEL_WORK` ({FORK_LABEL_WORK:,} rounds × |V|)",
+                f"`FORK_ROW_SETTLES` ({FORK_ROW_SETTLES:,} hubs × |V|)",
+                "IndexBuildStats.workers", "mmap.mmap(-1",
+                "toreadonly()", "taskset -c 0", "byte-identical"),
+            "docs/observability.md": ("IndexBuildStats.workers",
+                                      "workers=1", "taskset -c 0",
+                                      "up-front cut sweep"),
+            "README.md": ("taskset -c 0", "workers="),
+            ".claude/skills/verify/SKILL.md": ("taskset -c 0",
+                                               "force_build_forks"),
+        }
+        for page, words in needles.items():
+            doc = (REPO_ROOT / page).read_text()
+            for needle in words:
+                assert needle in doc, f"{needle!r} missing from {page}"
+
+    def test_no_build_index_jobs_flag_documented(self):
+        """``build-index`` has no ``--jobs``: no command in the docs, the
+        README, the verify skill or CI passes it one (``query --jobs``,
+        the batch driver's, stays)."""
+        pages = [REPO_ROOT / "README.md",
+                 REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+                 REPO_ROOT / ".github" / "workflows" / "ci.yml",
+                 *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        for page in pages:
+            # Join backslash-continued lines: one command per line.
+            text = re.sub(r"\\\n\s*", " ", page.read_text())
+            for line in text.splitlines():
+                if "build-index" in line:
+                    assert not re.search(r"--jobs\b", line), (
+                        f"{page.name}: {line.strip()}")
 
     def test_workers_extra_merges_as_a_gauge(self):
         from repro.obs.stats import QueryStats

@@ -1,10 +1,10 @@
 """Tests for :mod:`repro.forkpool`, the one fork helper.
 
-The callers' own suites pin their answers under ``jobs > 1``; these pin
+The callers' own suites pin their answers when they fork; these pin
 the helper's guards (one thread, no nesting, the affinity mask), the
-inherited context and its clean-up, and that a caller passing
-``jobs > 1`` falls back to its serial loop, with the same bytes, when
-another thread is alive.
+inherited context and its clean-up, :func:`pool_size`, and that a
+caller that would fork falls back to its serial loop, with the same
+bytes, when another thread is alive.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from repro.core.dps import DPSQuery
 from repro.core.roadpart.index import build_index
 from repro.datasets.queries import window_query
 from repro.datasets.synthetic import add_bridges, grid_network
+from repro import forkpool
 from repro.forkpool import (fork_available, fork_pool, inherited, may_fork,
-                            usable_cpus)
+                            pool_size, usable_cpus)
 from repro.obs.trace import TraceRecorder
 from repro.serve import run_queries
 
@@ -89,6 +90,18 @@ class TestPool:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == 1
 
+    def test_pool_size_needs_work_tasks_cpus_and_one_thread(
+            self, monkeypatch):
+        monkeypatch.setattr(forkpool, "usable_cpus", lambda: 4)
+        assert pool_size(100, 100, 8) == 4
+        assert pool_size(100, 100, 3) == 3
+        assert pool_size(99, 100, 8) == 1
+        assert pool_size(100, 0, 1) == 1
+        with another_thread():
+            assert pool_size(100, 0, 8) == 1
+        monkeypatch.setattr(forkpool, "usable_cpus", lambda: 1)
+        assert pool_size(100, 0, 8) == 1
+
     def test_a_pool_refuses_to_open_beside_another_thread(self):
         with another_thread():
             with pytest.raises(RuntimeError, match="may_fork"):
@@ -99,7 +112,8 @@ class TestPool:
 
 @needs_fork
 class TestJobsCallersUnderAThread:
-    """``jobs > 1`` with another thread alive runs the serial loop."""
+    """A forking caller with another thread alive runs the serial
+    loop: an index build forced to fork, ``run_queries(jobs=2)``."""
 
     @pytest.fixture(scope="class")
     def network(self):
@@ -107,20 +121,26 @@ class TestJobsCallersUnderAThread:
         return add_bridges(base, 4, (2.0, 5.0), seed=32)[0]
 
     def test_build_index_builds_serially_with_the_same_bytes(
-            self, network, tmp_path):
+            self, network, tmp_path, force_build_forks):
         serial = build_index(network, border_count=5, oracle="auto")
+        force_build_forks(2)
+        forked = build_index(network, border_count=5, oracle="auto")
+        assert forked.stats.workers >= 2
         trace = TraceRecorder()
         with another_thread():
             guarded = build_index(network, border_count=5, oracle="auto",
-                                  jobs=2, trace=trace)
-        # A parallel build adds a parent-level "cuts" span.
+                                  trace=trace)
+        assert guarded.stats.workers == 1
+        # A forked build adds a parent-level "cuts" span.
         labeling = trace.find("labeling")
         assert [c.label for c in labeling.children] \
             == [f"round-{i}" for i in range(5)]
-        for name, index in (("serial", serial), ("guarded", guarded)):
+        for name, index in (("serial", serial), ("guarded", guarded),
+                            ("forked", forked)):
             index.save_binary(tmp_path / f"{name}.rpix")
         assert ((tmp_path / "serial.rpix").read_bytes()
-                == (tmp_path / "guarded.rpix").read_bytes())
+                == (tmp_path / "guarded.rpix").read_bytes()
+                == (tmp_path / "forked.rpix").read_bytes())
         assert guarded.oracle is not None
 
     def test_run_queries_answers_serially(self, network):
