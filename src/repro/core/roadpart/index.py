@@ -36,6 +36,7 @@ from repro.core.roadpart.contour import Contour, compute_contour
 from repro.core.roadpart.labeling import CutCache
 from repro.core.roadpart.parallel import run_labeling
 from repro.core.roadpart.regions import RegionBuilder, RegionSet
+from repro.errors import IndexFormatError
 from repro.graph.network import RoadNetwork
 from repro.obs.trace import TraceRecorder, resolve_trace
 from repro.shortestpath.oracle import (
@@ -149,14 +150,13 @@ class RoadPartIndex:
         those of the index that was saved.  Raises
         :class:`~repro.errors.IndexFormatError` naming the path for a
         file that is not a well-formed ``roadpart-index-bin-v4`` index
-        (a JSON index from an older build included), and a plain
-        :class:`ValueError` when the file is fine but was built for a
-        different network.
+        (a JSON index from an older build included) or that was built
+        for a network with another vertex count.
         """
         payload = binfmt.read_index_binary(path)
         if payload.header.num_vertices != network.num_vertices:
-            raise ValueError(
-                f"index built for {payload.header.num_vertices}"
+            raise IndexFormatError(
+                f"{path}: index built for {payload.header.num_vertices}"
                 f" vertices, network has {network.num_vertices}")
         regions = RegionSet(payload.region_of, payload.vectors)
         index = cls(network, payload.border_vertex_ids, regions,

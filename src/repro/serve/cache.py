@@ -17,6 +17,17 @@ The cache is a plain ``OrderedDict`` LRU under one lock (the daemon is
 threaded), with monotone hit/miss/eviction counters exported through
 ``/metrics``.  Failures are never cached -- they carry timings and may
 be transient.
+
+Next to the entries it keeps *byte-repeat aliases*: raw request body ->
+``(canonical key, resolved engine)``, recorded for every body answered
+200.  Equal bytes are an equal request (the body carries the algorithm,
+the sets, the engine, the deadline and the fallback; the daemon's
+defaults and oracle policy are fixed for its lifetime), so
+:meth:`ResultCache.get_raw` may answer a repeat before any JSON decode.
+It reads, bumps and counts the canonical entry exactly as :meth:`get`
+would, and an alias whose entry was evicted is dropped and answers
+nothing: hit, miss and eviction counts and the LRU order stay those of
+the canonical cache alone.
 """
 
 from __future__ import annotations
@@ -26,6 +37,13 @@ from collections import OrderedDict
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.dps import DPSQuery
+
+#: Largest request body kept as a byte-repeat alias.  ``json.dumps``
+#: spends 7 bytes on a five-digit vertex id (the id, a comma and a
+#: space), so 64 KiB holds about 9,400 ids, several times the largest
+#: window query on a 12k-vertex network, and ``capacity`` aliases hold
+#: at most ``capacity`` x 64 KiB of body bytes.
+MAX_ALIAS_BYTES = 64 * 1024
 
 
 def canonical_key(algorithm: str, query: DPSQuery, *,
@@ -63,9 +81,10 @@ def canonical_key(algorithm: str, query: DPSQuery, *,
 class ResultCache:
     """Thread-safe LRU with hit/miss/eviction counters.
 
-    ``capacity`` bounds the entry count (``0`` disables caching while
-    keeping the counters live, which is how ``--cache-size 0`` turns
-    the feature off without a second code path).
+    ``capacity`` bounds the entry count and, separately, the alias
+    count (``0`` disables caching while keeping the counters live,
+    which is how ``--cache-size 0`` turns the feature off without a
+    second code path).
     """
 
     def __init__(self, capacity: int = 256) -> None:
@@ -75,6 +94,8 @@ class ResultCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[Hashable, ...], bytes]" = \
             OrderedDict()
+        self._aliases: "OrderedDict[bytes, Tuple[Tuple[Hashable, ...], str]]" \
+            = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -93,6 +114,42 @@ class ResultCache:
             self.hits += 1
             return value
 
+    def get_raw(self, body: bytes) -> Optional[Tuple[bytes, str]]:
+        """Answer a byte repeat of a body answered before: ``(answer
+        bytes, engine)``, bumping recency and counting a hit exactly as
+        :meth:`get` on its canonical key would, or None -- counting
+        nothing -- when no live alias matches."""
+        if len(body) > MAX_ALIAS_BYTES:
+            return None
+        with self._lock:
+            alias = self._aliases.get(body)
+            if alias is None:
+                return None
+            key, engine = alias
+            value = self._entries.get(key)
+            if value is None:
+                # Its entry was evicted: the full path recomputes it.
+                del self._aliases[body]
+                return None
+            self._aliases.move_to_end(body)
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return value, engine
+
+    def alias(self, body: bytes, key: Tuple[Hashable, ...],
+              engine: str) -> None:
+        """Record that ``body`` was answered 200 from ``key`` by
+        ``engine``; the least recently used alias beyond ``capacity``
+        is dropped, and a body over :data:`MAX_ALIAS_BYTES` is not
+        kept."""
+        if self.capacity == 0 or len(body) > MAX_ALIAS_BYTES:
+            return
+        with self._lock:
+            self._aliases[body] = (key, engine)
+            self._aliases.move_to_end(body)
+            if len(self._aliases) > self.capacity:
+                self._aliases.popitem(last=False)
+
     def put(self, key: Tuple[Hashable, ...], value: bytes) -> None:
         """Insert one answer, evicting least-recently-used overflow."""
         if self.capacity == 0:
@@ -110,6 +167,7 @@ class ResultCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._aliases.clear()
 
     def counters(self) -> Dict[str, int]:
         """Snapshot of the monotone counters plus the current size."""

@@ -42,29 +42,33 @@ Endpoints (full request/response contracts in docs/serving.md):
     ``repro_cache_hits_total`` -- see
     :class:`~repro.serve.StatsAccumulator`).
 
-Transport: every response leaves in one send (status line, headers and
-body in one buffer) on a TCP_NODELAY socket, so a keep-alive client
-never waits on its delayed-ACK timer, and a connection that stays
-silent for :data:`HANDLER_TIMEOUT_S` frees its handler thread.
+Transport: the module reads HTTP/1.1 itself (:class:`_Handler`): the
+request line and headers are read line by line under the limits of
+:data:`MAX_LINE_BYTES` and :data:`MAX_HEADER_LINES`, and every request
+it refuses gets a typed JSON error through :meth:`DPSDaemon.reject`.
+Every response leaves in one send (status line, headers and body in
+one buffer) on a TCP_NODELAY socket, so a keep-alive client never
+waits on its delayed-ACK timer, and a connection that stays silent for
+:data:`HANDLER_TIMEOUT_S` frees its handler thread.
 
-Concurrency: the HTTP layer is ``ThreadingHTTPServer`` (one thread per
-connection, stdlib); query *compute* is serialised by a lock because
-the scratch-arena pool is per-process state and pure-Python compute
-holds the GIL anyway.  Cache hits bypass the lock entirely.  Scale-out
-is processes, not threads: several daemons behind any TCP balancer,
-sharing one mmap-loaded index.
+Concurrency: the server is the stdlib ``socketserver.ThreadingTCPServer``
+(one thread per connection); query *compute* is serialised by a lock
+because the scratch-arena pool is per-process state and pure-Python
+compute holds the GIL anyway.  Cache hits bypass the lock entirely.
+Scale-out is processes, not threads: several daemons behind any TCP
+balancer, sharing one mmap-loaded index.
 """
 
 from __future__ import annotations
 
 import json
+import socketserver
 import sys
 import threading
 import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dps import DPSQuery, DPSResult
@@ -106,6 +110,13 @@ LAYER_BUCKETS = (1e-05, 2.5e-05, 5e-05, 0.0001, 0.00025, 0.0005, 0.001,
 #: vertex ids).  A larger ``Content-Length`` is answered 413 before any
 #: of the body is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Longest request line or header line read, line end included, and the
+#: most header lines one request may carry: the limits ``http.server``
+#: applied.  A longer request line is answered 414; a longer header
+#: line, or more of them, 431.
+MAX_LINE_BYTES = 65536
+MAX_HEADER_LINES = 100
 
 #: Seconds a handler thread waits on a silent connection -- a body that
 #: never arrives, or an idle keep-alive client -- before it closes the
@@ -233,7 +244,7 @@ class DPSDaemon:
         self.verbose = verbose
         self._host = host
         self._requested_port = port
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._compute_lock = threading.Lock()
         self._metrics_lock = threading.Lock()
@@ -274,10 +285,8 @@ class DPSDaemon:
         the bound port (request ``port=0`` for an ephemeral one)."""
         if self._server is not None:
             raise RuntimeError("daemon already started")
-        server = ThreadingHTTPServer((self._host, self._requested_port),
-                                     _Handler)
-        server.daemon_threads = True
-        server.dps_daemon = self  # type: ignore[attr-defined]
+        server = _Server((self._host, self._requested_port), _Handler)
+        server.dps_daemon = self
         self._server = server
         self._started_at = time.monotonic()
         self._thread = threading.Thread(target=server.serve_forever,
@@ -401,8 +410,21 @@ class DPSDaemon:
         and the HTTP handler share it verbatim.  Every response carries
         ``X-Repro-Engine`` and ``X-Repro-Oracle``; accepted requests add
         ``X-Repro-Cache``.
+
+        A byte repeat of a body answered 200 whose entry is still cached
+        is answered from :meth:`ResultCache.get_raw` before any decode:
+        the same bytes, headers and counts as the full path, with its
+        ``parse`` layer observed as 0.
         """
         started = time.perf_counter()
+        repeat = self.cache.get_raw(body)
+        raw_done = time.perf_counter()
+        if repeat is not None:
+            cached, engine = repeat
+            self._note_request((0.0, raw_done - started))
+            return 200, cached, {"X-Repro-Cache": "hit",
+                                 "X-Repro-Engine": engine,
+                                 "X-Repro-Oracle": self.oracle_kind}
         try:
             request = self.parse_request(body)
         except RequestValidationError as exc:
@@ -414,9 +436,13 @@ class DPSDaemon:
                             fallback=request.fallback,
                             oracle=self.oracle)
         cached = self.cache.get(key)
-        looked_up = time.perf_counter()
         if cached is not None:
-            self._note_request((parsed - started, looked_up - parsed))
+            self.cache.alias(body, key, request.engine)
+        looked_up = time.perf_counter()
+        # The cache layer: both lookups (and the put, on a miss).
+        cache_s = raw_done - started + looked_up - parsed
+        if cached is not None:
+            self._note_request((parsed - raw_done, cache_s))
             return 200, cached, {"X-Repro-Cache": "hit",
                                  "X-Repro-Engine": request.engine,
                                  "X-Repro-Oracle": self.oracle_kind}
@@ -443,9 +469,10 @@ class DPSDaemon:
         serialized = time.perf_counter()
         if not failed:
             self.cache.put(key, response)
+            self.cache.alias(body, key, request.engine)
         done = time.perf_counter()
         self._note_request(
-            (parsed - started, looked_up - parsed + done - serialized,
+            (parsed - raw_done, cache_s + done - serialized,
              locked - looked_up, computed - locked, serialized - computed),
             qstats=None if failed else qstats, failure=failed,
             fell_back=used is not None)
@@ -604,60 +631,191 @@ def _content_length(values: Optional[List[str]]) -> int:
     return int(digits or "0")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the three endpoints onto the daemon object."""
+#: Reason phrases of the statuses the daemon sends.
+_REASONS = {
+    200: "OK", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 413: "Request Entity Too Large",
+    414: "Request-URI Too Long", 431: "Request Header Fields Too Large",
+    500: "Internal Server Error", 501: "Not Implemented",
+    504: "Gateway Timeout", 505: "HTTP Version Not Supported",
+}
 
-    server_version = "repro-dps/1"
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY: the stdlib's own send_error replies write the head
-    # and the body apart, and Nagle would hold the body back until the
-    # client's delayed ACK (~40 ms).
+_SERVER = f"repro-dps/1 Python/{sys.version.split()[0]}"
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep",
+           "Oct", "Nov", "Dec")
+
+#: ``--verbose`` log lines escape control characters and backslashes.
+_LOG_ESCAPES = str.maketrans(
+    {c: f"\\x{c:02x}" for c in [*range(0x20), *range(0x7f, 0xa0)]}
+    | {ord("\\"): "\\\\"})
+
+
+def _http_date() -> str:
+    """The current time as an RFC 9110 IMF-fixdate, for ``Date``."""
+    t = time.gmtime()
+    return (f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d}"
+            f" {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d}"
+            f" {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Refused(Exception):
+    """A request the reader will not serve: answered ``status`` with a
+    ``RequestValidationError`` body, after which the connection closes
+    (what follows its head cannot be told apart from a next request)."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    """One daemon thread per connection, on a reusable address."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+    dps_daemon: DPSDaemon
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Reads the HTTP/1.1 requests of one connection, in order, and
+    routes the three endpoints onto the daemon.
+
+    The head is read line by line; a line may end in CRLF or a bare LF,
+    and empty lines before a request line are skipped (RFC 9112 §2.2).
+    A connection persists under HTTP/1.1 unless the client sends
+    ``Connection: close``, and under HTTP/1.0 only with ``Connection:
+    keep-alive``.  A stream that ends, times out or resets before a
+    request is complete closes without an answer.
+    """
+
+    # TCP_NODELAY: a response that follows one still unacknowledged --
+    # pipelined requests, the tail of a large body -- must not wait for
+    # the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     timeout = HANDLER_TIMEOUT_S
 
-    @property
-    def dps(self) -> DPSDaemon:
-        return self.server.dps_daemon  # type: ignore[attr-defined]
+    def handle(self) -> None:
+        self.dps = self.server.dps_daemon
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._serve_one()
+        except OSError:
+            # A silent connection timing out, a reset, a client gone
+            # before its answer: nothing is left to answer or report.
+            pass
 
-    def log_message(self, fmt: str, *args) -> None:
-        if self.dps.verbose:
-            BaseHTTPRequestHandler.log_message(self, fmt, *args)
-
-    def _respond(self, status: int, body: bytes,
-                 headers: Optional[Dict[str, str]] = None,
-                 content_type: str = "application/json") -> None:
-        """Write the whole response -- status line, headers and body --
-        with one send.  Written apart, the body of a keep-alive response
-        waits for the client's delayed ACK."""
-        self.log_request(status, len(body))
-        head = [f"{self.protocol_version} {status}"
-                f" {self.responses[status][0]}",
-                f"Server: {self.version_string()}",
-                f"Date: {self.date_time_string()}",
-                f"Content-Type: {content_type}",
-                f"Content-Length: {len(body)}"]
-        for name, value in (headers or {}).items():
-            head.append(f"{name}: {value}")
-            if name == "Connection" and value == "close":
+    def _serve_one(self) -> None:
+        """Read one request and answer it, or close the connection."""
+        self.requestline = ""
+        try:
+            fields = self._read_head()
+            if fields is None:
                 self.close_connection = True
-        head.append("\r\n")
-        self.wfile.write("\r\n".join(head).encode("latin-1") + body)
+                return
+            length = self._body_length(fields)
+        except _Refused as exc:
+            status, body, headers = self.dps.reject(exc.status, str(exc))
+            self._respond(status, body, {**headers, "Connection": "close"})
+            return
+        tokens = {token.strip().lower()
+                  for value in fields.get("connection", ())
+                  for token in value.split(",")}
+        self.close_connection = "close" in tokens or (
+            self.request_version == "HTTP/1.0"
+            and "keep-alive" not in tokens)
+        if self.command == "GET":
+            self._get(length)
+        else:
+            self._post(length, fields)
 
-    def do_GET(self) -> None:
+    def _read_head(self) -> Optional[Dict[str, List[str]]]:
+        """Read a request line and its header lines: the values of each
+        header by lower-cased name, or None if the stream ends first.
+        Raises :class:`_Refused` for a head this reader does not
+        serve."""
+        readline = self.rfile.readline
+        line = readline(MAX_LINE_BYTES + 1)
+        while line in (b"\r\n", b"\n"):
+            line = readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise _Refused(414, f"request line longer than {MAX_LINE_BYTES}"
+                                f" bytes")
+        if not line.endswith(b"\n"):
+            return None
+        self.requestline = line.decode("latin-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if len(words) != 3:
+            raise _Refused(400, "HTTP/0.9 requests are not served"
+                           if len(words) == 2 else
+                           "malformed request line: send METHOD PATH"
+                           " HTTP/1.1")
+        self.command, self.path, version = words
+        if not (len(version) == 8 and version.startswith("HTTP/")
+                and version[5].isdecimal() and version[6] == "."
+                and version[7].isdecimal()):
+            raise _Refused(400, f"malformed HTTP version {version[:16]!r}")
+        if version[5] != "1":
+            raise _Refused(505 if version[5] > "1" else 400,
+                           f"{version} is not served; send HTTP/1.1")
+        self.request_version = version
+        fields: Dict[str, List[str]] = {}
+        for count in range(MAX_HEADER_LINES + 1):
+            line = readline(MAX_LINE_BYTES + 1)
+            if len(line) > MAX_LINE_BYTES:
+                raise _Refused(431, f"header line longer than"
+                                    f" {MAX_LINE_BYTES} bytes")
+            if not line.endswith(b"\n"):
+                return None
+            if line in (b"\r\n", b"\n"):
+                return fields
+            if count == MAX_HEADER_LINES:
+                break
+            name, colon, value = line.partition(b":")
+            # A name is a token: no whitespace before the colon (RFC
+            # 9112 §5) and no line folding (a line starting with it).
+            if not (colon and name) or b" " in name or b"\t" in name:
+                shown = line.rstrip(b"\r\n")[:40].decode("latin-1")
+                raise _Refused(400, f"malformed header line {shown!r}:"
+                                    f" send Name: value, unfolded")
+            fields.setdefault(name.decode("latin-1").lower(), []).append(
+                value.strip().decode("latin-1"))
+        raise _Refused(431, f"more than {MAX_HEADER_LINES} header lines")
+
+    def _body_length(self, fields: Dict[str, List[str]]) -> int:
+        """The body length the request declares, once its method and
+        framing are ones this reader serves."""
+        if self.command not in ("GET", "POST"):
+            raise _Refused(501, "only GET and POST are served")
+        if "transfer-encoding" in fields:
+            raise _Refused(501, "Transfer-Encoding is not supported; send"
+                                " the body with a Content-Length")
+        try:
+            length = _content_length(fields.get("content-length"))
+        except RequestValidationError as exc:
+            raise _Refused(400, str(exc)) from None
+        if length > MAX_BODY_BYTES:
+            raise _Refused(413, f"Content-Length exceeds MAX_BODY_BYTES"
+                                f" ({MAX_BODY_BYTES} bytes)")
+        return length
+
+    def _get(self, length: int) -> None:
+        # A GET's body is never read, so the connection ends with it.
+        close = {"Connection": "close"} if length else None
         if self.path == "/healthz":
-            self._respond(200, _json_bytes(self.dps.health()))
+            self._respond(200, _json_bytes(self.dps.health()), close)
         elif self.path == "/metrics":
-            self._respond(200,
-                          self.dps.render_metrics().encode("utf-8"),
-                          content_type="text/plain; version=0.0.4")
+            self._respond(200, self.dps.render_metrics().encode("utf-8"),
+                          close, content_type="text/plain; version=0.0.4")
         elif self.path == "/query":
             self._respond(405, _error_body("MethodNotAllowed",
-                                           "/query takes POST"))
+                                           "/query takes POST"), close)
         else:
             self._respond(404, _error_body(
-                "NotFound", f"no such endpoint {self.path}"))
+                "NotFound", f"no such endpoint {self.path}"), close)
 
-    def do_POST(self) -> None:
+    def _post(self, length: int, fields: Dict[str, List[str]]) -> None:
         if self.path != "/query":
             # The body of an unknown endpoint is never read, so the
             # connection cannot carry another request.
@@ -665,22 +823,37 @@ class _Handler(BaseHTTPRequestHandler):
                 "NotFound", f"no such endpoint {self.path}"),
                 {"Connection": "close"})
             return
-        try:
-            length = _content_length(self.headers.get_all("Content-Length"))
-        except RequestValidationError as exc:
-            self._reject_framing(400, str(exc))
+        if (length and self.request_version != "HTTP/1.0"
+                and "100-continue" in map(str.lower,
+                                          fields.get("expect", ()))):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = self.rfile.read(length)
+        if len(body) < length:
+            # The stream ended inside the body: nothing to answer.
+            self.close_connection = True
             return
-        if length > MAX_BODY_BYTES:
-            self._reject_framing(
-                413, f"Content-Length exceeds MAX_BODY_BYTES"
-                f" ({MAX_BODY_BYTES} bytes)")
-            return
-        body = self.rfile.read(length) if length else b""
         self._respond(*self.dps.handle_query(body))
 
-    def _reject_framing(self, status: int, message: str) -> None:
-        """Answer a request whose body cannot be delimited; the unread
-        body would be taken for the next request, so the connection
-        closes."""
-        status, body, headers = self.dps.reject(status, message)
-        self._respond(status, body, {**headers, "Connection": "close"})
+    def _respond(self, status: int, body: bytes,
+                 headers: Optional[Dict[str, str]] = None,
+                 content_type: str = "application/json") -> None:
+        """Write the whole response -- status line, headers and body --
+        with one send.  Written apart, the body of a keep-alive response
+        waits for the client's delayed ACK."""
+        if self.dps.verbose:
+            t = time.localtime()
+            message = f'"{self.requestline}" {status} {len(body)}'
+            sys.stderr.write(
+                f"{self.client_address[0]} - - [{t.tm_mday:02d}/"
+                f"{_MONTHS[t.tm_mon - 1]}/{t.tm_year:04d} {t.tm_hour:02d}:"
+                f"{t.tm_min:02d}:{t.tm_sec:02d}]"
+                f" {message.translate(_LOG_ESCAPES)}\n")
+        head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+                f"Server: {_SERVER}\r\nDate: {_http_date()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        for name, value in (headers or {}).items():
+            head += f"{name}: {value}\r\n"
+            if name == "Connection" and value == "close":
+                self.close_connection = True
+        self.connection.sendall((head + "\r\n").encode("latin-1") + body)

@@ -589,6 +589,53 @@ class TestInputFileErrors:
         assert "Traceback" not in captured.err + captured.out
         assert not os.path.exists(files["out"])
 
+    @pytest.fixture()
+    def foreign_index(self, tmp_path, capsys):
+        """A well-formed index built for another, smaller network."""
+        prefix = tmp_path / "small"
+        assert main(["generate", "--kind", "grid", "--columns", "6",
+                     "--rows", "6", "--seed", "1", "--out",
+                     str(prefix)]) == 0
+        path = tmp_path / "small.rpix"
+        assert main(["build-index", "--graph", f"{prefix}.gr",
+                     "--coords", f"{prefix}.co", "--borders", "3",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        return str(path)
+
+    FOREIGN = {
+        "query": ["query", "--graph", "{gr}", "--coords", "{co}",
+                  "--index", "{idx}"],
+        "serve": ["serve", "--graph", "{gr}", "--coords", "{co}",
+                  "--index", "{idx}", "--port", "0"],
+        "index-convert": ["index", "convert", "--graph", "{gr}",
+                          "--coords", "{co}", "--in", "{idx}", "--out",
+                          "{out}", "--oracle", "auto"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FOREIGN))
+    def test_index_for_another_network(self, files, foreign_index,
+                                       command, capsys, monkeypatch):
+        """An index built for another network is a bad input file too:
+        exit 2 and one line, and ``serve`` never binds."""
+        from repro.serve.daemon import DPSDaemon
+
+        def bind(_daemon):
+            raise AssertionError("serve bound before checking its index")
+
+        monkeypatch.setattr(DPSDaemon, "start", bind)
+        argv = [arg.format(idx=foreign_index, **files)
+                for arg in self.FOREIGN[command]]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            f"error: {foreign_index}: index built for 36 vertices,"
+            f" network has ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err + captured.out
+        assert not os.path.exists(files["out"])
+
     def test_through_python_dash_m(self, files):
         """No traceback reaches a shell either."""
         run = subprocess.run(

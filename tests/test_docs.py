@@ -171,6 +171,15 @@ class TestObservabilityDoc:
         for gone in ("pll-scalar", "pll-vectorized", "oracle_engine"):
             assert gone not in observability_doc
 
+    def test_documents_byte_repeat_layers_and_reader_refusals(
+            self, observability_doc):
+        flat = " ".join(observability_doc.split())
+        for needle in ("a byte-repeat hit", "observes `parse` as 0",
+                       "every refusal of the daemon's HTTP reader",
+                       "(414/431)", "(505)", "(501)"):
+            assert needle in flat, (
+                f"{needle!r} missing from docs/observability.md")
+
     def test_documents_every_exposed_metric_family(self):
         """Every family the daemon can emit must appear in the doc's
         exposition table (the search families are one templated row)."""
@@ -260,6 +269,34 @@ class TestServingDoc:
                        "repro_cache_hits_total", "StatsAccumulator"):
             assert needle in serving_doc
 
+    def test_documents_the_http_reader_and_byte_repeats(self,
+                                                          serving_doc):
+        from repro.serve import cache, daemon
+        flat = " ".join(serving_doc.split())
+        for needle in ("socketserver.ThreadingTCPServer", "bare LF",
+                       "Expect: 100-continue", "Transfer-Encoding",
+                       "pipelined", "folded", "HTTP/0.9", "414", "431",
+                       "501", "505", "Connection: close",
+                       "repro_rejected_total", "tests/test_serve_reader.py",
+                       "--verbose", "Byte-repeat aliases", "get_raw",
+                       "TestByteRepeatPath", "--cache-size 0"):
+            assert needle in flat, f"{needle!r} missing from serving.md"
+        # The documented limits are the module's constants.
+        for needle in (
+                f"`MAX_LINE_BYTES` ({daemon.MAX_LINE_BYTES:,} bytes",
+                f"`MAX_HEADER_LINES` ({daemon.MAX_HEADER_LINES})",
+                f"`MAX_ALIAS_BYTES` ({cache.MAX_ALIAS_BYTES // 1024} KiB"):
+            assert needle in flat, f"{needle!r} missing from serving.md"
+
+    def test_no_stdlib_http_server_wording(self):
+        """The daemon reads HTTP itself: the serving and architecture
+        docs must not describe the stdlib server it replaced."""
+        for page in ("serving.md", "architecture.md"):
+            doc = (REPO_ROOT / "docs" / page).read_text()
+            for gone in ("ThreadingHTTPServer", "http.server",
+                         "send_error"):
+                assert gone not in doc, f"{gone!r} still in {page}"
+
     def test_lifecycle_summary_matches_cli(self, serving_doc):
         """The doc quotes the CLI's startup/shutdown lines; they must
         track the real strings in repro.cli."""
@@ -326,7 +363,9 @@ class TestReadmeLinks:
         doc = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in ("DPSDaemon", "binfmt", "ResultCache",
                        "canonical_key", "mmap", "save_binary",
-                       "load_binary", "roadpart-index-bin-v4"):
+                       "load_binary", "roadpart-index-bin-v4",
+                       "socketserver.ThreadingTCPServer",
+                       "Byte-repeat aliases", "MAX_ALIAS_BYTES"):
             assert needle in doc, (
                 f"{needle!r} missing from docs/architecture.md")
         assert "roadpart-index-bin-v1" not in doc

@@ -88,3 +88,62 @@ class TestResultCache:
         cache.clear()
         assert cache.get(("a",)) is None
         assert len(cache) == 0
+
+
+class TestByteRepeatAliases:
+    """Raw body -> canonical key aliases: a raw lookup reads, bumps and
+    counts the canonical entry exactly as ``get`` does."""
+
+    def test_raw_hit_counts_and_bumps_like_get(self):
+        cache = ResultCache(2)
+        cache.put(("a",), b"1")
+        cache.alias(b"body-a", ("a",), "dict")
+        cache.put(("b",), b"2")
+        assert cache.get_raw(b"body-a") == (b"1", "dict")
+        cache.put(("c",), b"3")           # evicts b: the raw hit bumped a
+        assert cache.get(("b",)) is None
+        assert cache.counters() == {"cache_hits": 1, "cache_misses": 1,
+                                    "cache_evictions": 1,
+                                    "cache_size": 2}
+
+    def test_unknown_body_counts_nothing(self):
+        cache = ResultCache(2)
+        assert cache.get_raw(b"never seen") is None
+        assert cache.hits == cache.misses == 0
+
+    def test_alias_of_an_evicted_entry_is_dropped(self):
+        cache = ResultCache(1)
+        cache.put(("a",), b"1")
+        cache.alias(b"body-a", ("a",), "flat")
+        cache.put(("b",), b"2")
+        assert cache.get_raw(b"body-a") is None
+        assert b"body-a" not in cache._aliases
+        assert cache.hits == cache.misses == 0
+
+    def test_aliases_are_bounded_by_capacity_lru(self):
+        cache = ResultCache(2)
+        for name in (b"x", b"y"):
+            cache.put((name,), name)
+            cache.alias(name, (name,), "flat")
+        assert cache.get_raw(b"x") == (b"x", "flat")  # y is now the LRU
+        cache.alias(b"x-spaced", (b"x",), "flat")
+        assert list(cache._aliases) == [b"x", b"x-spaced"]
+
+    def test_no_alias_without_capacity_or_above_the_bound(self):
+        from repro.serve.cache import MAX_ALIAS_BYTES
+        off = ResultCache(0)
+        off.alias(b"body", ("a",), "flat")
+        assert not off._aliases
+        cache = ResultCache(4)
+        cache.put(("a",), b"1")
+        big = b" " * (MAX_ALIAS_BYTES + 1)
+        cache.alias(big, ("a",), "flat")
+        assert not cache._aliases
+        assert cache.get_raw(big) is None
+
+    def test_clear_drops_aliases(self):
+        cache = ResultCache(4)
+        cache.put(("a",), b"1")
+        cache.alias(b"body", ("a",), "flat")
+        cache.clear()
+        assert not cache._aliases

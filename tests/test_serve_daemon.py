@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
 import time
 import urllib.error
 import urllib.request
+from collections import OrderedDict
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.serve import (
     StatsAccumulator,
     merge_query_stats,
 )
+from repro.serve.cache import MAX_ALIAS_BYTES
 from repro.serve.daemon import DPSDaemon
 from repro.serve.faults import FaultPlan
 
@@ -456,3 +459,148 @@ class TestProcessLifecycle:
                 process.communicate()
         assert process.returncode == 0
         assert "daemon stopped: 1 requests served" in out
+
+
+class TestByteRepeatPath:
+    """A byte repeat of a body answered 200 is answered from its raw
+    bytes before any decode, and nothing observable changes: each
+    request's cache disposition, the counters and the bodies equal
+    those of a canonical-key LRU."""
+
+    CAPACITY = 4
+    FAULTS = (3, 9, 17)
+    MALFORMED = (b"{nope", b'{"Q": []}', b'{"Q": [1, true]}',
+                 b'{"Q": [1], "engine": "cuda"}')
+
+    def test_matches_a_canonical_lru_model(self, medium_network,
+                                           medium_index):
+        windows = [sorted(window_query(medium_network, 0.04 + 0.01 * k,
+                                       seed=500 + k)) for k in range(6)]
+        assert len({tuple(w) for w in windows}) == len(windows)
+        d = DPSDaemon(medium_network, medium_index,
+                      cache_size=self.CAPACITY,
+                      faults=FaultPlan(raise_at={
+                          i: "injected" for i in self.FAULTS}))
+        rng = random.Random(11)
+        model: "OrderedDict[tuple, bytes]" = OrderedDict()
+        answers = {}
+        canonical = {}  # model key -> the daemon's key, for LRU order
+        hits = misses = evictions = computed = 0
+        sent = []
+        dispositions = set()
+        for _ in range(240):
+            roll = rng.random()
+            if roll < 0.1:
+                body, key = rng.choice(self.MALFORMED), None
+            elif roll < 0.45 and sent:
+                body, key = rng.choice(sent)  # an exact byte repeat
+                dispositions.add("repeat")
+            else:
+                w = rng.randrange(len(windows))
+                ids = list(windows[w])
+                payload = {"Q": ids}
+                engine, deadline = "flat", None
+                variant = rng.randrange(5)
+                if variant == 1:
+                    rng.shuffle(ids)  # same key, other bytes
+                elif variant == 2:
+                    engine = payload["engine"] = "dict"
+                elif variant == 3:
+                    payload["engine"] = "flat"  # the default, spelled out
+                elif variant == 4:
+                    deadline = payload["deadline_ms"] = 60000.0
+                body = json.dumps(payload, separators=rng.choice(
+                    [(",", ":"), (", ", ": ")])).encode("ascii")
+                if rng.random() < 0.3:
+                    body = b" " + body + b"\n"
+                key = (w, engine, deadline)
+                sent.append((body, key))
+            status, response, headers = d.handle_query(body)
+            if key is None:
+                assert status == 400
+                assert "X-Repro-Cache" not in headers
+            elif key in model:
+                model.move_to_end(key)
+                hits += 1
+                assert (status, headers["X-Repro-Cache"]) == (200, "hit")
+                assert response == model[key]
+            else:
+                misses += 1
+                assert headers["X-Repro-Cache"] == "miss"
+                if computed in self.FAULTS:
+                    assert status == 500
+                    dispositions.add("fault")
+                else:
+                    assert status == 200
+                    assert answers.setdefault(key, response) == response
+                    model[key] = response
+                    canonical[key] = next(reversed(d.cache._entries))
+                    if len(model) > self.CAPACITY:
+                        model.popitem(last=False)
+                        evictions += 1
+                computed += 1
+            if key is not None:
+                assert headers["X-Repro-Engine"] == key[1]
+            assert (d.cache.hits, d.cache.misses, d.cache.evictions) \
+                == (hits, misses, evictions)
+            assert list(d.cache._entries) == [canonical[k] for k in model]
+        assert dispositions == {"repeat", "fault"}
+        assert evictions > 0 and hits > 0
+
+    @pytest.fixture()
+    def body(self, window):
+        return json.dumps({"Q": window}).encode("ascii")
+
+    def test_evicted_alias_takes_the_full_path(self, medium_network,
+                                               medium_index, body,
+                                               window):
+        d = DPSDaemon(medium_network, medium_index, cache_size=1)
+        assert d.handle_query(body)[2]["X-Repro-Cache"] == "miss"
+        assert body in d.cache._aliases
+        other = json.dumps({"Q": window[:3]}).encode("ascii")
+        d.handle_query(other)  # evicts the first answer
+        status, _, headers = d.handle_query(body)
+        assert (status, headers["X-Repro-Cache"]) == (200, "miss")
+        assert (d.cache.hits, d.cache.misses, d.cache.evictions) \
+            == (0, 3, 2)
+
+    def test_cache_size_zero_keeps_no_alias(self, medium_network,
+                                            medium_index, body):
+        d = DPSDaemon(medium_network, medium_index, cache_size=0)
+        for _ in range(2):
+            assert d.handle_query(body)[2]["X-Repro-Cache"] == "miss"
+        assert not d.cache._aliases
+        assert (d.cache.hits, d.cache.misses) == (0, 2)
+
+    def test_body_over_the_bound_is_answered_not_aliased(
+            self, medium_network, medium_index, body):
+        d = DPSDaemon(medium_network, medium_index)
+        big = body + b" " * (MAX_ALIAS_BYTES + 1 - len(body))
+        first = d.handle_query(body)
+        for disposition in ("hit", "hit"):
+            status, response, headers = d.handle_query(big)
+            assert (status, response) == first[:2]
+            assert headers["X-Repro-Cache"] == disposition
+        assert list(d.cache._aliases) == [body]
+
+    def test_raw_hit_names_the_engine_of_its_body(self, medium_network,
+                                                  medium_index, window):
+        d = DPSDaemon(medium_network, medium_index)
+        for engine in ("dict", "flat"):
+            body = json.dumps({"Q": window, "engine": engine}).encode()
+            d.handle_query(body)
+            before = parse_metrics(d.render_metrics())
+            status, _, headers = d.handle_query(body)
+            after = parse_metrics(d.render_metrics())
+            assert status == 200
+            assert headers == {"X-Repro-Cache": "hit",
+                               "X-Repro-Engine": engine,
+                               "X-Repro-Oracle": "none"}
+            # Answered before any decode: parse observed as 0.
+            parse = 'repro_request_layer_seconds_{}{{layer="parse"{}}}'
+            assert after[parse.format("bucket", ',le="1e-05"')] \
+                == before[parse.format("bucket", ',le="1e-05"')] + 1
+            assert after[parse.format("sum", "")] \
+                == before[parse.format("sum", "")]
+            assert after[parse.format("count", "")] \
+                == before[parse.format("count", "")] + 1

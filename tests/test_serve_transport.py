@@ -14,6 +14,7 @@ import http.client
 import io
 import json
 import random
+import re
 import socket
 import sys
 import threading
@@ -152,6 +153,36 @@ class TestOneSendPerResponse:
         finally:
             conn.close()
         assert elapsed < 0.4, f"20 keep-alive hits took {elapsed:.3f}s"
+
+
+class TestVerboseLog:
+    def test_one_common_log_line_per_response(self, medium_network,
+                                              medium_index, window,
+                                              capsys):
+        """``--verbose`` writes one common-log line per response, the
+        refused ones included, with control characters escaped."""
+        d = DPSDaemon(medium_network, medium_index, verbose=True)
+        query = _query_bytes({"Q": window})
+        conn = _ScriptedConnection(b"".join([
+            _request("POST", "/query", query),
+            _request("POST", "/query", query),
+            _request("GET", "/healthz"),
+            b"GET /\x01 HTTP/1.1\r\n\r\n",
+            b"PUT /query HTTP/1.1\r\n\r\n",  # refused; the connection ends
+        ]))
+        _Handler(conn, ("127.0.0.1", 0), SimpleNamespace(dps_daemon=d))
+        lines = capsys.readouterr().err.splitlines()
+        line = re.compile(r'127\.0\.0\.1 - - \[\d\d/[A-Z][a-z]{2}/\d{4}'
+                          r' \d\d:\d\d:\d\d\] "(.*)" (\d{3}) (\d+)')
+        logged = [line.fullmatch(text).groups() for text in lines]
+        sent = [_parse_response(raw) for raw in conn.sends]
+        assert [(status, len(body)) for status, _, body in sent] \
+            == [(int(code), int(size)) for _, code, size in logged]
+        assert [status for status, _, _ in sent] == [200, 200, 200, 404, 501]
+        assert [request for request, _, _ in logged] == [
+            "POST /query HTTP/1.1", "POST /query HTTP/1.1",
+            "GET /healthz HTTP/1.1", "GET /\\x01 HTTP/1.1",
+            "PUT /query HTTP/1.1"]
 
 
 class TestRequestFraming:
